@@ -73,33 +73,22 @@ def _cmd_probe(args):
     os.makedirs(out_dir, exist_ok=True)
     wrote = []
 
-    if args.spectrum or not (args.scan or args.landscape):
+    spectrum = args.spectrum or not (args.scan or args.landscape)
+    if spectrum or args.scan:
+        k = pc.eig_count if spectrum else 1
         _, grad_fn, theta0 = diagnostics.probe_functions(model, x, targets)
-        rec, vecs = diagnostics.top_hessian_eigs(
-            grad_fn, theta0, k=pc.eig_count, iters=pc.power_iters, tol=pc.tol, seed=0)
-        path = os.path.join(out_dir, "spectrum.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["epoch"] + [f"lambda_{j+1}" for j in range(pc.eig_count)]
-                       + [f"residual_{j+1}" for j in range(pc.eig_count)])
-            w.writerow([""] + [training._fmt(v) for v in rec.eigenvalues]
-                       + [training._fmt(v) for v in rec.residuals])
-        wrote.append(path)
+        rec, vecs = diagnostics.top_hessian_eigs(grad_fn, theta0, k=k, iters=pc.power_iters,
+                                                 tol=pc.tol, seed=0)
+        if spectrum:
+            path = os.path.join(out_dir, "spectrum.csv")
+            experiments._write_spectrum_csv(path, k, [(None, rec.eigenvalues, rec.residuals)])
+            wrote.append(path)
         if args.scan:
             losses = diagnostics.eigvec_perturb_scan(model, (x, targets), vecs[0],
                                                      pc.scan_distances)
             path = os.path.join(out_dir, "scan.csv")
             _write_scan(path, pc.scan_distances, losses)
             wrote.append(path)
-    elif args.scan:
-        _, grad_fn, theta0 = diagnostics.probe_functions(model, x, targets)
-        rec, vecs = diagnostics.top_hessian_eigs(grad_fn, theta0, k=1,
-                                                 iters=pc.power_iters, tol=pc.tol, seed=0)
-        losses = diagnostics.eigvec_perturb_scan(model, (x, targets), vecs[0],
-                                                 pc.scan_distances)
-        path = os.path.join(out_dir, "scan.csv")
-        _write_scan(path, pc.scan_distances, losses)
-        wrote.append(path)
 
     if args.landscape:
         out = diagnostics.landscape_slice(model, (x, targets), pc.landscape_grid,

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sparselab import autodiff as ad
+from sparselab.ghost import ConfigError
+from sparselab.layers import ParamLayout
 
 
 @dataclass
@@ -32,13 +34,13 @@ class ProbeConfig:
 
     def __post_init__(self):
         if self.eig_count < 1:
-            raise ValueError("probe eig_count must be >= 1")
+            raise ConfigError("probe eig_count must be >= 1")
         if self.act_eps <= 0:
-            raise ValueError("probe act_eps must be positive")
+            raise ConfigError("probe act_eps must be positive")
         if self.every < 1:
-            raise ValueError("probe cadence must be >= 1 epoch")
+            raise ConfigError("probe cadence must be >= 1 epoch")
         if self.landscape_grid % 2 == 0 or self.landscape_grid < 1:
-            raise ValueError("landscape grid must be odd so the origin is sampled")
+            raise ConfigError("landscape grid must be odd so the origin is sampled")
 
 
 @dataclass
@@ -87,11 +89,12 @@ def probe_functions(model, x, targets, *, training=False, activation=None,
     The forward pass never updates running stats and parameter overrides
     keep the model itself untouched.
     """
-    theta0 = model.free_vector()
+    layout = ParamLayout(model.blocks.values())
+    theta0 = layout.free({n: b.value for n, b in model.blocks.items()})
     y = np.asarray(targets, dtype=np.float64)
 
     def run(vec):
-        values = model.values_from_free(np.asarray(vec, dtype=np.float64))
+        values = layout.from_free(np.asarray(vec, dtype=np.float64))
         res = model.forward(x, training=training, update_stats=False,
                             activation=activation, beta=beta, alpha=alpha, values=values)
         return res, ad.softmax_cross_entropy(res.logits, y, label="probe_loss")
@@ -102,8 +105,7 @@ def probe_functions(model, x, targets, *, training=False, activation=None,
     def grad_fn(vec):
         res, loss = run(vec)
         ad.backward(loss)
-        grads = {n: res.leaves[n].grad for n in model.blocks}
-        return model.free_vector(values=grads)
+        return layout.free({n: res.leaves[n].grad for n in layout.names})
 
     return loss_fn, grad_fn, theta0
 
@@ -217,7 +219,7 @@ def _filter_normalized_direction(model, rng):
                 scale = np.where(dn > 0, pn / dn, 0.0)
             d = d * scale
         values[name] = d
-    return model.free_vector(values=values)
+    return ParamLayout(model.blocks.values()).free(values)
 
 
 @dataclass

@@ -112,8 +112,9 @@ def validate_config(raw):
         parse_tweaks(t)
     seeds = [int(s) for s in _as_list(raw["train"].get("seed", 0))]
     out_dir = raw.get("out_dir", "runs")
-    # constructing the per-run configs validates the remaining values
-    _train_config(raw, tweaks[0], seeds[0])
+    # constructing every per-run config validates the remaining values
+    for t in tweaks:
+        _train_config(raw, t, seeds[0])
     return ExperimentConfig(raw=raw, algos=algos, sparsities=sparsities,
                             tweaks=tweaks, seeds=seeds, out_dir=out_dir)
 
@@ -244,7 +245,9 @@ def _finish_cell(out_root, model, history, tc, algo, s, tweaks, seed):
     training.write_metrics_csv(os.path.join(run_dir, "metrics.csv"),
                                history, n_act, eig_count)
     if tc.probes and tc.probes.enabled:
-        _write_spectrum_csv(os.path.join(run_dir, "spectrum.csv"), history, eig_count)
+        _write_spectrum_csv(os.path.join(run_dir, "spectrum.csv"), eig_count,
+                            [(r.epoch, r.top_eigs, r.eig_residuals)
+                             for r in history if r.top_eigs is not None])
     if model.applied_scales is not None:
         with open(os.path.join(run_dir, "lrsi_scales.csv"), "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -262,18 +265,14 @@ def _finish_cell(out_root, model, history, tc, algo, s, tweaks, seed):
         diverged=diverged, history=history)
 
 
-def _write_spectrum_csv(path, history, eig_count):
+def _write_spectrum_csv(path, eig_count, rows):
+    """One row per probe from ``(epoch, eigenvalues, residuals)``; epoch may be None."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["epoch"] + [f"lambda_{j+1}" for j in range(eig_count)]
                    + [f"residual_{j+1}" for j in range(eig_count)])
-        for rec in history:
-            if rec.top_eigs is None:
-                continue
-            row = [rec.epoch]
-            row += [training._fmt(v) for v in rec.top_eigs]
-            row += [training._fmt(v) for v in rec.eig_residuals]
-            w.writerow(row)
+        for epoch, eigs, resids in rows:
+            w.writerow([training._fmt(v) for v in (epoch, *eigs, *resids)])
 
 
 SUMMARY_COLUMNS = ["mask_algo", "sparsity", "tweaks", "n_seeds",

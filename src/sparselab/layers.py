@@ -19,6 +19,7 @@ import numpy as np
 
 from sparselab import autodiff as ad
 from sparselab.autodiff import mish, pswish, relu  # noqa: F401  (re-exported op surface)
+from sparselab.checkpoint import CheckpointError
 
 # Tiny eps: guards the zero-variance channel while keeping batchnorm
 # exactly scale-equivariant to 1e-9 (weight rescaling must be absorbed).
@@ -72,6 +73,46 @@ class ParamBlock:
                          None if self.mask is None else self.mask.copy(),
                          self.momentum.copy())
         return blk
+
+
+class ParamLayout:
+    """Blocks laid end to end, in list order, as one flat float64 vector.
+
+    The one owner of flat-vector order: names, shapes and offsets of the
+    blocks, plus ``free_index``, the flat indices of the unmasked
+    coordinates (every coordinate of a block without a mask).
+    """
+
+    def __init__(self, blocks):
+        blocks = list(blocks)
+        self.names = [b.name for b in blocks]
+        self.shapes = [b.value.shape for b in blocks]
+        self.offsets = np.cumsum([0] + [b.value.size for b in blocks])
+        self.size = int(self.offsets[-1])
+        live = [np.ones(b.value.size, dtype=bool) if b.mask is None else (b.mask > 0).ravel()
+                for b in blocks]
+        self.free_index = np.flatnonzero(np.concatenate(live)) if live else np.zeros(0, np.int64)
+
+    def flatten(self, arrays):
+        """One vector from a name -> array mapping (extra names ignored)."""
+        if not self.names:
+            return np.zeros(0)
+        return np.concatenate([np.ravel(arrays[n]) for n in self.names])
+
+    def unflatten(self, vec):
+        """name -> array views into ``vec``, reshaped to each block."""
+        return {n: vec[a:b].reshape(s)
+                for n, s, a, b in zip(self.names, self.shapes, self.offsets, self.offsets[1:])}
+
+    def free(self, arrays):
+        """The unmasked coordinates of ``arrays`` as one vector."""
+        return self.flatten(arrays)[self.free_index]
+
+    def from_free(self, vec):
+        """Full per-block arrays from a free vector; masked coordinates are 0.0."""
+        flat = np.zeros(self.size)
+        flat[self.free_index] = vec
+        return self.unflatten(flat)
 
 
 @dataclass
@@ -286,34 +327,6 @@ class Model:
                 names.extend([f"{layer.name}.act1", f"{layer.name}.act2"])
         return names
 
-    # -- flat views over free (unmasked) coordinates -------------------------
-
-    def free_vector(self, values=None):
-        parts = []
-        for name, blk in self.blocks.items():
-            arr = blk.value if values is None else values[name]
-            if blk.mask is not None:
-                parts.append(arr[blk.mask > 0].ravel())
-            else:
-                parts.append(arr.ravel())
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    def values_from_free(self, vec):
-        """Rebuild full per-block arrays from a free vector (masked coords stay 0)."""
-        values, ofs = {}, 0
-        for name, blk in self.blocks.items():
-            if blk.mask is not None:
-                arr = np.zeros_like(blk.value)
-                idx = blk.mask > 0
-                n = int(idx.sum())
-                arr[idx] = vec[ofs:ofs + n]
-            else:
-                n = blk.value.size
-                arr = np.asarray(vec[ofs:ofs + n], dtype=np.float64).reshape(blk.value.shape).copy()
-            values[name] = arr
-            ofs += n
-        return values
-
     def state_dict(self):
         state = {n: b.value.copy() for n, b in self.blocks.items()}
         for n, b in self.blocks.items():
@@ -325,15 +338,40 @@ class Model:
         return state
 
     def load_state_dict(self, state):
+        """Replace values, masks and BN statistics from ``state``, strictly.
+
+        Every parameter block and BN statistic must be present with the
+        model's shape, and no other name may appear. ``.mask`` entries are
+        optional; a mask must be binary and every coordinate it masks must
+        be 0.0. The model is left untouched unless the whole state is valid.
+        """
+        def take(name, shape):
+            if name not in state:
+                raise CheckpointError(f"state has no entry for {name}")
+            arr = np.asarray(state[name], dtype=np.float64)
+            if arr.shape != shape:
+                raise CheckpointError(f"{name}: shape {arr.shape} in state, model has {shape}")
+            return arr
+
+        values, masks = {}, {}
         for n, b in self.blocks.items():
-            if n in state:
-                b.value = np.asarray(state[n], dtype=np.float64).reshape(b.value.shape)
+            values[n], masks[n] = take(n, b.value.shape), b.mask
             if f"{n}.mask" in state:
-                b.mask = np.asarray(state[f"{n}.mask"], dtype=np.float64).reshape(b.value.shape)
-        for n in list(self.bn_stats):
-            if f"{n}.rmean" in state:
-                self.bn_stats[n] = (np.asarray(state[f"{n}.rmean"], dtype=np.float64).ravel(),
-                                    np.asarray(state[f"{n}.rvar"], dtype=np.float64).ravel())
+                masks[n] = take(f"{n}.mask", b.value.shape)
+                if not np.all((masks[n] == 0.0) | (masks[n] == 1.0)):
+                    raise CheckpointError(f"{n}.mask: mask is not binary")
+            if masks[n] is not None and np.any(values[n][masks[n] == 0.0]):
+                raise CheckpointError(f"{n}: nonzero value under mask 0")
+        stats = {bn: (take(f"{bn}.rmean", m.shape), take(f"{bn}.rvar", v.shape))
+                 for bn, (m, v) in self.bn_stats.items()}
+        known = (set(values) | {f"{n}.mask" for n in values}
+                 | {f"{bn}.{s}" for bn in stats for s in ("rmean", "rvar")})
+        unknown = sorted(set(state) - known)
+        if unknown:
+            raise CheckpointError(f"state has unknown entries {unknown}")
+        for n, b in self.blocks.items():
+            b.value, b.mask = values[n], masks[n]
+        self.bn_stats.update(stats)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sparselab import autodiff as ad
+from sparselab.layers import ParamLayout
 
 GRASP_PRUNE_LARGEST = True
 
@@ -54,10 +55,6 @@ class CollapseReport:
     collapsed_layers: list = field(default_factory=list)
 
 
-def _maskable(model):
-    return [b for b in model.blocks.values() if b.maskable]
-
-
 def _check_sparsity(s):
     if not 0.0 <= s < 1.0:
         raise ValueError(f"sparsity must be in [0,1), got {s}")
@@ -65,15 +62,6 @@ def _check_sparsity(s):
 
 def _keep_count(total, s):
     return int(round((1.0 - s) * total))
-
-
-def _mask_from_flat(blocks, flat):
-    arrays, ofs = {}, 0
-    for b in blocks:
-        n = b.value.size
-        arrays[b.name] = flat[ofs:ofs + n].reshape(b.value.shape).astype(np.float64)
-        ofs += n
-    return arrays
 
 
 def _topk_keep(scores, keep_n):
@@ -84,16 +72,15 @@ def _topk_keep(scores, keep_n):
     return flat
 
 
-def _rank_mask(blocks, scores_by_block, s, scope):
+def _rank_mask(layout, scores_by_block, s, scope):
     if scope == "global":
-        scores = np.concatenate([scores_by_block[b.name].ravel() for b in blocks])
-        flat = _topk_keep(scores, _keep_count(scores.size, s))
-        return _mask_from_flat(blocks, flat)
+        scores = layout.flatten(scores_by_block)
+        return layout.unflatten(_topk_keep(scores, _keep_count(scores.size, s)))
     if scope == "layerwise":
         arrays = {}
-        for b in blocks:
-            sc = scores_by_block[b.name].ravel()
-            arrays[b.name] = _topk_keep(sc, _keep_count(sc.size, s)).reshape(b.value.shape)
+        for name, shape in zip(layout.names, layout.shapes):
+            sc = scores_by_block[name].ravel()
+            arrays[name] = _topk_keep(sc, _keep_count(sc.size, s)).reshape(shape)
         return arrays
     raise ValueError(f"unknown ranking scope {scope!r}")
 
@@ -105,13 +92,13 @@ def _rank_mask(blocks, scores_by_block, s, scope):
 def random_mask(model, s, seed, scope="global"):
     """Uniformly random keep-set of round((1-s)*N) weights."""
     _check_sparsity(s)
-    blocks = _maskable(model)
+    blocks = model.maskable_blocks()
     rng = np.random.default_rng([seed, 1])
     if scope == "global":
-        total = sum(b.value.size for b in blocks)
-        flat = np.zeros(total)
-        flat[rng.permutation(total)[:_keep_count(total, s)]] = 1.0
-        return Mask(_mask_from_flat(blocks, flat), s)
+        layout = ParamLayout(blocks)
+        flat = np.zeros(layout.size)
+        flat[rng.permutation(layout.size)[:_keep_count(layout.size, s)]] = 1.0
+        return Mask(layout.unflatten(flat), s)
     if scope == "layerwise":
         arrays = {}
         for b in blocks:
@@ -125,14 +112,14 @@ def random_mask(model, s, seed, scope="global"):
 def magnitude_mask(model, s, scope="global", values=None):
     """Keep the top (1-s) fraction by |theta|."""
     _check_sparsity(s)
-    blocks = _maskable(model)
+    blocks = model.maskable_blocks()
     scores = {}
     for b in blocks:
         v = b.value if values is None else values[b.name]
         if not np.all(np.isfinite(v)):
             raise ad.NumericError(f"magnitude_mask: non-finite weights in {b.name}")
         scores[b.name] = np.abs(v)
-    return Mask(_rank_mask(blocks, scores, s, scope), s)
+    return Mask(_rank_mask(ParamLayout(blocks), scores, s, scope), s)
 
 
 def _loss_grads(model, batch, ls_alpha=0.0):
@@ -145,18 +132,18 @@ def _loss_grads(model, batch, ls_alpha=0.0):
     res = model.forward(x, training=True, update_stats=False)
     loss = ad.softmax_cross_entropy(res.logits, targets, label="mask_loss")
     ad.backward(loss)
-    return {b.name: res.leaves[b.name].grad for b in _maskable(model)}
+    return {b.name: res.leaves[b.name].grad for b in model.maskable_blocks()}
 
 
 def snip_mask(model, batch, s, scope="global"):
     """Gradient-sensitivity pruning: saliency |theta ⊙ grad L| on one batch."""
     _check_sparsity(s)
-    blocks = _maskable(model)
+    blocks = model.maskable_blocks()
     grads = _loss_grads(model, batch)
     scores = {b.name: np.abs(b.value * grads[b.name]) for b in blocks}
     if all(np.all(sc == 0.0) for sc in scores.values()):
         raise DegenerateSaliencyError("snip_mask: every saliency score is zero")
-    return Mask(_rank_mask(blocks, scores, s, scope), s)
+    return Mask(_rank_mask(ParamLayout(blocks), scores, s, scope), s)
 
 
 def grasp_saliency(grad_fn, theta0):
@@ -179,33 +166,22 @@ def grasp_mask(model, batch, s, scope="global"):
     """
     from sparselab.training import smooth_labels_batch
     _check_sparsity(s)
-    blocks = _maskable(model)
+    layout = ParamLayout(model.maskable_blocks())
     x, y = batch
     if len(x) == 0:
         raise ValueError("mask generation needs a non-empty batch")
     targets = smooth_labels_batch(y, model.n_classes, 0.0)
-    names = [b.name for b in blocks]
-    theta0 = np.concatenate([b.value.ravel() for b in blocks])
+    theta0 = layout.flatten({n: b.value for n, b in model.blocks.items()})
 
     def grad_fn(flat):
-        values, ofs = {}, 0
-        for b in blocks:
-            n = b.value.size
-            values[b.name] = flat[ofs:ofs + n].reshape(b.value.shape)
-            ofs += n
-        res = model.forward(x, training=True, update_stats=False, values=values)
+        res = model.forward(x, training=True, update_stats=False, values=layout.unflatten(flat))
         loss = ad.softmax_cross_entropy(res.logits, targets, label="grasp_loss")
         ad.backward(loss)
-        return np.concatenate([res.leaves[nm].grad.ravel() for nm in names])
+        return layout.flatten({n: res.leaves[n].grad for n in layout.names})
 
     saliency = grasp_saliency(grad_fn, theta0)
     ranking = -saliency if GRASP_PRUNE_LARGEST else saliency
-    scores, ofs = {}, 0
-    for b in blocks:
-        n = b.value.size
-        scores[b.name] = ranking[ofs:ofs + n].reshape(b.value.shape)
-        ofs += n
-    return Mask(_rank_mask(blocks, scores, s, scope), s)
+    return Mask(_rank_mask(layout, layout.unflatten(ranking), s, scope), s)
 
 
 def synflow_mask(model, s, iterations=100):
@@ -220,47 +196,32 @@ def synflow_mask(model, s, iterations=100):
     _check_sparsity(s)
     if iterations < 1:
         raise ValueError("synflow_mask: iterations must be >= 1")
-    blocks = _maskable(model)
-    total = sum(b.value.size for b in blocks)
+    layout = ParamLayout(model.maskable_blocks())
     if s == 0.0:
-        return Mask({b.name: np.ones_like(b.value) for b in blocks}, 0.0)
+        return Mask(layout.unflatten(np.ones(layout.size)), 0.0)
 
     ones = np.ones((1,) + model.in_shape)
     base_abs = {n: np.abs(b.value) for n, b in model.blocks.items()}
-    live = np.ones(total)
+    live = np.ones(layout.size)
     density = 1.0 - s
     notes = []
     emptied = set()
     for k in range(1, iterations + 1):
-        live_by_block, ofs = {}, 0
-        for b in blocks:
-            n = b.value.size
-            live_by_block[b.name] = live[ofs:ofs + n].reshape(b.value.shape)
-            ofs += n
         values = dict(base_abs)
-        for b in blocks:
-            values[b.name] = base_abs[b.name] * live_by_block[b.name]
+        values.update({n: base_abs[n] * lv for n, lv in layout.unflatten(live).items()})
         res = model.forward(ones, training=False, update_stats=False,
                             bn_passthrough=True, values=values)
         flow = ad.sum_all(res.logits, label="synflow_R")
         ad.backward(flow)
-        parts = []
-        for b in blocks:
-            grad = res.leaves[b.name].grad
-            sal = (base_abs[b.name] * grad).ravel()
-            parts.append(sal)
-        saliency = np.concatenate(parts)
+        saliency = layout.flatten({n: base_abs[n] * res.leaves[n].grad for n in layout.names})
         saliency[live == 0.0] = -1.0     # pruned weights never resurrect
-        keep_k = max(_keep_count(total, 1.0 - density ** (k / iterations)), 1)
+        keep_k = max(_keep_count(layout.size, 1.0 - density ** (k / iterations)), 1)
         live = _topk_keep(saliency, keep_k)
-        ofs = 0
-        for b in blocks:
-            n = b.value.size
-            if b.name not in emptied and not live[ofs:ofs + n].any():
-                emptied.add(b.name)
-                notes.append(f"layer {b.name} fully pruned at iteration {k}")
-            ofs += n
-    return Mask(_mask_from_flat(blocks, live), s, notes=tuple(notes))
+        for n, lv in layout.unflatten(live).items():
+            if n not in emptied and not lv.any():
+                emptied.add(n)
+                notes.append(f"layer {n} fully pruned at iteration {k}")
+    return Mask(layout.unflatten(live), s, notes=tuple(notes))
 
 
 def imp_lth(model, dataset, rounds, per_round_rate, train_config):
@@ -276,21 +237,20 @@ def imp_lth(model, dataset, rounds, per_round_rate, train_config):
         raise ValueError("imp_lth: rounds must be >= 1")
     if not 0.0 < per_round_rate < 1.0:
         raise ValueError(f"imp_lth: per_round_rate must be in (0,1), got {per_round_rate}")
-    blocks = _maskable(model)
-    total = sum(b.value.size for b in blocks)
+    layout = ParamLayout(model.maskable_blocks())
+    total = layout.size
     if int(round(total * (1.0 - per_round_rate) ** rounds)) < 1:
         raise ValueError("imp_lth: requested rounds prune every weight (sparsity >= 1)")
 
-    mask = Mask({b.name: np.ones_like(b.value) for b in blocks}, 0.0)
+    mask = Mask(layout.unflatten(np.ones(total)), 0.0)
     for r in range(1, rounds + 1):
         work = model.clone()
         apply_mask(work, mask)
         train(work, dataset, train_config)
         survivors_r = int(round(total * (1.0 - per_round_rate) ** r))
-        scores = np.concatenate([np.abs(work.blocks[b.name].value).ravel() for b in blocks])
-        livef = np.concatenate([mask.arrays[b.name].ravel() for b in blocks])
-        scores[livef == 0.0] = -1.0
-        mask = Mask(_mask_from_flat(blocks, _topk_keep(scores, survivors_r)),
+        scores = np.abs(layout.flatten({n: b.value for n, b in work.blocks.items()}))
+        scores[layout.flatten(mask.arrays) == 0.0] = -1.0
+        mask = Mask(layout.unflatten(_topk_keep(scores, survivors_r)),
                     1.0 - survivors_r / total)
     rewound = model.clone()
     apply_mask(rewound, mask)
@@ -304,10 +264,10 @@ def imp_lth(model, dataset, rounds, per_round_rate, train_config):
 def apply_mask(model, mask):
     """Zero the masked weights and store the mask so the trainer keeps
     gradients and momentum at exactly 0 there forever after."""
-    names = {b.name for b in _maskable(model)}
-    if set(mask.arrays) != names:
+    blocks = model.maskable_blocks()
+    if set(mask.arrays) != {b.name for b in blocks}:
         raise ValueError("apply_mask: mask blocks do not match the model's maskable blocks")
-    for b in _maskable(model):
+    for b in blocks:
         arr = np.asarray(mask.arrays[b.name], dtype=np.float64)
         if arr.shape != b.value.shape:
             raise ValueError(f"apply_mask: mask for {b.name} has shape {arr.shape}, "

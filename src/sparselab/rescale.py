@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sparselab import autodiff as ad
+from sparselab.ghost import ConfigError
 
 
 @dataclass
@@ -27,7 +28,7 @@ class LRsIConfig:
     def __post_init__(self):
         lo, hi = self.bounds
         if not (0 < lo < hi):
-            raise ValueError(f"lrsi bounds must satisfy 0 < lo < hi, got {self.bounds}")
+            raise ConfigError(f"lrsi bounds must satisfy 0 < lo < hi, got {self.bounds}")
 
 
 @dataclass
@@ -56,22 +57,23 @@ def _scaled_values(model, scales):
     return values
 
 
-def _loss(model, values, batch):
+def _loss(model, values, batch, forward_kwargs):
     x, targets = batch
-    res = model.forward(x, training=True, update_stats=False, values=values)
+    res = model.forward(x, training=True, update_stats=False, values=values, **forward_kwargs)
     loss = ad.softmax_cross_entropy(res.logits, np.asarray(targets, dtype=np.float64),
                                     label="first_step")
     return res, loss
 
 
-def first_step_loss(model, batch, lr, values=None):
+def first_step_loss(model, batch, lr, values=None, **forward_kwargs):
     """Training loss after one simulated masked SGD step on the same batch.
 
-    Returns L(theta - lr * (m ⊙ grad L(theta))) without mutating the model.
+    Returns L(theta - lr * (m ⊙ grad L(theta))) without mutating the model;
+    ``forward_kwargs`` (activation, beta, alpha) select the network variant.
     """
     if values is None:
         values = {n: b.value for n, b in model.blocks.items()}
-    res, loss = _loss(model, values, batch)
+    res, loss = _loss(model, values, batch, forward_kwargs)
     ad.backward(loss)
     stepped = {}
     for name, blk in model.blocks.items():
@@ -81,17 +83,18 @@ def first_step_loss(model, batch, lr, values=None):
         if blk.mask is not None:
             g = g * blk.mask
         stepped[name] = values[name] - lr * g
-    _, loss2 = _loss(model, stepped, batch)
+    _, loss2 = _loss(model, stepped, batch, forward_kwargs)
     return float(loss2.data)
 
 
-def learn_scales(model, batch, lr_train, config=None):
+def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):
     """Optimize per-block scalars to lower the first-step loss.
 
     Coordinate gradients are estimated by central finite differences in
     log space (positivity needs no projection), followed by a fixed-size
     gradient step and clamping. The best-seen scalars are kept, so the
-    final objective never exceeds the objective at c=1.
+    final objective never exceeds the objective at c=1. ``forward_kwargs``
+    are passed to every forward pass of the objective.
     """
     cfg = config or LRsIConfig()
     groups = scale_groups(model)
@@ -102,12 +105,14 @@ def learn_scales(model, batch, lr_train, config=None):
     def objective(u):
         scales = {g: math.exp(ui) for g, ui in zip(groups, u)}
         try:
-            return first_step_loss(model, batch, lr_train, values=_scaled_values(model, scales))
+            return first_step_loss(model, batch, lr_train, values=_scaled_values(model, scales),
+                                   **forward_kwargs)
         except ad.NumericError:
             return math.inf
 
     u = np.zeros(len(groups))
-    j0 = first_step_loss(model, batch, lr_train)   # c=1; raises on degenerate init
+    # c=1; raises on degenerate init
+    j0 = first_step_loss(model, batch, lr_train, **forward_kwargs)
     if not math.isfinite(j0):
         raise ad.NumericError("learn_scales: objective non-finite at unit scales")
     best_u, best_j = u.copy(), j0

@@ -53,6 +53,8 @@ class TrainConfig:
             raise ConfigError(f"ls_alpha must be in [0,1), got {self.ls_alpha}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.ghost is not None:
+            ghost_mode(self.ghost, ms)   # the schedule needs its milestones
         self.milestones = ms
 
 
@@ -171,7 +173,8 @@ def train(model, dataset, config, mask=None):
         state0 = policy.state_at(0) if policy else None
         act0, beta0, alpha0 = _ghost_knobs(config, state0)
         # the first-step objective sees the exact epoch-0 network, ghosts included
-        scales = _learn_scales_ghosted(model, (bx, bt), config, act0, beta0, alpha0)
+        scales = rescale.learn_scales(model, (bx, bt), config.lr0, config.lrsi,
+                                      activation=act0, beta=beta0, alpha=alpha0)
         rescale.apply_scales(model, scales)
         model.applied_scales = scales
 
@@ -251,25 +254,6 @@ def train(model, dataset, config, mask=None):
             swap_deviation=swap_dev,
         ))
     return history
-
-
-def _learn_scales_ghosted(model, batch, config, act_kind, beta, alpha):
-    """LRsI with the epoch-0 ghost state folded into the objective."""
-    if act_kind is None and alpha == 0.0:
-        return rescale.learn_scales(model, batch, config.lr0, config.lrsi)
-    # wrap forward so the rescale module sees the ghosted network
-    class _Ghosted:
-        def __init__(self, inner):
-            self._inner = inner
-            self.blocks = inner.blocks
-
-        def forward(self, x, **kw):
-            kw.setdefault("activation", act_kind)
-            kw.setdefault("beta", beta)
-            kw.setdefault("alpha", alpha)
-            return self._inner.forward(x, **kw)
-
-    return rescale.learn_scales(_Ghosted(model), batch, config.lr0, config.lrsi)
 
 
 def _swap_deviation(model, x, beta_max):

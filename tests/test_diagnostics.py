@@ -13,6 +13,12 @@ def _mlp(seed=0, hidden=(8, 8)):
                                "classes": 2}, seed=seed)
 
 
+def _free(model):
+    """The model's free (unmasked) coordinate vector."""
+    return layers.ParamLayout(model.blocks.values()).free(
+        {n: b.value for n, b in model.blocks.items()})
+
+
 def _probe_batch(model, n=16, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n,) + model.in_shape)
@@ -125,9 +131,9 @@ class TestProbeFunctions:
 
     def test_masked_coordinates_excluded(self):
         model = _mlp(seed=6)
-        full = model.free_vector().size
+        full = _free(model).size
         masks.apply_mask(model, masks.random_mask(model, 0.5, seed=7))
-        assert model.free_vector().size < full
+        assert _free(model).size < full
 
 
 class TestPerturbScan:
@@ -143,7 +149,7 @@ class TestPerturbScan:
     def test_direction_scale_invariant(self):
         model = _mlp(seed=9)
         batch = _probe_batch(model, seed=9)
-        d = np.random.default_rng(9).normal(size=model.free_vector().size)
+        d = np.random.default_rng(9).normal(size=_free(model).size)
         a = dg.eigvec_perturb_scan(model, batch, d, [0.1, 0.2])
         b = dg.eigvec_perturb_scan(model, batch, 10.0 * d, [0.1, 0.2])
         np.testing.assert_array_equal(a, b)
@@ -152,7 +158,7 @@ class TestPerturbScan:
         model = _mlp(seed=10)
         batch = _probe_batch(model, seed=10)
         before = {n: b.value.tobytes() for n, b in model.blocks.items()}
-        d = np.random.default_rng(10).normal(size=model.free_vector().size)
+        d = np.random.default_rng(10).normal(size=_free(model).size)
         dg.eigvec_perturb_scan(model, batch, d, np.linspace(-1, 1, 5))
         for n, b in model.blocks.items():
             assert b.value.tobytes() == before[n]
@@ -160,7 +166,7 @@ class TestPerturbScan:
     def test_zero_direction_rejected(self):
         model = _mlp(seed=11)
         with pytest.raises(ValueError):
-            dg.eigvec_perturb_scan(model, _probe_batch(model), np.zeros(model.free_vector().size), [0.0])
+            dg.eigvec_perturb_scan(model, _probe_batch(model), np.zeros(_free(model).size), [0.0])
 
 
 class TestLandscapeSlice:
@@ -189,7 +195,7 @@ class TestLandscapeSlice:
     def test_filter_norms_match_parameters(self):
         model = _mlp(seed=16)
         d = dg._filter_normalized_direction(model, np.random.default_rng(2))
-        values = model.values_from_free(d)
+        values = layers.ParamLayout(model.blocks.values()).from_free(d)
         w = model.blocks["L00.dense.w"]
         dcols = np.linalg.norm(values[w.name], axis=0)
         wcols = np.linalg.norm(w.value, axis=0)

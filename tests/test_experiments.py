@@ -71,6 +71,22 @@ class TestConfigValidation:
         assert tc_full.lrsi.enabled and tc_full.ls_alpha == 0.1
 
 
+class TestEveryTweakValidated:
+    """A bad value behind any tweak label fails before the first cell runs."""
+
+    @pytest.mark.parametrize("overrides", [
+        {"ghost": {"policy": "bogus"}},
+        {"ghost": {"policy": "ghost_at_second_decay"}},
+        {"lrsi": {"bounds": [5, 1]}},
+    ], ids=["ghost-policy", "ghost-second-decay-one-milestone", "lrsi-bounds"])
+    def test_exit_2_and_no_cell_written(self, tmp_path, overrides):
+        path = _config(tmp_path, tweaks=["baseline", "toolkit"], **overrides)
+        with pytest.raises(ConfigError):
+            experiments.load_config(path)
+        assert cli.main(["run", path]) == 2
+        assert not (tmp_path / "runs").exists()
+
+
 class TestGridExecution:
     def test_cell_count_and_summary_rows(self, tmp_path):
         path = _config(tmp_path, tweaks=["baseline", "toolkit"],
@@ -203,3 +219,33 @@ class TestCli:
                          "--spectrum", "--scan", "--landscape", "--out", probe_dir]) == 0
         for f in ("spectrum.csv", "scan.csv", "landscape.csv"):
             assert os.path.exists(os.path.join(probe_dir, f))
+
+
+class TestProbeVerb:
+    """Which files each probe flag set writes."""
+
+    def _probe(self, tmp_path, *flags, **overrides):
+        path = _config(tmp_path, **overrides)
+        ck = str(tmp_path / "mask.splb")
+        assert cli.main(["mask", path, "--algo", "magnitude", "--sparsity", "0.5",
+                         "--out", ck]) == 0
+        probe_dir = tmp_path / "probes"
+        assert cli.main(["probe", ck, "--config", path, "--batch", "test:16", *flags,
+                         "--out", str(probe_dir)]) == 0
+        return probe_dir
+
+    @pytest.mark.parametrize("flags, written", [
+        ((), ["spectrum.csv"]),
+        (("--scan",), ["scan.csv"]),
+        (("--landscape",), ["landscape.csv"]),
+    ])
+    def test_flag_writes_only_its_file(self, tmp_path, flags, written):
+        assert sorted(os.listdir(self._probe(tmp_path, *flags))) == written
+
+    def test_eig_count_two_columns(self, tmp_path):
+        probe_dir = self._probe(tmp_path, "--spectrum", probes={"eig_count": 2})
+        with open(probe_dir / "spectrum.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["epoch", "lambda_1", "lambda_2", "residual_1", "residual_2"]
+        assert len(rows) == 2 and rows[1][0] == ""
+        assert float(rows[1][1]) >= float(rows[1][2])

@@ -259,9 +259,10 @@ class TestForwardPlumbing:
     def test_free_vector_roundtrip(self):
         model = ly.build_model({"preset": "mlp", "in_shape": [4], "hidden": [6, 6],
                                 "classes": 2}, seed=15)
-        vec = model.free_vector()
+        layout = ly.ParamLayout(model.blocks.values())
+        vec = layout.free({n: b.value for n, b in model.blocks.items()})
         assert vec.size == model.param_count()
-        values = model.values_from_free(vec)
+        values = layout.from_free(vec)
         for n, b in model.blocks.items():
             np.testing.assert_array_equal(values[n], b.value)
 
@@ -270,3 +271,51 @@ class TestForwardPlumbing:
                                 "classes": 2}, seed=16)
         out = model.forward(np.zeros((3, 1, 4, 4)))
         assert out.logits.data.shape == (3, 2)
+
+
+class TestParamLayout:
+    def _masked_mlp(self):
+        from sparselab import masks
+        model = ly.build_model({"preset": "mlp", "in_shape": [4], "hidden": [6, 6],
+                                "classes": 2}, seed=17)
+        masks.apply_mask(model, masks.random_mask(model, 0.5, seed=18))
+        return model
+
+    def test_flatten_unflatten_roundtrip_in_block_order(self):
+        model = self._masked_mlp()
+        layout = ly.ParamLayout(model.blocks.values())
+        assert layout.names == list(model.blocks)
+        vec = layout.flatten({n: b.value for n, b in model.blocks.items()})
+        np.testing.assert_array_equal(
+            vec, np.concatenate([b.value.ravel() for b in model.blocks.values()]))
+        back = layout.unflatten(vec)
+        assert list(back) == list(model.blocks)
+        for n, b in model.blocks.items():
+            assert back[n].shape == b.value.shape
+            np.testing.assert_array_equal(back[n], b.value)
+
+    def test_free_index_is_flatnonzero_of_masks(self):
+        model = self._masked_mlp()
+        layout = ly.ParamLayout(model.blocks.values())
+        live = np.concatenate([np.ones(b.value.size) if b.mask is None else b.mask.ravel()
+                               for b in model.blocks.values()])
+        np.testing.assert_array_equal(layout.free_index, np.flatnonzero(live))
+
+    def test_from_free_masked_coordinates_exactly_zero(self):
+        model = self._masked_mlp()
+        layout = ly.ParamLayout(model.blocks.values())
+        values = layout.from_free(np.full(layout.free_index.size, -3.5))
+        for n, b in model.blocks.items():
+            if b.mask is None:
+                assert np.all(values[n] == -3.5)
+            else:
+                dead = b.mask == 0.0
+                assert dead.any()
+                assert np.all(values[n][dead] == 0.0)
+                assert not np.signbit(values[n][dead]).any()
+                assert np.all(values[n][~dead] == -3.5)
+
+    def test_empty_layout(self):
+        layout = ly.ParamLayout([])
+        assert layout.size == 0 and layout.flatten({}).size == 0
+        assert layout.free({}).size == 0 and layout.from_free(np.zeros(0)) == {}

@@ -13,6 +13,8 @@ and curvature everywhere else in the package.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -177,11 +179,19 @@ def pswish(x, beta=1.0, label=""):
     beta = float(beta)
     if beta < 0:
         raise ValueError(f"pswish: beta must be >= 0, got {beta}")
-    s = _sigmoid(beta * x.data)
-    data = x.data * s
+    # beta = inf is the relu limit, computed exactly (inf * 0 would give NaN)
+    relu_limit = beta == math.inf
+    if relu_limit:
+        data = np.maximum(x.data, 0.0)
+    else:
+        s = _sigmoid(beta * x.data)
+        data = x.data * s
 
     def bw(g):
-        _accumulate(x, g * (s * (1.0 + beta * x.data * (1.0 - s))))
+        if relu_limit:
+            _accumulate(x, g * (x.data > 0))
+        else:
+            _accumulate(x, g * (s * (1.0 + beta * x.data * (1.0 - s))))
 
     return _result(data, "pswish", (x,), bw, label)
 
@@ -202,8 +212,15 @@ def mish(x, label=""):
 def conv2d(x, w, stride=1, label=""):
     """3x3 convolution, zero padding 1, stride 1 or 2.
 
-    x: (N, C_in, H, W), w: (C_out, C_in, 3, 3). Implemented by gathering the
-    nine shifted views of the padded input and contracting with einsum.
+    x: (N, C_in, H, W), w: (C_out, C_in, 3, 3), output (N, C_out, Ho, Wo).
+    Implemented as im2col + GEMM. Inside the op the zero-padded input is
+    held as (C_in, H+2, W+2, N), batch innermost, so every window copy and
+    every col2im ``+=`` moves contiguous runs of N values. The nine strided
+    windows fill one (C_in*9, Ho*Wo*N) ``cols`` matrix; the forward pass is
+    one GEMM with w viewed as (C_out, C_in*9), the backward pass one GEMM
+    for dw and, only when x needs a gradient, one GEMM for dcols followed
+    by a nine-step col2im scatter. The output is an (N, C_out, Ho, Wo) view
+    of the GEMM result, whose memory order stays (C_out, Ho, Wo, N).
     """
     x, w = as_tensor(x), as_tensor(w)
     if stride not in (1, 2):
@@ -220,21 +237,28 @@ def conv2d(x, w, stride=1, label=""):
     n, c, h, wd = x.data.shape
     ho = (h + 2 - 3) // stride + 1
     wo = (wd + 2 - 3) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((n, c, 3, 3, ho, wo))
+    o = w.data.shape[0]
+    xp = np.zeros((c, h + 2, wd + 2, n))
+    xp[:, 1:1 + h, 1:1 + wd] = x.data.transpose(1, 2, 3, 0)
+    cols = np.empty((c, 3, 3, ho, wo, n))
     for ki in range(3):
         for kj in range(3):
-            cols[:, :, ki, kj] = xp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
-    data = np.einsum("ncklhw,ockl->nohw", cols, w.data, optimize=True)
+            cols[:, ki, kj] = xp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
+    cols = cols.reshape(c * 9, ho * wo * n)
+    w2 = w.data.reshape(o, c * 9)
+    data = (w2 @ cols).reshape(o, ho, wo, n).transpose(3, 0, 1, 2)
 
     def bw(g):
-        _accumulate(w, np.einsum("ncklhw,nohw->ockl", cols, g, optimize=True))
-        dcols = np.einsum("ockl,nohw->ncklhw", w.data, g, optimize=True)
+        g2 = g.transpose(1, 2, 3, 0).reshape(o, ho * wo * n)
+        _accumulate(w, (g2 @ cols.T).reshape(w.data.shape))
+        if not x.requires_grad:
+            return
+        dcols = (w2.T @ g2).reshape(c, 3, 3, ho, wo, n)
         dxp = np.zeros_like(xp)
         for ki in range(3):
             for kj in range(3):
-                dxp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += dcols[:, :, ki, kj]
-        _accumulate(x, dxp[:, :, 1:1 + h, 1:1 + wd])
+                dxp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += dcols[:, ki, kj]
+        _accumulate(x, dxp[:, 1:1 + h, 1:1 + wd].transpose(3, 0, 1, 2))
 
     return _result(data, "conv2d", (x, w), bw, label)
 

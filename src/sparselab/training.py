@@ -148,8 +148,9 @@ def _ghost_knobs(config, state):
 def train(model, dataset, config, mask=None):
     """Run the full protocol; returns one RunRecord per completed epoch.
 
-    Divergence (non-finite or exploding loss) aborts the run with a final
-    record flagged ``diverged`` instead of raising.
+    Divergence (a non-finite value in the forward pass, the gradients or
+    the update, or an exploding loss) aborts the run with a final record
+    flagged ``diverged`` instead of raising.
     """
     if mask is not None:
         from sparselab.masks import apply_mask
@@ -199,21 +200,21 @@ def train(model, dataset, config, mask=None):
                 res = model.forward(xb, training=True, activation=act_kind,
                                     beta=beta, alpha=alpha)
                 loss = ad.softmax_cross_entropy(res.logits, targets, label="train_loss")
+                val = float(loss.data)
+                if not math.isfinite(val) or val > DIVERGENCE_LOSS:
+                    diverged = True
+                    break
+                ad.backward(loss)
+                grads = {name: res.leaves[name].grad for name in masks_by_name}
+                flows.append(diagnostics.avg_gradient_flow(grads, masks_by_name))
+                for name, blk in model.blocks.items():
+                    g = res.leaves[name].grad
+                    if g is None:
+                        g = np.zeros_like(blk.value)
+                    sgd_step(blk, g, lr, config.momentum, config.weight_decay)
             except ad.NumericError:
                 diverged = True
                 break
-            val = float(loss.data)
-            if not math.isfinite(val) or val > DIVERGENCE_LOSS:
-                diverged = True
-                break
-            ad.backward(loss)
-            grads = {name: res.leaves[name].grad for name in masks_by_name}
-            flows.append(diagnostics.avg_gradient_flow(grads, masks_by_name))
-            for name, blk in model.blocks.items():
-                g = res.leaves[name].grad
-                if g is None:
-                    g = np.zeros_like(blk.value)
-                sgd_step(blk, g, lr, config.momentum, config.weight_decay)
             losses.append(val)
 
         if diverged:

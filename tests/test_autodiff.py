@@ -48,6 +48,15 @@ class TestForwardBasics:
         y = ad.relu(ad.Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(y.data, [0.0, 0.0, 2.0])
 
+    def test_pswish_infinite_beta_is_exact_relu(self):
+        data = [-2.0, -1e-300, 0.0, 1e-300, 3.0]
+        x, xr = ad.Tensor(data, requires_grad=True), ad.Tensor(data, requires_grad=True)
+        y, yr = ad.pswish(x, float("inf")), ad.relu(xr)
+        np.testing.assert_array_equal(y.data, yr.data)
+        ad.backward(y)
+        ad.backward(yr)
+        np.testing.assert_array_equal(x.grad, xr.grad)
+
     def test_zero_two_layer_net(self):
         x = ad.Tensor(np.random.default_rng(0).normal(size=(3, 2)))
         w1 = ad.Tensor(np.zeros((2, 2)))
@@ -181,6 +190,18 @@ class TestOpGradients:
 
         _gradcheck(build, flat0)
 
+    def test_conv2d_constant_input_gets_no_grad(self):
+        rng = np.random.default_rng(6)
+        x = ad.Tensor(rng.normal(size=(2, 3, 5, 5)))
+        w = ad.Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        g = rng.normal(size=(2, 4, 5, 5))
+        ad.backward(ad.conv2d(x, w), seed=g)
+        assert x.grad is None
+        x_var = ad.Tensor(x.data, requires_grad=True)
+        w_ref = ad.Tensor(w.data, requires_grad=True)
+        ad.backward(ad.conv2d(x_var, w_ref), seed=g)
+        np.testing.assert_array_equal(w.grad, w_ref.grad)
+
     def test_batchnorm_train(self):
         rng = np.random.default_rng(9)
         nx = 6 * 3
@@ -236,6 +257,60 @@ class TestOpGradients:
             return ad.softmax_cross_entropy(z, y), [z]
 
         _gradcheck(build, flat0)
+
+
+def _conv2d_taps(x_shape, w_shape, stride):
+    """Every (output index, x index, w index) product of a zero-padding-1
+    cross-correlation; taps that land in the padding are left out."""
+    n, c, h, wd = x_shape
+    o = w_shape[0]
+    for b in range(n):
+        for k in range(o):
+            for i in range((h - 1) // stride + 1):
+                for j in range((wd - 1) // stride + 1):
+                    for ch in range(c):
+                        for di in range(3):
+                            for dj in range(3):
+                                r, q = i * stride + di - 1, j * stride + dj - 1
+                                if 0 <= r < h and 0 <= q < wd:
+                                    yield (b, k, i, j), (b, ch, r, q), (k, ch, di, dj)
+
+
+def _conv2d_oracle(x, w, stride, g):
+    """Direct loops: the output, and the gradients of <g, output> by x and w."""
+    n, _, h, wd = x.shape
+    out = np.zeros((n, w.shape[0], (h - 1) // stride + 1, (wd - 1) // stride + 1))
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for yi, xi, wi in _conv2d_taps(x.shape, w.shape, stride):
+        out[yi] += x[xi] * w[wi]
+        dx[xi] += g[yi] * w[wi]
+        dw[wi] += g[yi] * x[xi]
+    return out, dx, dw
+
+
+class TestConv2dOracle:
+    """conv2d and both of its gradients against a nested-loop reference."""
+
+    # (N, C_in, C_out, H, W)
+    SHAPES = [(2, 3, 4, 4, 4), (2, 2, 3, 5, 5), (3, 2, 2, 5, 7), (2, 3, 2, 6, 3),
+              (2, 1, 3, 4, 6), (1, 3, 2, 5, 4), (2, 2, 3, 2, 2), (1, 1, 1, 1, 1)]   # 2x2 at stride 2 gives 1x1
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_and_gradients_match_oracle(self, shape, stride):
+        n, c, o, h, wd = shape
+        rng = np.random.default_rng(sum(shape) + 10 * stride)
+        x0, w0 = rng.normal(size=(n, c, h, wd)), rng.normal(size=(o, c, 3, 3))
+        ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+        g = rng.normal(size=(n, o, ho, wo))
+        want, want_dx, want_dw = _conv2d_oracle(x0, w0, stride, g)
+        x, w = ad.Tensor(x0, requires_grad=True), ad.Tensor(w0, requires_grad=True)
+        y = ad.conv2d(x, w, stride=stride)
+        ad.backward(y, seed=g)
+        assert y.data.shape == want.shape
+        assert _rel_err(y.data, want) <= 1e-12
+        assert _rel_err(x.grad, want_dx) <= 1e-12
+        assert _rel_err(w.grad, want_dw) <= 1e-12
 
 
 class TestErrors:

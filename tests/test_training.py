@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sparselab import autodiff as ad
 from sparselab import datasets, ghost, layers, masks, training
 from sparselab.ghost import ConfigError, GhostConfig
 from sparselab.layers import ParamBlock
@@ -188,6 +189,31 @@ class TestTrainLoop:
         history = training.train(model, _toy_blobs(seed=6), cfg)
         assert history[-1].diverged
         assert len(history) < 10
+
+    def test_explicit_pswish_layer_trains_without_ghost(self):
+        # no ghost config means beta = inf: the pswish layer must act as exact relu
+        model = layers.build_model({"layers": [{"kind": "dense", "width": 8},
+                                               {"kind": "activation", "activation": "pswish"},
+                                               {"kind": "dense", "width": 2}],
+                                    "in_shape": [2], "classes": 2}, seed=8)
+        cfg = training.TrainConfig(epochs=1, batch_size=16, lr0=0.05, milestones=(), seed=8)
+        history = training.train(model, _toy_blobs(seed=8), cfg)
+        assert len(history) == 1 and not history[0].diverged
+        assert history[0].beta == math.inf and math.isfinite(history[0].train_loss)
+
+    def test_numeric_error_in_update_flags_divergence(self, monkeypatch):
+        calls = []
+
+        def failing_step(block, grad, *args):
+            calls.append(block.name)
+            raise ad.NumericError(f"sgd_step: non-finite gradient for block {block.name}")
+
+        monkeypatch.setattr(training, "sgd_step", failing_step)
+        cfg = training.TrainConfig(epochs=3, batch_size=16, lr0=0.05, milestones=(), seed=9)
+        history = training.train(_small_mlp(seed=9), _toy_blobs(seed=9), cfg)
+        assert len(calls) == 1
+        assert len(history) == 1 and history[0].diverged
+        assert math.isnan(history[0].train_loss)
 
 
 class TestGhostIntegration:

@@ -31,13 +31,15 @@ class GraphError(RuntimeError):
 
 
 def _sigmoid(x):
-    # Branch on sign so exp never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # e = exp(-|x|) never overflows and equals exp(-x) for x >= 0 and
+    # exp(x) below, so 1/(1+e) and e/(1+e) are bit for bit the two sign
+    # branches. The numerator max(e, x >= 0) is 1 or e without a masked
+    # op (e <= 1). Two full-size arrays, e and out, each computed in place.
+    e = np.abs(x, out=np.empty_like(x))
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.add(e, 1.0, out=np.empty_like(x))
+    np.maximum(e, x >= 0, out=e)
+    return np.divide(e, out, out=out)
 
 
 def _check_finite(data, op, label):

@@ -246,7 +246,7 @@ def _finish_cell(out_root, model, history, tc, algo, s, tweaks, seed):
                                history, n_act, eig_count)
     if tc.probes and tc.probes.enabled:
         _write_spectrum_csv(os.path.join(run_dir, "spectrum.csv"), eig_count,
-                            [(r.epoch, r.top_eigs, r.eig_residuals)
+                            [(r.epoch, r.top_eigs, r.eig_residuals, r.eig_converged)
                              for r in history if r.top_eigs is not None])
     if model.applied_scales is not None:
         with open(os.path.join(run_dir, "lrsi_scales.csv"), "w", newline="") as fh:
@@ -266,13 +266,17 @@ def _finish_cell(out_root, model, history, tc, algo, s, tweaks, seed):
 
 
 def _write_spectrum_csv(path, eig_count, rows):
-    """One row per probe from ``(epoch, eigenvalues, residuals)``; epoch may be None."""
+    """One row per probe from ``(epoch, eigenvalues, residuals, converged)``.
+
+    epoch may be None; ``converged_j`` is written 1 or 0, so a probe that
+    stopped without converging is marked as such next to its value.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["epoch"] + [f"lambda_{j+1}" for j in range(eig_count)]
-                   + [f"residual_{j+1}" for j in range(eig_count)])
-        for epoch, eigs, resids in rows:
-            w.writerow([training._fmt(v) for v in (epoch, *eigs, *resids)])
+        w.writerow(["epoch"] + [f"{col}_{j+1}" for col in ("lambda", "residual", "converged")
+                                for j in range(eig_count)])
+        for epoch, eigs, resids, converged in rows:
+            w.writerow([training._fmt(v) for v in (epoch, *eigs, *resids, *map(int, converged))])
 
 
 SUMMARY_COLUMNS = ["mask_algo", "sparsity", "tweaks", "n_seeds",

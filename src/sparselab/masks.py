@@ -65,10 +65,28 @@ def _keep_count(total, s):
 
 
 def _topk_keep(scores, keep_n):
-    """Indices of the keep_n largest scores; ties keep the earlier index."""
-    order = np.lexsort((np.arange(scores.size), -scores))
+    """0/1 vector marking the keep_n largest of the flat ``scores``.
+
+    Ties keep the earlier flat index; +0 and -0 tie, and NaN ranks below
+    every number (-inf included), its ties also kept in index order. This
+    is the first keep_n of a stable sort by descending score, found in
+    O(n): one partition gives the cut value, every score above it is
+    kept, and the remaining slots go to the scores equal to it in
+    ascending index.
+    """
+    if not 0 < keep_n < scores.size:
+        return np.full(scores.size, 1.0 if keep_n > 0 else 0.0)
+    neg = -scores
+    neg.partition(keep_n - 1)       # NaN goes last, as in a sort
+    cut = -neg[keep_n - 1]
+    if np.isnan(cut):
+        tied = np.isnan(scores)
+        above = ~tied
+    else:
+        above, tied = scores > cut, scores == cut
     flat = np.zeros(scores.size)
-    flat[order[:keep_n]] = 1.0
+    flat[above] = 1.0
+    flat[np.flatnonzero(tied)[:keep_n - np.count_nonzero(above)]] = 1.0
     return flat
 
 

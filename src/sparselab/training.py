@@ -71,6 +71,7 @@ class RunRecord:
     act_sparsity: tuple = ()
     top_eigs: tuple | None = None
     eig_residuals: tuple | None = None
+    eig_converged: tuple | None = None
     swap_deviation: float | None = None
     diverged: bool = False
 
@@ -236,7 +237,7 @@ def train(model, dataset, config, mask=None):
             swap_dev = _swap_deviation(model, probe_x, config.ghost.beta_max)
         prev_phase = state.phase if state else None
 
-        top_eigs = resids = None
+        top_eigs = resids = converged = None
         if pc and pc.enabled and epoch % pc.every == 0:
             onehot = smooth_labels_batch(probe_y, k_classes, 0.0)
             _, grad_fn, theta0 = diagnostics.probe_functions(
@@ -244,7 +245,7 @@ def train(model, dataset, config, mask=None):
             record, _ = diagnostics.top_hessian_eigs(
                 grad_fn, theta0, k=pc.eig_count, iters=pc.power_iters,
                 tol=pc.tol, seed=config.seed * 1000 + epoch, epoch=epoch)
-            top_eigs, resids = record.eigenvalues, record.residuals
+            top_eigs, resids, converged = record.eigenvalues, record.residuals, record.converged
 
         history.append(RunRecord(
             epoch=epoch, lr=lr, beta=beta, alpha=alpha,
@@ -252,7 +253,7 @@ def train(model, dataset, config, mask=None):
             test_loss=test_loss, test_acc=test_acc,
             grad_flow=float(np.mean(flows)) if flows else math.nan,
             act_sparsity=tuple(act_sp), top_eigs=top_eigs, eig_residuals=resids,
-            swap_deviation=swap_dev,
+            eig_converged=converged, swap_deviation=swap_dev,
         ))
     return history
 

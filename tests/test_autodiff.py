@@ -80,6 +80,36 @@ class TestForwardBasics:
         assert g1.tobytes() == g2.tobytes()
 
 
+def _two_branch_sigmoid(x):
+    """Reference: sigmoid split on sign so exp never overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    _EDGES = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 710.0, -710.0, 800.0, -800.0]
+
+    @pytest.mark.parametrize("shape", [(40,), (8, 5), (2, 5, 2, 2)])
+    def test_bit_equal_to_two_branch_reference(self, shape):
+        x = np.random.default_rng(3).normal(scale=20.0, size=shape)
+        x.flat[:len(self._EDGES)] = self._EDGES
+        got, want = ad._sigmoid(x), _two_branch_sigmoid(x)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_pswish_and_mish_finite_at_extremes(self):
+        data = np.array([-800.0, -710.0, 0.0, 710.0, 800.0])
+        for op in (lambda t: ad.pswish(t, 1.0), lambda t: ad.pswish(t, 3.0), ad.mish):
+            x = ad.Tensor(data, requires_grad=True)
+            y = op(x)
+            ad.backward(ad.sum_all(y))
+            assert np.all(np.isfinite(y.data)) and np.all(np.isfinite(x.grad))
+
+
 class TestBackwardBasics:
     def test_square(self):
         x = ad.Tensor(3.0, requires_grad=True)

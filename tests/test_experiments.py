@@ -246,6 +246,33 @@ class TestProbeVerb:
         probe_dir = self._probe(tmp_path, "--spectrum", probes={"eig_count": 2})
         with open(probe_dir / "spectrum.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["epoch", "lambda_1", "lambda_2", "residual_1", "residual_2"]
+        assert rows[0] == ["epoch", "lambda_1", "lambda_2", "residual_1", "residual_2",
+                           "converged_1", "converged_2"]
         assert len(rows) == 2 and rows[1][0] == ""
         assert float(rows[1][1]) >= float(rows[1][2])
+        assert rows[1][5] in ("0", "1") and rows[1][6] in ("0", "1")
+
+    def test_quadratic_oracle_row_marked_converged(self, tmp_path):
+        from sparselab import diagnostics
+        a = np.diag([5.0, -4.0, -3.0])     # wide shifted gap: converges within tol 1e-3
+        rec, _ = diagnostics.top_hessian_eigs(lambda t: a @ t, np.zeros(3), k=1, iters=200)
+        path = str(tmp_path / "spectrum.csv")
+        experiments._write_spectrum_csv(
+            path, 1, [(None, rec.eigenvalues, rec.residuals, rec.converged)])
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["epoch", "lambda_1", "residual_1", "converged_1"]
+        assert abs(float(rows[1][1]) - 5.0) <= 1e-3 and rows[1][3] == "1"
+
+
+class TestSpectrumConvergence:
+    def test_one_power_iteration_is_marked_not_converged(self, tmp_path):
+        path = _config(tmp_path, probes={"enabled": True, "every": 1, "power_iters": 1,
+                                         "probe_batch": 16})
+        experiments.run_experiment(path)
+        spectrum = tmp_path / "runs" / "random_s0.5_baseline" / "seed0" / "spectrum.csv"
+        with open(spectrum, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["epoch", "lambda_1", "residual_1", "converged_1"]
+        assert len(rows) == 3                   # epochs 1 and 2
+        assert all(r[3] == "0" for r in rows[1:])

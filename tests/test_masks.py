@@ -26,6 +26,50 @@ def _batch(model, n=16, seed=0):
     return x, y
 
 
+def _lexsort_keep(scores, keep_n):
+    """Reference ranking: first keep_n of a stable sort by descending score."""
+    order = np.lexsort((np.arange(scores.size), -scores))
+    flat = np.zeros(scores.size)
+    flat[order[:keep_n]] = 1.0
+    return flat
+
+
+class TestTopkKeep:
+    """``_topk_keep`` picks exactly the set the stable descending sort picks."""
+
+    _SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.0])
+
+    def _vectors(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 7, 40, 257):
+            yield rng.normal(size=n)                                   # random
+            yield np.round(rng.normal(size=n), 1)                      # tie-heavy
+            yield rng.integers(-3, 4, size=n).astype(np.float64)        # integer-valued
+            yield rng.choice(self._SPECIAL, size=n)                    # ±0, ±inf, NaN
+        yield np.array([np.nan, 1.0, np.nan, -np.inf, -0.0, 0.0, np.inf])
+        yield np.full(5, np.nan)
+        yield np.full(6, -0.0)
+
+    def test_matches_lexsort_reference(self):
+        for scores in self._vectors():
+            n = scores.size
+            for keep_n in sorted({0, 1, n // 3, n - 1, n, n + 1}):
+                got = masks._topk_keep(scores.copy(), keep_n)
+                np.testing.assert_array_equal(got, _lexsort_keep(scores, keep_n),
+                                              err_msg=f"{scores} keep_n={keep_n}")
+
+    def test_does_not_touch_scores(self):
+        scores = np.random.default_rng(1).normal(size=50)
+        before = scores.copy()
+        masks._topk_keep(scores, 10)
+        np.testing.assert_array_equal(scores, before)
+
+    def test_nan_ranks_last_and_signed_zeros_tie(self):
+        scores = np.array([np.nan, -np.inf, 0.0, -0.0, np.nan])
+        np.testing.assert_array_equal(masks._topk_keep(scores, 2), [0, 0, 1, 1, 0])
+        np.testing.assert_array_equal(masks._topk_keep(scores, 4), [1, 1, 1, 1, 0])
+
+
 class TestRandomMask:
     def test_exact_survivor_count(self):
         mask = masks.random_mask(_square_net(), 0.9, seed=1)

@@ -12,6 +12,8 @@ Masks ride alongside parameters as u8 blocks suffixed ".mask".
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -24,9 +26,28 @@ class CheckpointError(ValueError):
     """Malformed checkpoint container."""
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode, **kwargs):
+    """Write ``path`` all at once or not at all.
+
+    The caller writes a sibling ``<path>.tmp``, which replaces ``path``
+    only when the block finishes; on an exception the temp file is
+    removed and an existing ``path`` keeps its bytes.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_blocks(path, blocks):
-    """Write named arrays; iteration order of ``blocks`` is preserved."""
-    with open(path, "wb") as fh:
+    """Write named arrays, atomically; iteration order of ``blocks`` is preserved."""
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         for name, arr in blocks.items():

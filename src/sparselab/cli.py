@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 run failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -88,32 +87,20 @@ def _cmd_probe(args):
             losses = diagnostics.eigvec_perturb_scan(model, (x, targets), vecs[0],
                                                      pc.scan_distances)
             path = os.path.join(out_dir, "scan.csv")
-            _write_scan(path, pc.scan_distances, losses)
+            training.write_csv(path, ["t", "loss"], zip(pc.scan_distances, losses))
             wrote.append(path)
 
     if args.landscape:
         out = diagnostics.landscape_slice(model, (x, targets), pc.landscape_grid,
                                           pc.landscape_span, seed=0)
         path = os.path.join(out_dir, "landscape.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["a", "b", "loss"])
-            for i, a in enumerate(out.a_values):
-                for j, b in enumerate(out.b_values):
-                    w.writerow([training._fmt(float(a)), training._fmt(float(b)),
-                                training._fmt(float(out.losses[i, j]))])
+        training.write_csv(path, ["a", "b", "loss"],
+                           ((a, b, out.losses[i, j]) for i, a in enumerate(out.a_values)
+                            for j, b in enumerate(out.b_values)))
         wrote.append(path)
     for p in wrote:
         print(f"wrote {p}")
     return 0
-
-
-def _write_scan(path, distances, losses):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "loss"])
-        for t, l in zip(distances, losses):
-            w.writerow([training._fmt(float(t)), training._fmt(float(l))])
 
 
 def _cmd_compare(args):

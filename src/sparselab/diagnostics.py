@@ -10,6 +10,7 @@ the sparse subnetwork's landscape, never moving pruned weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,6 +118,13 @@ def top_hessian_eigs(grad_fn, theta, k=1, iters=100, tol=1e-3, seed=0, h=1e-5, e
     then converges to the algebraically largest eigenvalues even when the
     most negative one dominates in magnitude. Non-convergence flags the
     entry rather than raising.
+
+    An entry is converged when the stopping rule ended its loop (the
+    Rayleigh quotient moved by <= tol*max(1, |lambda|), or the shifted
+    product was 0) and its relative residual is <= sqrt(tol). The
+    quotient's error is quadratic in the eigenvector's error while the
+    residual is linear in it, so at that stop the residual is of order
+    sqrt(tol), not tol.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if k < 1:
@@ -164,7 +172,7 @@ def top_hessian_eigs(grad_fn, theta, k=1, iters=100, tol=1e-3, seed=0, h=1e-5, e
         vecs.append(v)
         vals.append(lam)
         resids.append(res)
-        conv.append(converged and res <= 10 * tol)
+        conv.append(converged and res <= math.sqrt(tol))
 
     order = np.argsort(vals)[::-1]
     return SpectrumRecord(

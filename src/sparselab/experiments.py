@@ -39,7 +39,7 @@ _SCHEMA = {
     "train": {"epochs", "batch", "lr0", "milestones", "momentum", "wd",
               "ls_alpha", "seed"},
     "ghost": {"policy", "beta0", "beta_max", "alpha0", "schedule", "activation"},
-    "lrsi": {"enabled", "iters", "step", "bounds"},
+    "lrsi": {"iters", "step", "bounds"},
     "probes": {"enabled", "every", "eig_count", "power_iters", "tol", "act_eps",
                "probe_batch", "landscape_grid", "landscape_span"},
 }
@@ -135,7 +135,7 @@ def _train_config(raw, tweak_label, seed):
         ghost = GhostConfig(soft_neurons="soft" in tokens, skip_gates="skips" in tokens, **g)
     lrsi = None
     if "lrsi" in tokens:
-        kw = {k: v for k, v in raw.get("lrsi", {}).items() if k != "enabled"}
+        kw = dict(raw.get("lrsi", {}))
         if "bounds" in kw:
             kw["bounds"] = tuple(kw["bounds"])
         lrsi = LRsIConfig(enabled=True, **kw)
@@ -249,11 +249,8 @@ def _finish_cell(out_root, model, history, tc, algo, s, tweaks, seed):
                             [(r.epoch, r.top_eigs, r.eig_residuals, r.eig_converged)
                              for r in history if r.top_eigs is not None])
     if model.applied_scales is not None:
-        with open(os.path.join(run_dir, "lrsi_scales.csv"), "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["block_group", "scale"])
-            for group, c in model.applied_scales.scales.items():
-                w.writerow([group, training._fmt(float(c))])
+        training.write_csv(os.path.join(run_dir, "lrsi_scales.csv"), ["block_group", "scale"],
+                           ((group, float(c)) for group, c in model.applied_scales.scales.items()))
     checkpoint.save_model(os.path.join(run_dir, "final.splb"), model)
     accs = [r.test_acc for r in history if not r.diverged]
     diverged = bool(history) and history[-1].diverged
@@ -271,12 +268,10 @@ def _write_spectrum_csv(path, eig_count, rows):
     epoch may be None; ``converged_j`` is written 1 or 0, so a probe that
     stopped without converging is marked as such next to its value.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["epoch"] + [f"{col}_{j+1}" for col in ("lambda", "residual", "converged")
-                                for j in range(eig_count)])
-        for epoch, eigs, resids, converged in rows:
-            w.writerow([training._fmt(v) for v in (epoch, *eigs, *resids, *map(int, converged))])
+    header = ["epoch"] + [f"{col}_{j+1}" for col in ("lambda", "residual", "converged")
+                          for j in range(eig_count)]
+    training.write_csv(path, header, ((epoch, *eigs, *resids, *map(int, converged))
+                                      for epoch, eigs, resids, converged in rows))
 
 
 SUMMARY_COLUMNS = ["mask_algo", "sparsity", "tweaks", "n_seeds",
@@ -286,22 +281,18 @@ SUMMARY_COLUMNS = ["mask_algo", "sparsity", "tweaks", "n_seeds",
 
 def _write_summary(path, results):
     """One row per (algo, sparsity, tweaks); sample std uses the n-1 denominator."""
-    rows = {}
+    cells = {}
     for r in results:
-        rows.setdefault((r.algo, r.sparsity, r.tweaks), []).append(r)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SUMMARY_COLUMNS)
-        for (algo, s, tweaks), cell in rows.items():
-            accs = np.array([c.final_test_acc for c in cell])
-            best = np.array([c.best_test_acc for c in cell])
-            losses = np.array([c.final_train_loss for c in cell])
-            std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
-            w.writerow([algo, training._fmt(s), tweaks, len(cell),
-                        training._fmt(float(accs.mean())), training._fmt(std),
-                        training._fmt(float(best.mean())),
-                        training._fmt(float(losses.mean())),
-                        sum(1 for c in cell if c.diverged)])
+        cells.setdefault((r.algo, r.sparsity, r.tweaks), []).append(r)
+    rows = []
+    for key, cell in cells.items():
+        accs = [c.final_test_acc for c in cell]
+        rows.append([*key, len(cell), float(np.mean(accs)),
+                     float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0,
+                     float(np.mean([c.best_test_acc for c in cell])),
+                     float(np.mean([c.final_train_loss for c in cell])),
+                     sum(1 for c in cell if c.diverged)])
+    training.write_csv(path, SUMMARY_COLUMNS, rows)
 
 
 def read_summary(path):
@@ -341,12 +332,7 @@ def compare_runs(paths, out_path=None):
                 "delta_std": math.sqrt(s1 ** 2 / n1 + s2 ** 2 / n2),
             })
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["mask_algo", "sparsity", "tweaks", "summary",
-                        "acc_base", "acc_other", "delta", "delta_std"])
-            for r in out_rows:
-                w.writerow([r["mask_algo"], r["sparsity"], r["tweaks"], r["summary"],
-                            training._fmt(r["acc_base"]), training._fmt(r["acc_other"]),
-                            training._fmt(r["delta"]), training._fmt(r["delta_std"])])
+        header = ["mask_algo", "sparsity", "tweaks", "summary",
+                  "acc_base", "acc_other", "delta", "delta_std"]
+        training.write_csv(out_path, header, ([r[c] for c in header] for r in out_rows))
     return out_rows

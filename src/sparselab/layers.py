@@ -124,6 +124,7 @@ class ForwardContext:
     update_stats: bool = False
     record: bool = False
     bn_passthrough: bool = False    # skip batchnorm entirely (synflow scoring)
+    stats: dict = field(default_factory=dict)   # bn name -> (running_mean, running_var)
     activations: list = field(default_factory=list)
     preacts: list = field(default_factory=list)
 
@@ -188,24 +189,20 @@ class _Conv:
 
 
 class _BatchNorm:
-    def __init__(self, name, dim):
+    def __init__(self, name):
         self.name = name
         self.g = f"{name}.g"
         self.b = f"{name}.b"
-        self.dim = dim
 
-    def forward(self, x, ctx, P, stats):
+    def forward(self, x, ctx, P):
         if ctx.bn_passthrough:
             return x
-        if ctx.training:
-            out, mean, var = ad.batchnorm_train(x, P[self.g], P[self.b], eps=BN_EPS, label=self.name)
-            if ctx.update_stats:
-                m, v = stats[self.name]
-                stats[self.name] = ((1 - BN_MOMENTUM) * m + BN_MOMENTUM * mean,
-                                    (1 - BN_MOMENTUM) * v + BN_MOMENTUM * var)
-            return out
-        m, v = stats[self.name]
-        return ad.batchnorm_eval(x, P[self.g], P[self.b], m, v, eps=BN_EPS, label=self.name)
+        out, mean, var = batchnorm_forward(x, P[self.g], P[self.b],
+                                           "train" if ctx.training else "eval",
+                                           *ctx.stats[self.name], label=self.name)
+        if ctx.update_stats:
+            ctx.stats[self.name] = (mean, var)
+        return out
 
 
 class _Activation:
@@ -231,23 +228,22 @@ class _ResidualBlock:
 
     def __init__(self, name, channels, has_native_skip, activation):
         self.name = name
-        self.channels = channels
         self.has_native_skip = has_native_skip
         self.activation = activation
         self.conv1 = _Conv(f"{name}.conv1", channels, channels, 1)
         self.conv2 = _Conv(f"{name}.conv2", channels, channels, 1)
-        self.bn1 = _BatchNorm(f"{name}.bn1", channels)
-        self.bn2 = _BatchNorm(f"{name}.bn2", channels)
+        self.bn1 = _BatchNorm(f"{name}.bn1")
+        self.bn2 = _BatchNorm(f"{name}.bn2")
         # the two conv sub-blocks are the ghost sites; disable the plain-conv hook
         self.conv1.ghost_site = False
         self.conv2.ghost_site = False
 
-    def forward(self, x, ctx, P, stats):
-        z1 = self.bn1.forward(self.conv1.forward(x, ctx, P), ctx, P, stats)
+    def forward(self, x, ctx, P):
+        z1 = self.bn1.forward(self.conv1.forward(x, ctx, P), ctx, P)
         if ctx.alpha != 0.0:
             z1 = ad.add(z1, ad.scale(x, ctx.alpha, label=f"{self.name}.ghost1"), label=self.name)
         h1 = _apply_activation(z1, self.activation, ctx, f"{self.name}.act1")
-        z2 = self.bn2.forward(self.conv2.forward(h1, ctx, P), ctx, P, stats)
+        z2 = self.bn2.forward(self.conv2.forward(h1, ctx, P), ctx, P)
         if ctx.alpha != 0.0:
             z2 = ad.add(z2, ad.scale(h1, ctx.alpha, label=f"{self.name}.ghost2"), label=self.name)
         if self.has_native_skip:
@@ -263,12 +259,11 @@ class Model:
     from the logits.
     """
 
-    def __init__(self, specs, layers, blocks, bn_stats, ghost_skip_sites, in_shape, n_classes):
+    def __init__(self, specs, layers, blocks, bn_stats, in_shape, n_classes):
         self.specs = specs
         self.layers = layers
         self.blocks = blocks          # dict name -> ParamBlock (insertion ordered)
         self.bn_stats = bn_stats      # dict bn name -> (running_mean, running_var)
-        self.ghost_skip_sites = ghost_skip_sites
         self.in_shape = tuple(in_shape)
         self.n_classes = n_classes
         self.applied_scales = None    # ScaleSet once the trainer rescales the init
@@ -287,17 +282,12 @@ class Model:
             update_stats = training
         ctx = ForwardContext(training=training, activation=activation, beta=beta,
                              alpha=alpha, update_stats=update_stats, record=record,
-                             bn_passthrough=bn_passthrough)
-        P = {}
-        for name, blk in self.blocks.items():
-            data = blk.value if values is None or name not in values else values[name]
-            P[name] = ad.Tensor(data, requires_grad=True, name=name)
+                             bn_passthrough=bn_passthrough, stats=self.bn_stats)
+        P = {n: ad.Tensor((values or {}).get(n, b.value), requires_grad=True, name=n)
+             for n, b in self.blocks.items()}
         t = ad.Tensor(x)
         for layer in self.layers:
-            if isinstance(layer, (_BatchNorm, _ResidualBlock)):
-                t = layer.forward(t, ctx, P, self.bn_stats)
-            else:
-                t = layer.forward(t, ctx, P)
+            t = layer.forward(t, ctx, P)
         return ForwardResult(logits=t, leaves=P,
                              activations=ctx.activations if record else None,
                              preacts=ctx.preacts if record else None)
@@ -313,10 +303,20 @@ class Model:
     def clone(self):
         blocks = {n: b.copy() for n, b in self.blocks.items()}
         stats = {n: (m.copy(), v.copy()) for n, (m, v) in self.bn_stats.items()}
-        out = Model(self.specs, self.layers, blocks, stats,
-                    list(self.ghost_skip_sites), self.in_shape, self.n_classes)
+        out = Model(self.specs, self.layers, blocks, stats, self.in_shape, self.n_classes)
         out.applied_scales = self.applied_scales
         return out
+
+    @property
+    def ghost_skip_sites(self):
+        """Shape-preserving dense/conv layers and residual sub-blocks, in order."""
+        sites = []
+        for layer in self.layers:
+            if isinstance(layer, _ResidualBlock):
+                sites.extend([f"{layer.name}.ghost1", f"{layer.name}.ghost2"])
+            elif isinstance(layer, (_Dense, _Conv)) and layer.ghost_site:
+                sites.append(layer.name)
+        return sites
 
     def activation_site_names(self):
         names = []
@@ -434,7 +434,7 @@ def build_model(spec, seed=0):
         raise BuildError("empty layer list")
 
     rng = np.random.default_rng(seed)
-    layers, blocks, bn_stats, sites = [], {}, {}, []
+    layers, blocks, bn_stats = [], {}, {}
     shape = in_shape
 
     def add_block(name, kind, value, group):
@@ -450,7 +450,7 @@ def build_model(spec, seed=0):
         add_block(f"{name}.g", "bn_scale", np.ones(dim), name)
         add_block(f"{name}.b", "bn_shift", np.zeros(dim), name)
         bn_stats[name] = (np.zeros(dim), np.ones(dim))
-        return _BatchNorm(name, dim)
+        return _BatchNorm(name)
 
     for i, ls in enumerate(lspecs):
         name = f"L{i:02d}.{ls.kind}"
@@ -461,15 +461,11 @@ def build_model(spec, seed=0):
             add_block(f"{name}.w", "weight", w, name)
             add_block(f"{name}.b", "bias", np.zeros(ls.width), name)
             layer = _Dense(name, flat_in, ls.width, flatten)
-            if layer.ghost_site:
-                sites.append(name)
             shape = (ls.width,)
         elif ls.kind == "conv3x3":
             if len(shape) != 3:
                 raise BuildError(f"layer {i} ({ls.kind}): needs (C,H,W) input, has {shape}")
             layer = make_conv(name, shape[0], ls.width, ls.stride)
-            if layer.ghost_site:
-                sites.append(name)
             shape = (ls.width, _conv_out(shape[1], ls.stride), _conv_out(shape[2], ls.stride))
         elif ls.kind == "batchnorm":
             layer = make_bn(name, shape[0])
@@ -486,7 +482,6 @@ def build_model(spec, seed=0):
             for conv, bn in ((layer.conv1, layer.bn1), (layer.conv2, layer.bn2)):
                 make_conv(conv.name, ls.width, ls.width, 1)
                 make_bn(bn.name, ls.width)
-            sites.extend([f"{name}.ghost1", f"{name}.ghost2"])
         elif ls.kind == "global_pool":
             if len(shape) != 3:
                 raise BuildError(f"layer {i} ({ls.kind}): needs (C,H,W) input, has {shape}")
@@ -498,7 +493,7 @@ def build_model(spec, seed=0):
 
     if shape != (n_classes,):
         raise BuildError(f"network output shape {shape} does not match classes {n_classes}")
-    return Model(lspecs, layers, blocks, bn_stats, sites, in_shape, n_classes)
+    return Model(lspecs, layers, blocks, bn_stats, in_shape, n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -506,21 +501,22 @@ def build_model(spec, seed=0):
 # ---------------------------------------------------------------------------
 
 def batchnorm_forward(x, gamma, beta_shift, mode, running_mean, running_var,
-                      momentum=BN_MOMENTUM, eps=BN_EPS):
+                      momentum=BN_MOMENTUM, eps=BN_EPS, label=""):
     """Batch normalization with explicit mode and running statistics.
 
     Returns ``(out, new_running_mean, new_running_var)``; the inputs are
     never mutated. Train mode normalizes by batch statistics and folds
-    them into the running stats; eval mode uses the running stats.
+    them into the running stats; eval mode uses the running stats. Every
+    batchnorm layer runs through here; ``label`` names it in op errors.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm_forward: mode must be train or eval, got {mode!r}")
     rm = np.asarray(running_mean, dtype=np.float64)
     rv = np.asarray(running_var, dtype=np.float64)
     if mode == "train":
-        out, mean, var = ad.batchnorm_train(x, gamma, beta_shift, eps=eps)
+        out, mean, var = ad.batchnorm_train(x, gamma, beta_shift, eps=eps, label=label)
         return out, (1 - momentum) * rm + momentum * mean, (1 - momentum) * rv + momentum * var
-    return ad.batchnorm_eval(x, gamma, beta_shift, rm, rv, eps=eps), rm, rv
+    return ad.batchnorm_eval(x, gamma, beta_shift, rm, rv, eps=eps, label=label), rm, rv
 
 
 def residual_block_forward(model, block_index, x, alpha, *, training=False,
@@ -531,6 +527,6 @@ def residual_block_forward(model, block_index, x, alpha, *, training=False,
         raise BuildError("model has no residual blocks")
     layer = res_layers[block_index]
     ctx = ForwardContext(training=training, activation=activation, beta=beta,
-                         alpha=alpha, update_stats=False)
+                         alpha=alpha, update_stats=False, stats=model.bn_stats)
     P = {n: ad.Tensor(b.value, requires_grad=True, name=n) for n, b in model.blocks.items()}
-    return layer.forward(ad.Tensor(x), ctx, P, model.bn_stats)
+    return layer.forward(ad.Tensor(x), ctx, P)

@@ -90,17 +90,25 @@ def _topk_keep(scores, keep_n):
     return flat
 
 
-def _rank_mask(layout, scores_by_block, s, scope):
+def _scoped_mask(layout, s, scope, keep):
+    """The one scope split: "global" ranks all of ``layout`` as one group,
+    "layerwise" each block in order; ``keep(lo, hi, keep_n)`` gives the 0/1
+    vector of flat coordinates [lo, hi)."""
     if scope == "global":
-        scores = layout.flatten(scores_by_block)
-        return layout.unflatten(_topk_keep(scores, _keep_count(scores.size, s)))
-    if scope == "layerwise":
-        arrays = {}
-        for name, shape in zip(layout.names, layout.shapes):
-            sc = scores_by_block[name].ravel()
-            arrays[name] = _topk_keep(sc, _keep_count(sc.size, s)).reshape(shape)
-        return arrays
-    raise ValueError(f"unknown ranking scope {scope!r}")
+        bounds = [0, layout.size]
+    elif scope == "layerwise":
+        bounds = layout.offsets.tolist()
+    else:
+        raise ValueError(f"unknown ranking scope {scope!r}")
+    flat = np.zeros(layout.size)
+    for lo, hi in zip(bounds, bounds[1:]):
+        flat[lo:hi] = keep(lo, hi, _keep_count(hi - lo, s))
+    return layout.unflatten(flat)
+
+
+def _rank_mask(layout, scores_by_block, s, scope):
+    scores = layout.flatten(scores_by_block)
+    return _scoped_mask(layout, s, scope, lambda lo, hi, n: _topk_keep(scores[lo:hi], n))
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +118,14 @@ def _rank_mask(layout, scores_by_block, s, scope):
 def random_mask(model, s, seed, scope="global"):
     """Uniformly random keep-set of round((1-s)*N) weights."""
     _check_sparsity(s)
-    blocks = model.maskable_blocks()
     rng = np.random.default_rng([seed, 1])
-    if scope == "global":
-        layout = ParamLayout(blocks)
-        flat = np.zeros(layout.size)
-        flat[rng.permutation(layout.size)[:_keep_count(layout.size, s)]] = 1.0
-        return Mask(layout.unflatten(flat), s)
-    if scope == "layerwise":
-        arrays = {}
-        for b in blocks:
-            flat = np.zeros(b.value.size)
-            flat[rng.permutation(b.value.size)[:_keep_count(b.value.size, s)]] = 1.0
-            arrays[b.name] = flat.reshape(b.value.shape)
-        return Mask(arrays, s)
-    raise ValueError(f"unknown ranking scope {scope!r}")
+
+    def keep(lo, hi, keep_n):
+        flat = np.zeros(hi - lo)
+        flat[rng.permutation(hi - lo)[:keep_n]] = 1.0
+        return flat
+
+    return Mask(_scoped_mask(ParamLayout(model.maskable_blocks()), s, scope, keep), s)
 
 
 def magnitude_mask(model, s, scope="global", values=None):

@@ -22,6 +22,7 @@ import numpy as np
 
 from sparselab import autodiff as ad
 from sparselab import diagnostics, rescale
+from sparselab.checkpoint import atomic_open
 from sparselab.diagnostics import ProbeConfig
 from sparselab.ghost import ConfigError, GhostConfig, ghost_mode
 from sparselab.rescale import LRsIConfig
@@ -85,9 +86,7 @@ def smooth_labels(target_class, n_classes, ls_alpha):
     k = int(target_class)
     if not 0 <= k < n_classes:
         raise ValueError(f"smooth_labels: class {target_class} out of range [0,{n_classes})")
-    row = np.full(n_classes, ls_alpha / n_classes)
-    row[k] += 1.0 - ls_alpha
-    return row
+    return smooth_labels_batch([k], n_classes, ls_alpha)[0]
 
 
 def smooth_labels_batch(labels, n_classes, ls_alpha):
@@ -264,13 +263,13 @@ def _swap_deviation(model, x, beta_max):
     res = model.forward(x, training=False, record=True)
     dev = 0.0
     for z in res.preacts:
-        s = 1.0 / (1.0 + np.exp(-np.clip(beta_max * z, -700, 700)))
-        dev = max(dev, float(np.abs(z * s - np.maximum(z, 0.0)).max()))
+        soft = ad.pswish(z, beta_max, label="swap_deviation").data
+        dev = max(dev, float(np.abs(soft - np.maximum(z, 0.0)).max()))
     return dev
 
 
 # ---------------------------------------------------------------------------
-# metrics CSV
+# CSV artifacts
 # ---------------------------------------------------------------------------
 
 def _fmt(v):
@@ -281,6 +280,17 @@ def _fmt(v):
     return str(v)
 
 
+def write_csv(path, header, rows):
+    """The one CSV writer: RFC-4180, LF line endings, every cell through
+    ``_fmt`` (round-trip-exact floats, None as an empty cell), and the
+    file replaced atomically, so a failure leaves no half-written table."""
+    with atomic_open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
 def metrics_header(n_act_layers, eig_count):
     cols = ["epoch", "lr", "beta", "alpha", "train_loss", "test_loss", "test_acc", "grad_flow"]
     cols += [f"act_sparsity_L{i + 1}" for i in range(n_act_layers)]
@@ -289,17 +299,8 @@ def metrics_header(n_act_layers, eig_count):
 
 
 def write_metrics_csv(path, history, n_act_layers, eig_count):
-    """Per-epoch metrics, RFC-4180, LF line endings, round-trip-exact floats."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(metrics_header(n_act_layers, eig_count))
-        for rec in history:
-            row = [rec.epoch, _fmt(rec.lr), _fmt(rec.beta), _fmt(rec.alpha),
-                   _fmt(rec.train_loss), _fmt(rec.test_loss), _fmt(rec.test_acc),
-                   _fmt(rec.grad_flow)]
-            sp = list(rec.act_sparsity) + [None] * (n_act_layers - len(rec.act_sparsity))
-            row += [_fmt(v) for v in sp]
-            eigs = list(rec.top_eigs) if rec.top_eigs else []
-            eigs += [None] * (eig_count - len(eigs))
-            row += [_fmt(v) for v in eigs]
-            writer.writerow(row)
+    """Per-epoch metrics; absent sparsities and eigenvalues are empty cells."""
+    write_csv(path, metrics_header(n_act_layers, eig_count), (
+        [r.epoch, r.lr, r.beta, r.alpha, r.train_loss, r.test_loss, r.test_acc, r.grad_flow,
+         *r.act_sparsity, *[None] * (n_act_layers - len(r.act_sparsity)),
+         *(r.top_eigs or ()), *[None] * (eig_count - len(r.top_eigs or ()))] for r in history))

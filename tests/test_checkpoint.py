@@ -1,5 +1,7 @@
 """Binary parameter container round trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,17 @@ def _model(seed=0):
 
 
 class TestContainer:
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path):
+        """The container is written to a sibling temp file that replaces
+        the destination only once every block serialised."""
+        path = tmp_path / "m.splb"
+        checkpoint.save_blocks(str(path), {"a": np.arange(3.0)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            checkpoint.save_blocks(str(path), {"a": np.ones(3), "b": np.array(["not a number"])})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.splb"]
+
     def test_round_trip_values_masks_stats(self, tmp_path):
         model = _model(seed=1)
         masks.apply_mask(model, masks.random_mask(model, 0.5, seed=2))

@@ -1,5 +1,7 @@
 """Probe instruments: sparsity, gradient flow, spectrum, scans, landscapes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,29 @@ class TestTopHessianEigs:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             dg.top_hessian_eigs(lambda t: t, np.zeros(2), k=0)
+
+    @pytest.mark.parametrize("diag", [[5.0, 2.0, 1.0], [5.0, -4.0, -3.0]])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_clean_quadratic_reads_converged(self, diag, tol):
+        """The stopping rule leaves a residual of order sqrt(tol), which the
+        converged flag accepts."""
+        a = np.diag(diag)
+        rec, _ = dg.top_hessian_eigs(lambda t: a @ t, np.zeros(3), k=1, iters=1000, tol=tol)
+        assert rec.converged == (True,)
+        assert 0.0 < rec.residuals[0] <= math.sqrt(tol)
+
+    def test_iteration_cap_reads_not_converged(self):
+        a = np.diag([5.0, 2.0, 1.0])
+        rec, _ = dg.top_hessian_eigs(lambda t: a @ t, np.zeros(3), k=1, iters=1, tol=1e-3)
+        assert rec.converged == (False,)
+
+    def test_stop_with_large_residual_reads_not_converged(self):
+        """A rotation has a constant Rayleigh quotient of 0, so the stopping
+        rule fires at once, but no vector is an eigenvector."""
+        a = np.array([[0.0, -1.0], [1.0, 0.0]])
+        rec, _ = dg.top_hessian_eigs(lambda t: a @ t, np.zeros(2), k=1, iters=50, tol=1e-3)
+        assert rec.residuals[0] > 1.0
+        assert rec.converged == (False,)
 
 
 class TestProbeFunctions:

@@ -71,6 +71,15 @@ class TestConfigValidation:
         assert tc_full.lrsi.enabled and tc_full.ls_alpha == 0.1
 
 
+def test_readme_example_config_validates():
+    """The config block in README.md passes the schema as written."""
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+                  encoding="utf-8").read()
+    block = readme.split("A config is strict UTF-8 JSON")[1].split("```json\n")[1].split("```")[0]
+    cfg = experiments.validate_config(json.loads(block))
+    assert cfg.algos == ["random", "synflow"] and cfg.tweaks == ["baseline", "toolkit"]
+
+
 class TestEveryTweakValidated:
     """A bad value behind any tweak label fails before the first cell runs."""
 
@@ -78,7 +87,8 @@ class TestEveryTweakValidated:
         {"ghost": {"policy": "bogus"}},
         {"ghost": {"policy": "ghost_at_second_decay"}},
         {"lrsi": {"bounds": [5, 1]}},
-    ], ids=["ghost-policy", "ghost-second-decay-one-milestone", "lrsi-bounds"])
+        {"lrsi": {"enabled": False}},
+    ], ids=["ghost-policy", "ghost-second-decay-one-milestone", "lrsi-bounds", "lrsi-enabled"])
     def test_exit_2_and_no_cell_written(self, tmp_path, overrides):
         path = _config(tmp_path, tweaks=["baseline", "toolkit"], **overrides)
         with pytest.raises(ConfigError):

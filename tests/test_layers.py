@@ -94,9 +94,26 @@ class TestBatchNorm:
         assert out_eval.data.shape == (8, 2)
 
     def test_batch_of_one_rejected_in_train(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"batchnorm\[L01\.batchnorm\]"):
             ly.batchnorm_forward(ad.Tensor(np.zeros((1, 2))), ad.Tensor(np.ones(2)),
-                                 ad.Tensor(np.zeros(2)), "train", np.zeros(2), np.ones(2))
+                                 ad.Tensor(np.zeros(2)), "train", np.zeros(2), np.ones(2),
+                                 label="L01.batchnorm")
+
+    def test_model_layers_share_the_contract_helper(self):
+        """A model's train-mode forward folds its batch statistics into the
+        running stats exactly as batchnorm_forward does."""
+        model = _tiny_resnet()
+        x = np.random.default_rng(5).normal(size=(4, 1, 8, 8))
+        before = dict(model.bn_stats)
+        model.forward(x, training=True)
+        stem = model.layers[0].forward(ad.Tensor(x), ly.ForwardContext(),
+                                       {n: ad.Tensor(b.value) for n, b in model.blocks.items()})
+        name = model.layers[1].name
+        _, rm, rv = ly.batchnorm_forward(stem, ad.Tensor(model.blocks[f"{name}.g"].value),
+                                         ad.Tensor(model.blocks[f"{name}.b"].value), "train",
+                                         *before[name])
+        assert model.bn_stats[name][0].tobytes() == rm.tobytes()
+        assert model.bn_stats[name][1].tobytes() == rv.tobytes()
 
 
 def _tiny_resnet(seed=0, in_shape=(1, 8, 8), classes=3):
@@ -179,12 +196,23 @@ class TestBuildModel:
 
     def test_mlp_ghost_sites(self):
         model = ly.build_model({"preset": "mlp", "in_shape": [784], "classes": 10}, seed=0)
-        assert len(model.ghost_skip_sites) == 2  # the two 256->256 junctions
+        assert model.ghost_skip_sites == ["L02.dense", "L04.dense"]  # the two 256->256 junctions
 
     def test_resnet_ghost_sites(self):
         model = _tiny_resnet()
-        assert len(model.ghost_skip_sites) == 6  # two per residual block
-        assert all("res" in s for s in model.ghost_skip_sites)
+        # two per residual block, in layer order, also on a clone
+        assert model.ghost_skip_sites == [f"L{i:02d}.residual_block.ghost{j}"
+                                          for i in (3, 7, 11) for j in (1, 2)]
+        assert model.clone().ghost_skip_sites == model.ghost_skip_sites
+
+    def test_layer_list_ghost_sites(self):
+        """Shape-preserving conv and dense layers are sites; the 1->4 conv is not."""
+        model = ly.build_model({"layers": [
+            {"kind": "conv3x3", "width": 1}, {"kind": "conv3x3", "width": 4},
+            {"kind": "conv3x3", "width": 4}, {"kind": "global_pool"},
+            {"kind": "dense", "width": 4}, {"kind": "dense", "width": 4}],
+            "in_shape": [1, 4, 4], "classes": 4}, seed=0)
+        assert model.ghost_skip_sites == ["L00.conv3x3", "L02.conv3x3", "L04.dense", "L05.dense"]
 
     def test_same_seed_same_outputs(self):
         a, b = _tiny_resnet(seed=3), _tiny_resnet(seed=3)

@@ -286,3 +286,26 @@ class TestMetricsCsv:
         training.write_metrics_csv(path, history, len(model.activation_site_names()), 1)
         row = path.read_text().split("\n")[1].split(",")
         assert float(row[4]) == history[0].train_loss
+
+
+class TestWriteCsv:
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        training.write_csv(str(path), ["none", "float", "inf", "int", "f64", "text"],
+                           [[None, 0.1, math.inf, 7, np.float64(0.25), "a,b"]])
+        assert path.read_bytes() == (b"none,float,inf,int,f64,text\n"
+                                     b',0.10000000000000001,inf,7,0.25,"a,b"\n')
+
+    def test_failing_rows_keep_the_earlier_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        training.write_csv(str(path), ["x"], [[1.5]])
+        before = path.read_bytes()
+
+        def rows():
+            yield [2.5]
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            training.write_csv(str(path), ["x"], rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

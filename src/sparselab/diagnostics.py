@@ -40,6 +40,12 @@ class ProbeConfig:
             raise ConfigError("probe act_eps must be positive")
         if self.every < 1:
             raise ConfigError("probe cadence must be >= 1 epoch")
+        if self.power_iters < 1:
+            raise ConfigError("probe power_iters must be >= 1")
+        if not self.tol > 0:
+            raise ConfigError("probe tol must be positive")
+        if self.probe_batch < 1:
+            raise ConfigError("probe probe_batch must be >= 1")
         if self.landscape_grid % 2 == 0 or self.landscape_grid < 1:
             raise ConfigError("landscape grid must be odd so the origin is sampled")
 
@@ -84,20 +90,28 @@ def avg_gradient_flow(grads, masks=None):
 
 
 def probe_functions(model, x, targets, *, training=False, activation=None,
-                    beta=1.0, alpha=0.0):
-    """Loss and gradient callables over the model's free coordinate vector.
+                    beta=1.0, alpha=0.0, layout=None, values=None):
+    """Loss and gradient callables over the free coordinates of ``layout``
+    (default: every block; blocks outside it keep the model's values), and
+    theta0, the free part of ``values`` (default: the model's values).
 
+    The one loss-and-gradient closure of the probes, SNIP, GraSP and LRsI.
     The forward pass never updates running stats and parameter overrides
     keep the model itself untouched.
     """
-    layout = ParamLayout(model.blocks.values())
-    theta0 = layout.free({n: b.value for n, b in model.blocks.items()})
+    if len(x) == 0:
+        raise ValueError("probe_functions: batch must be non-empty")
+    if layout is None:
+        layout = ParamLayout(model.blocks.values())
+    if values is None:
+        values = {n: b.value for n, b in model.blocks.items()}
+    theta0 = layout.free(values)
     y = np.asarray(targets, dtype=np.float64)
 
     def run(vec):
-        values = layout.from_free(np.asarray(vec, dtype=np.float64))
         res = model.forward(x, training=training, update_stats=False,
-                            activation=activation, beta=beta, alpha=alpha, values=values)
+                            activation=activation, beta=beta, alpha=alpha,
+                            values=layout.from_free(np.asarray(vec, dtype=np.float64)))
         return res, ad.softmax_cross_entropy(res.logits, y, label="probe_loss")
 
     def loss_fn(vec):

@@ -111,6 +111,11 @@ def validate_config(raw):
     for t in tweaks:
         parse_tweaks(t)
     seeds = [int(s) for s in _as_list(raw["train"].get("seed", 0))]
+    # each axis value names its own cell directory (sparsities by format 'g')
+    for axis, keys in (("mask algo", algos), ("sparsity", [format(s, "g") for s in sparsities]),
+                       ("tweak", tweaks), ("seed", seeds)):
+        if len(set(keys)) < len(keys):
+            raise ConfigError(f"repeated {axis} on the grid: {keys}")
     out_dir = raw.get("out_dir", "runs")
     # constructing every per-run config validates the remaining values
     for t in tweaks:
@@ -138,7 +143,7 @@ def _train_config(raw, tweak_label, seed):
         kw = dict(raw.get("lrsi", {}))
         if "bounds" in kw:
             kw["bounds"] = tuple(kw["bounds"])
-        lrsi = LRsIConfig(enabled=True, **kw)
+        lrsi = LRsIConfig(**kw)
     return TrainConfig(
         epochs=int(t.get("epochs", 60)),
         batch_size=int(t.get("batch", 128)),

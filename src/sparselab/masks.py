@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sparselab import autodiff as ad
+from sparselab.diagnostics import probe_functions
 from sparselab.layers import ParamLayout
+from sparselab.training import smooth_labels_batch, train
 
 GRASP_PRUNE_LARGEST = True
 
@@ -141,28 +143,23 @@ def magnitude_mask(model, s, scope="global", values=None):
     return Mask(_rank_mask(ParamLayout(blocks), scores, s, scope), s)
 
 
-def _loss_grads(model, batch, ls_alpha=0.0):
-    """One train-mode forward/backward; returns grads per maskable block."""
-    from sparselab.training import smooth_labels_batch
+def _loss_closure(model, batch):
+    """Train-mode gradient over the free maskable weights, on one-hot targets."""
     x, y = batch
-    if len(x) == 0:
-        raise ValueError("mask generation needs a non-empty batch")
-    targets = smooth_labels_batch(y, model.n_classes, ls_alpha)
-    res = model.forward(x, training=True, update_stats=False)
-    loss = ad.softmax_cross_entropy(res.logits, targets, label="mask_loss")
-    ad.backward(loss)
-    return {b.name: res.leaves[b.name].grad for b in model.maskable_blocks()}
+    layout = ParamLayout(model.maskable_blocks())
+    _, grad_fn, theta0 = probe_functions(model, x, smooth_labels_batch(y, model.n_classes, 0.0),
+                                         training=True, layout=layout)
+    return layout, grad_fn, theta0
 
 
 def snip_mask(model, batch, s, scope="global"):
     """Gradient-sensitivity pruning: saliency |theta ⊙ grad L| on one batch."""
     _check_sparsity(s)
-    blocks = model.maskable_blocks()
-    grads = _loss_grads(model, batch)
-    scores = {b.name: np.abs(b.value * grads[b.name]) for b in blocks}
-    if all(np.all(sc == 0.0) for sc in scores.values()):
+    layout, grad_fn, theta0 = _loss_closure(model, batch)
+    scores = np.abs(theta0 * grad_fn(theta0))
+    if not np.any(scores):
         raise DegenerateSaliencyError("snip_mask: every saliency score is zero")
-    return Mask(_rank_mask(ParamLayout(blocks), scores, s, scope), s)
+    return Mask(_rank_mask(layout, layout.from_free(scores), s, scope), s)
 
 
 def grasp_saliency(grad_fn, theta0):
@@ -179,28 +176,15 @@ def grasp_saliency(grad_fn, theta0):
 def grasp_mask(model, batch, s, scope="global"):
     """Gradient-flow preservation pruning.
 
-    Computes g = grad L over the maskable weights (other parameters held
-    fixed), then H g by finite differences of gradients; saliency is
+    Computes g = grad L over the free maskable weights (other parameters
+    held fixed), then H g by finite differences of gradients; saliency is
     theta ⊙ (H g) and the largest-saliency fraction s is pruned.
     """
-    from sparselab.training import smooth_labels_batch
     _check_sparsity(s)
-    layout = ParamLayout(model.maskable_blocks())
-    x, y = batch
-    if len(x) == 0:
-        raise ValueError("mask generation needs a non-empty batch")
-    targets = smooth_labels_batch(y, model.n_classes, 0.0)
-    theta0 = layout.flatten({n: b.value for n, b in model.blocks.items()})
-
-    def grad_fn(flat):
-        res = model.forward(x, training=True, update_stats=False, values=layout.unflatten(flat))
-        loss = ad.softmax_cross_entropy(res.logits, targets, label="grasp_loss")
-        ad.backward(loss)
-        return layout.flatten({n: res.leaves[n].grad for n in layout.names})
-
+    layout, grad_fn, theta0 = _loss_closure(model, batch)
     saliency = grasp_saliency(grad_fn, theta0)
     ranking = -saliency if GRASP_PRUNE_LARGEST else saliency
-    return Mask(_rank_mask(layout, layout.unflatten(ranking), s, scope), s)
+    return Mask(_rank_mask(layout, layout.from_free(ranking), s, scope), s)
 
 
 def synflow_mask(model, s, iterations=100):
@@ -251,7 +235,6 @@ def imp_lth(model, dataset, rounds, per_round_rate, train_config):
     rewinds the survivors to their initial values. Returns the final mask
     and the rewound (masked) model; the input model is untouched.
     """
-    from sparselab.training import train
     if rounds < 1:
         raise ValueError("imp_lth: rounds must be >= 1")
     if not 0.0 < per_round_rate < 1.0:

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sparselab import autodiff as ad
+from sparselab.diagnostics import probe_functions
 from sparselab.ghost import ConfigError
 
 
 @dataclass
 class LRsIConfig:
-    enabled: bool = False
     iters: int = 50
     step: float = 0.05
     fd_step: float = 1e-3          # central-difference step in log space
@@ -57,34 +57,17 @@ def _scaled_values(model, scales):
     return values
 
 
-def _loss(model, values, batch, forward_kwargs):
-    x, targets = batch
-    res = model.forward(x, training=True, update_stats=False, values=values, **forward_kwargs)
-    loss = ad.softmax_cross_entropy(res.logits, np.asarray(targets, dtype=np.float64),
-                                    label="first_step")
-    return res, loss
-
-
 def first_step_loss(model, batch, lr, values=None, **forward_kwargs):
     """Training loss after one simulated masked SGD step on the same batch.
 
-    Returns L(theta - lr * (m ⊙ grad L(theta))) without mutating the model;
-    ``forward_kwargs`` (activation, beta, alpha) select the network variant.
+    Returns L(theta - lr * (m ⊙ grad L(theta))) at theta = ``values`` (default:
+    the model's) without mutating the model; ``forward_kwargs`` (activation,
+    beta, alpha) select the network variant.
     """
-    if values is None:
-        values = {n: b.value for n, b in model.blocks.items()}
-    res, loss = _loss(model, values, batch, forward_kwargs)
-    ad.backward(loss)
-    stepped = {}
-    for name, blk in model.blocks.items():
-        g = res.leaves[name].grad
-        if g is None:
-            g = np.zeros_like(blk.value)
-        if blk.mask is not None:
-            g = g * blk.mask
-        stepped[name] = values[name] - lr * g
-    _, loss2 = _loss(model, stepped, batch, forward_kwargs)
-    return float(loss2.data)
+    x, targets = batch
+    loss_fn, grad_fn, theta = probe_functions(model, x, targets, training=True,
+                                              values=values, **forward_kwargs)
+    return loss_fn(theta - lr * grad_fn(theta))
 
 
 def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):

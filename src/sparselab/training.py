@@ -168,7 +168,7 @@ def train(model, dataset, config, mask=None):
 
     policy = ghost_mode(config.ghost, config.milestones) if config.ghost else None
 
-    if config.lrsi and config.lrsi.enabled:
+    if config.lrsi is not None:
         bx = x_train[:min(config.batch_size, n)]
         bt = smooth_labels_batch(y_train[:len(bx)], k_classes, config.ls_alpha)
         state0 = policy.state_at(0) if policy else None

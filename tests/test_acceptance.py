@@ -45,7 +45,7 @@ def _toolkit_config(seed, toolkit_on, epochs=60, milestones=(30, 45), lr0=0.1, b
         epochs=epochs, batch_size=batch, lr0=lr0, milestones=milestones,
         ls_alpha=0.1 if toolkit_on else 0.0, seed=seed,
         ghost=GhostConfig() if toolkit_on else None,
-        lrsi=LRsIConfig(enabled=True, iters=12) if toolkit_on else None,
+        lrsi=LRsIConfig(iters=12) if toolkit_on else None,
         probes=probes)
 
 

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from sparselab import autodiff as ad
 from sparselab import diagnostics as dg
 from sparselab import layers, masks
+from sparselab.ghost import ConfigError
 from sparselab.training import smooth_labels_batch
 
 
@@ -149,7 +151,6 @@ class TestProbeFunctions:
         model = _mlp(seed=5)
         x, t = _probe_batch(model, seed=5)
         loss_fn, grad_fn, theta0 = dg.probe_functions(model, x, t)
-        from sparselab import autodiff as ad
         fd = ad.finite_diff_grad(loss_fn, theta0)
         got = grad_fn(theta0)
         assert np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-6
@@ -159,6 +160,44 @@ class TestProbeFunctions:
         full = _free(model).size
         masks.apply_mask(model, masks.random_mask(model, 0.5, seed=7))
         assert _free(model).size < full
+
+    def test_layout_covers_its_free_coordinates_only(self):
+        """A maskable-block layout on a masked model: one theta0 entry per
+        unmasked weight, the other blocks fixed at the model's values."""
+        model = _mlp(seed=8)
+        masks.apply_mask(model, masks.random_mask(model, 0.5, seed=9))
+        blocks = model.maskable_blocks()
+        layout = layers.ParamLayout(blocks)
+        x, t = _probe_batch(model, seed=8)
+        loss_fn, grad_fn, theta0 = dg.probe_functions(model, x, t, training=True, layout=layout)
+        assert theta0.size == sum(int(b.mask.sum()) for b in blocks)
+        np.testing.assert_array_equal(
+            theta0, np.concatenate([b.value[b.mask > 0] for b in blocks]))
+        own = dg.probe_functions(model, x, t, training=True)[0](_free(model))
+        assert loss_fn(theta0) == own
+        # values of blocks outside the layout are not read
+        values = {n: b.value if b.maskable else b.value + 1.0 for n, b in model.blocks.items()}
+        loss2, _, theta2 = dg.probe_functions(model, x, t, training=True, layout=layout,
+                                              values=values)
+        assert loss2(theta2) == own
+        fd = ad.finite_diff_grad(loss_fn, theta0)
+        got = grad_fn(theta0)
+        assert np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-6
+
+    def test_values_move_theta0_and_leave_the_model(self):
+        model = _mlp(seed=10)
+        masks.apply_mask(model, masks.random_mask(model, 0.5, seed=11))
+        before = {n: b.value.copy() for n, b in model.blocks.items()}
+        values = {n: 2.0 * v for n, v in before.items()}
+        x, t = _probe_batch(model, seed=10)
+        loss_fn, grad_fn, theta0 = dg.probe_functions(model, x, t, values=values)
+        layout = layers.ParamLayout(model.blocks.values())
+        np.testing.assert_array_equal(theta0, layout.free(values))
+        np.testing.assert_array_equal(theta0, 2.0 * _free(model))
+        loss_fn(theta0)
+        grad_fn(theta0)
+        for n, b in model.blocks.items():
+            np.testing.assert_array_equal(b.value, before[n])
 
 
 class TestPerturbScan:
@@ -235,3 +274,6 @@ class TestProbeConfig:
             dg.ProbeConfig(act_eps=0.0)
         with pytest.raises(ValueError):
             dg.ProbeConfig(landscape_grid=4)
+        for bad in ({"power_iters": 0}, {"probe_batch": 0}, {"tol": 0.0}):
+            with pytest.raises(ConfigError):
+                dg.ProbeConfig(**bad)

@@ -68,7 +68,7 @@ class TestConfigValidation:
         assert tc.ls_alpha == 0.0
         tc_full = experiments._train_config(cfg.raw, "toolkit", 0)
         assert tc_full.ghost.soft_neurons and tc_full.ghost.skip_gates
-        assert tc_full.lrsi.enabled and tc_full.ls_alpha == 0.1
+        assert tc_full.lrsi is not None and tc_full.ls_alpha == 0.1
 
 
 def test_readme_example_config_validates():
@@ -81,16 +81,28 @@ def test_readme_example_config_validates():
 
 
 class TestEveryTweakValidated:
-    """A bad value behind any tweak label fails before the first cell runs."""
+    """A bad value behind any tweak label, a probe setting that would fail
+    mid-run, or a grid axis value that repeats a run directory fails
+    before the first cell runs."""
 
     @pytest.mark.parametrize("overrides", [
         {"ghost": {"policy": "bogus"}},
         {"ghost": {"policy": "ghost_at_second_decay"}},
         {"lrsi": {"bounds": [5, 1]}},
         {"lrsi": {"enabled": False}},
-    ], ids=["ghost-policy", "ghost-second-decay-one-milestone", "lrsi-bounds", "lrsi-enabled"])
+        {"probes": {"power_iters": 0}},
+        {"probes": {"probe_batch": 0}},
+        {"probes": {"tol": 0}},
+        {"mask": {"algo": ["random", "random"], "sparsity": 0.5}},
+        {"mask": {"algo": "random", "sparsity": [0.9, 0.9]}},
+        {"mask": {"algo": "random", "sparsity": [0.9, 0.9000001]}},
+        {"tweaks": ["baseline", "baseline"]},
+        {"train": {"epochs": 2, "batch": 16, "lr0": 0.1, "milestones": [1], "seed": [0, 0]}},
+    ], ids=["ghost-policy", "ghost-second-decay-one-milestone", "lrsi-bounds", "lrsi-enabled",
+            "probe-power-iters", "probe-batch", "probe-tol", "algo-repeat", "sparsity-repeat",
+            "sparsity-same-dir", "tweak-repeat", "seed-repeat"])
     def test_exit_2_and_no_cell_written(self, tmp_path, overrides):
-        path = _config(tmp_path, tweaks=["baseline", "toolkit"], **overrides)
+        path = _config(tmp_path, **{"tweaks": ["baseline", "toolkit"], **overrides})
         with pytest.raises(ConfigError):
             experiments.load_config(path)
         assert cli.main(["run", path]) == 2

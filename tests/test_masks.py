@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparselab import autodiff as ad
-from sparselab import datasets, layers, masks
+from sparselab import datasets, diagnostics, layers, masks
 from sparselab.training import TrainConfig
 
 
@@ -135,8 +135,11 @@ class TestSnipMask:
         x, y = _batch(model, n=8, seed=4)
         from sparselab.training import smooth_labels_batch
         targets = smooth_labels_batch(y, 2, 0.0)
-        grads = masks._loss_grads(model, (x, y))
         blocks = model.maskable_blocks()
+        layout = layers.ParamLayout(blocks)
+        _, grad_fn, theta_free = diagnostics.probe_functions(model, x, targets, training=True,
+                                                             layout=layout)
+        grads = layout.from_free(grad_fn(theta_free))
 
         def loss_fn(flat):
             values, ofs = {}, 0
@@ -217,6 +220,41 @@ class TestGraspMask:
         got = masks.grasp_saliency(grad_fn, theta0)
         dense = ad.finite_diff_hessian(loss_fn, theta0, h=1e-4)
         want = theta0 * (dense @ grad_fn(theta0))
+        assert np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12) <= 1e-3
+
+    def test_premasked_model_uses_free_hessian(self, monkeypatch):
+        """On a model that already carries a mask, the saliency is
+        theta_f * (H_ff g_f) over the unmasked weights only, with H_ff a
+        dense finite-difference Hessian; pruned weights are never moved."""
+        model = layers.build_model({"layers": [{"kind": "dense", "width": 3},
+                                               {"kind": "activation", "activation": "pswish"},
+                                               {"kind": "dense", "width": 2}],
+                                    "in_shape": [2], "classes": 2}, seed=8)
+        assert model.param_count() <= 20
+        masks.apply_mask(model, masks.random_mask(model, 0.4, seed=9))
+        x, y = _batch(model, n=8, seed=10)
+        from sparselab.training import smooth_labels_batch
+        targets = smooth_labels_batch(y, 2, 0.0)
+        layout = layers.ParamLayout(model.maskable_blocks())
+
+        def loss_fn(free):
+            res = model.forward(x, training=True, update_stats=False,
+                                values=layout.from_free(free))
+            return float(ad.softmax_cross_entropy(res.logits, targets).data)
+
+        theta_f = layout.free({b.name: b.value for b in model.maskable_blocks()})
+        g_f = ad.finite_diff_grad(loss_fn, theta_f)
+        want = theta_f * (ad.finite_diff_hessian(loss_fn, theta_f) @ g_f)
+
+        seen = []
+        rank = masks._rank_mask
+        monkeypatch.setattr(masks, "_rank_mask",
+                            lambda lay, scores, *a: seen.append(lay.flatten(scores)) or
+                            rank(lay, scores, *a))
+        masks.grasp_mask(model, (x, y), 0.5)
+        ranking = -seen[0] if masks.GRASP_PRUNE_LARGEST else seen[0]
+        got = ranking[layout.free_index]
+        assert np.all(ranking[np.setdiff1d(np.arange(layout.size), layout.free_index)] == 0.0)
         assert np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12) <= 1e-3
 
 

@@ -69,6 +69,37 @@ class TestFirstStepLoss:
         del base
 
 
+class TestFirstStepReference:
+    """The objective is bit-equal to a per-block step written out here:
+    forward, backward, v - lr * g ⊙ m, forward."""
+
+    @staticmethod
+    def _reference(model, batch, lr, **kw):
+        x, t = batch
+        res = model.forward(x, training=True, update_stats=False, **kw)
+        ad.backward(ad.softmax_cross_entropy(res.logits, t))
+        stepped = {}
+        for name, blk in model.blocks.items():
+            g = res.leaves[name].grad
+            stepped[name] = blk.value - lr * (g if blk.mask is None else g * blk.mask)
+        out = model.forward(x, training=True, update_stats=False, values=stepped, **kw)
+        return float(ad.softmax_cross_entropy(out.logits, t).data)
+
+    @pytest.mark.parametrize("spec", [
+        {"preset": "mlp", "in_shape": [3], "hidden": [16, 16], "classes": 2},
+        {"preset": "resnet-tiny", "in_shape": [1, 8, 8], "classes": 2},
+    ], ids=["mlp", "resnet-tiny"])
+    @pytest.mark.parametrize("kw", [{}, {"activation": "pswish", "beta": 1.0, "alpha": 1.0}],
+                             ids=["plain", "ghost"])
+    def test_bit_equal_on_masked_models(self, spec, kw):
+        model = layers.build_model(spec, seed=13)
+        masks.apply_mask(model, masks.random_mask(model, 0.9, seed=14))
+        batch = _batch(model, n=8, seed=15)
+        for lr in (0.0, 0.05, 0.1):
+            assert rescale.first_step_loss(model, batch, lr, **kw) == \
+                self._reference(model, batch, lr, **kw)
+
+
 class TestLearnScales:
     def test_already_optimal_bn_toy_objective_is_flat(self):
         """At a zero-gradient point with the hidden layer feeding batchnorm,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparselab import autodiff as ad
-from sparselab import datasets, ghost, layers, masks, training
+from sparselab import datasets, ghost, layers, masks, rescale, training
 from sparselab.ghost import ConfigError, GhostConfig
 from sparselab.layers import ParamBlock
 
@@ -200,6 +200,14 @@ class TestTrainLoop:
         history = training.train(model, _toy_blobs(seed=8), cfg)
         assert len(history) == 1 and not history[0].diverged
         assert history[0].beta == math.inf and math.isfinite(history[0].train_loss)
+
+    def test_lrsi_config_alone_switches_rescaling_on(self):
+        model = _small_mlp(seed=9)
+        cfg = training.TrainConfig(epochs=1, batch_size=16, lr0=0.05, milestones=(), seed=9,
+                                   lrsi=rescale.LRsIConfig(iters=1))
+        training.train(model, _toy_blobs(seed=9), cfg)
+        assert model.applied_scales is not None
+        assert list(model.applied_scales.scales) == rescale.scale_groups(model)
 
     def test_numeric_error_in_update_flags_divergence(self, monkeypatch):
         calls = []

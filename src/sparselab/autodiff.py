@@ -1,10 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Tape style: every op eagerly computes its output and records the parent
-tensors plus a gradient closure on the result. ``backward`` walks the
-implicit DAG in reverse topological order and accumulates gradients on
-every tensor that requires them. Graphs are rebuilt per step; tensors in
-a graph are never mutated in place.
+tensors plus a gradient closure on the result. The tape keeps only what
+backward cannot cheaply rebuild: ``conv2d`` recomputes its im2col matrix
+in backward instead of storing it. ``backward`` walks the implicit DAG in
+reverse topological order, accumulates gradients on every tensor that
+requires them, and drops each intermediate gradient once its node has
+run, so afterwards only leaves hold ``.grad``. Graphs are rebuilt per
+step; tensors in a graph are never mutated in place.
 
 Also hosts the finite-difference oracles (``finite_diff_grad``,
 ``finite_diff_hessian``, ``hvp_finite_diff``) used to verify gradients
@@ -51,8 +54,9 @@ def _check_finite(data, op, label):
 class Tensor:
     """Dense float64 array with an optional gradient slot.
 
-    ``grad`` is populated by :func:`backward`; leaves are tensors created
-    directly from data (no parents).
+    Leaves are tensors created directly from data (no parents): parameters
+    and user inputs. After :func:`backward` returns, ``grad`` is set on
+    requires-grad leaves only; op results read None.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "op", "name", "_parents", "_backward")
@@ -223,6 +227,10 @@ def conv2d(x, w, stride=1, label=""):
     for dw and, only when x needs a gradient, one GEMM for dcols followed
     by a nine-step col2im scatter. The output is an (N, C_out, Ho, Wo) view
     of the GEMM result, whose memory order stays (C_out, Ho, Wo, N).
+    The tape keeps only x and w: the padded input and ``cols`` (9x the
+    input) are dropped after the forward GEMM, and backward rebuilds them
+    from ``x.data`` with the same window copies, so dw sees bit-identical
+    operands.
     """
     x, w = as_tensor(x), as_tensor(w)
     if stride not in (1, 2):
@@ -240,23 +248,26 @@ def conv2d(x, w, stride=1, label=""):
     ho = (h + 2 - 3) // stride + 1
     wo = (wd + 2 - 3) // stride + 1
     o = w.data.shape[0]
-    xp = np.zeros((c, h + 2, wd + 2, n))
-    xp[:, 1:1 + h, 1:1 + wd] = x.data.transpose(1, 2, 3, 0)
-    cols = np.empty((c, 3, 3, ho, wo, n))
-    for ki in range(3):
-        for kj in range(3):
-            cols[:, ki, kj] = xp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
-    cols = cols.reshape(c * 9, ho * wo * n)
+
+    def im2col():
+        xp = np.zeros((c, h + 2, wd + 2, n))
+        xp[:, 1:1 + h, 1:1 + wd] = x.data.transpose(1, 2, 3, 0)
+        cols = np.empty((c, 3, 3, ho, wo, n))
+        for ki in range(3):
+            for kj in range(3):
+                cols[:, ki, kj] = xp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
+        return cols.reshape(c * 9, ho * wo * n)
+
     w2 = w.data.reshape(o, c * 9)
-    data = (w2 @ cols).reshape(o, ho, wo, n).transpose(3, 0, 1, 2)
+    data = (w2 @ im2col()).reshape(o, ho, wo, n).transpose(3, 0, 1, 2)
 
     def bw(g):
         g2 = g.transpose(1, 2, 3, 0).reshape(o, ho * wo * n)
-        _accumulate(w, (g2 @ cols.T).reshape(w.data.shape))
+        _accumulate(w, (g2 @ im2col().T).reshape(w.data.shape))
         if not x.requires_grad:
             return
         dcols = (w2.T @ g2).reshape(c, 3, 3, ho, wo, n)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((c, h + 2, wd + 2, n))
         for ki in range(3):
             for kj in range(3):
                 dxp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += dcols[:, ki, kj]
@@ -422,10 +433,13 @@ def topo_order(root):
 
 
 def backward(root, seed=None):
-    """Populate ``.grad`` on every requires-grad tensor reachable from ``root``.
+    """Populate ``.grad`` on every requires-grad leaf reachable from ``root``.
 
-    Gradients accumulate additively across fan-out. ``seed`` defaults to
-    ones of the root's shape.
+    Gradients accumulate additively across fan-out. Each intermediate
+    gradient is dropped as soon as its node's closure has run, so after
+    the call only leaves (parameters and inputs) hold ``.grad``; the root
+    and every other op result read None. ``seed`` defaults to ones of the
+    root's shape.
     """
     if root._backward is None and not root._parents:
         raise GraphError("backward called on a leaf: no recorded forward computation")
@@ -442,6 +456,8 @@ def backward(root, seed=None):
     for t in reversed(order):
         if t._backward is not None and t.grad is not None:
             t._backward(t.grad)
+        if t._parents:
+            t.grad = None     # every child has run: nothing reads it again
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ def _cmd_run(args):
     out_dir = args.out or experiments.load_config(args.config).out_dir
     code, results = experiments.run_experiment(args.config, out_dir=out_dir)
     for r in results:
-        status = "DIVERGED" if r.diverged else f"acc={r.final_test_acc:.4f}"
+        status = (f"DIVERGED ({r.history[-1].error})" if r.diverged
+                  else f"acc={r.final_test_acc:.4f}")
         print(f"{r.algo} s={r.sparsity:g} {r.tweaks} seed={r.seed}: {status}")
     print(f"summary written to {os.path.join(out_dir, 'summary.csv')}")
     return code

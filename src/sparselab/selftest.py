@@ -32,6 +32,25 @@ def _check_op_gradients():
     return True
 
 
+def _check_conv2d_gradients():
+    rng = np.random.default_rng(8)
+    x0, w0 = rng.normal(size=(2, 2, 5, 5)), rng.normal(size=(3, 2, 3, 3))
+    nx, flat0 = x0.size, np.concatenate([x0.ravel(), w0.ravel()])
+    for stride in (1, 2):
+        def conv(flat, stride=stride):
+            x = ad.Tensor(flat[:nx].reshape(x0.shape), requires_grad=True)
+            w = ad.Tensor(flat[nx:].reshape(w0.shape), requires_grad=True)
+            return ad.conv2d(x, w, stride=stride), x, w
+        y, x, w = conv(flat0)
+        proj = rng.normal(size=y.shape)
+        ad.backward(y, seed=proj)
+        got = np.concatenate([x.grad.ravel(), w.grad.ravel()])
+        fd = ad.finite_diff_grad(lambda f: float((conv(f)[0].data * proj).sum()), flat0)
+        if np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-12) > 1e-6:
+            return False
+    return True
+
+
 def _check_hvp_vs_dense():
     rng = np.random.default_rng(1)
     m = rng.normal(size=(6, 6))
@@ -88,6 +107,7 @@ def _check_bn_scale_absorption():
 
 CHECKS = [
     ("op gradients vs finite differences", _check_op_gradients),
+    ("conv2d dx and dw vs finite differences", _check_conv2d_gradients),
     ("hvp vs dense quadratic", _check_hvp_vs_dense),
     ("power iteration vs eigendecomposition", _check_power_iteration),
     ("lr/beta/alpha schedule closed forms", _check_schedules),

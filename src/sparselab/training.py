@@ -75,6 +75,7 @@ class RunRecord:
     eig_converged: tuple | None = None
     swap_deviation: float | None = None
     diverged: bool = False
+    error: str | None = None
 
 
 def smooth_labels(target_class, n_classes, ls_alpha):
@@ -150,7 +151,8 @@ def train(model, dataset, config, mask=None):
 
     Divergence (a non-finite value in the forward pass, the gradients or
     the update, or an exploding loss) aborts the run with a final record
-    flagged ``diverged`` instead of raising.
+    flagged ``diverged`` instead of raising; its ``error`` says what went
+    wrong, at which epoch and batch.
     """
     if mask is not None:
         from sparselab.masks import apply_mask
@@ -191,8 +193,8 @@ def train(model, dataset, config, mask=None):
 
         perm = rng.permutation(n)
         losses, flows = [], []
-        diverged = False
-        for start in range(0, n, config.batch_size):
+        error = None
+        for batch, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start:start + config.batch_size]
             xb = x_train[idx]
             targets = smooth_labels_batch(y_train[idx], k_classes, config.ls_alpha)
@@ -202,7 +204,7 @@ def train(model, dataset, config, mask=None):
                 loss = ad.softmax_cross_entropy(res.logits, targets, label="train_loss")
                 val = float(loss.data)
                 if not math.isfinite(val) or val > DIVERGENCE_LOSS:
-                    diverged = True
+                    error = f"train loss {val}"
                     break
                 ad.backward(loss)
                 grads = {name: res.leaves[name].grad for name in masks_by_name}
@@ -212,16 +214,17 @@ def train(model, dataset, config, mask=None):
                     if g is None:
                         g = np.zeros_like(blk.value)
                     sgd_step(blk, g, lr, config.momentum, config.weight_decay)
-            except ad.NumericError:
-                diverged = True
+            except ad.NumericError as exc:
+                error = str(exc)
                 break
             losses.append(val)
 
-        if diverged:
+        if error is not None:
             history.append(RunRecord(epoch=epoch, lr=lr, beta=beta, alpha=alpha,
                                      train_loss=math.nan, test_loss=math.nan,
                                      test_acc=math.nan, grad_flow=math.nan,
-                                     diverged=True))
+                                     diverged=True,
+                                     error=f"{error} at epoch {epoch}, batch {batch}"))
             return history
 
         test_loss, test_acc = evaluate(model, dataset.x_test, dataset.y_test,

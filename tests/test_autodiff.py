@@ -5,10 +5,14 @@ oracle; Hessian-vector products are verified against a dense
 double-finite-difference Hessian.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sparselab import autodiff as ad
+from sparselab import layers
+from sparselab.training import smooth_labels_batch
 
 
 def _rel_err(got, want):
@@ -341,6 +345,67 @@ class TestConv2dOracle:
         assert _rel_err(y.data, want) <= 1e-12
         assert _rel_err(x.grad, want_dx) <= 1e-12
         assert _rel_err(w.grad, want_dw) <= 1e-12
+
+
+class TestConv2dTape:
+    def test_tape_holds_no_im2col(self):
+        """The recorded node keeps x and w, not the padded input or the
+        9x-sized column matrix: what stays allocated is the output."""
+        rng = np.random.default_rng(14)
+        x = ad.Tensor(rng.normal(size=(32, 16, 8, 8)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(16, 16, 3, 3)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            y = ad.conv2d(x, w)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out_bytes = y.data.nbytes
+        assert held <= 1.25 * out_bytes
+
+
+class TestBackwardFreesIntermediates:
+    """After backward only leaves keep ``.grad``; leaf gradients are
+    unchanged and a second backward reproduces them bit for bit."""
+
+    def _check(self, build, flat0, tol):
+        def loss_fn(flat):
+            return float(build(flat)[0].data)
+
+        loss, leaves = build(flat0)
+        ad.backward(loss)
+        assert all(t.grad is None for t in ad.topo_order(loss) if t._parents)
+        first = np.concatenate([t.grad.ravel() for t in leaves])
+        want = ad.finite_diff_grad(loss_fn, flat0)
+        assert _rel_err(first, want) <= tol, _rel_err(first, want)
+        ad.backward(loss)
+        again = np.concatenate([t.grad.ravel() for t in leaves])
+        assert first.tobytes() == again.tobytes()
+
+    def test_fanout_graph(self):
+        def build(flat):
+            xd = ad.Tensor(flat, requires_grad=True)
+            branch = ad.mul(xd, ad.Tensor([2.0, 3.0]))
+            return ad.sum_all(ad.add(branch, branch)), [xd]
+
+        self._check(build, np.array([1.5, -0.5]), tol=1e-6)
+
+    def test_resnet_tiny_loss(self):
+        model = layers.build_model({"preset": "resnet-tiny", "in_shape": [1, 6, 6],
+                                    "channels": [2, 3, 4], "classes": 2}, seed=0)
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(4, 1, 6, 6))
+        targets = smooth_labels_batch(rng.integers(0, 2, 4), 2, 0.0)
+        layout = layers.ParamLayout(model.blocks.values())
+
+        def build(flat):
+            res = model.forward(x, training=True, update_stats=False, activation="mish",
+                                values=layout.unflatten(flat))
+            loss = ad.softmax_cross_entropy(res.logits, targets)
+            return loss, [res.leaves[n] for n in layout.names]
+
+        flat0 = layout.flatten({n: b.value for n, b in model.blocks.items()})
+        self._check(build, flat0, tol=1e-6)
 
 
 class TestErrors:

@@ -222,6 +222,16 @@ class TestCli:
                          str(tmp_path / "r2" / "summary.csv"), "--out", delta]) == 0
         assert os.path.exists(delta)
 
+    def test_run_prints_why_a_cell_diverged(self, tmp_path, capsys):
+        path = _config(tmp_path, train={"epochs": 2, "batch": 16, "lr0": 1000.0,
+                                        "milestones": [1], "seed": [0]})
+        assert cli.main(["run", path]) == 1
+        out = capsys.readouterr().out
+        assert "random s=0.5 baseline seed=0: DIVERGED (train loss " in out
+        assert "at epoch 0, batch " in out
+        metrics = tmp_path / "runs" / "random_s0.5_baseline" / "seed0" / "metrics.csv"
+        assert "train loss" not in metrics.read_text()
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"model": {}, "dataset": {}, "mask": {}, "train": {},

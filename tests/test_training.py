@@ -1,6 +1,7 @@
 """Label smoothing, the optimizer step, schedules, and the training loop."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,36 @@ class TestTrainLoop:
         assert len(calls) == 1
         assert len(history) == 1 and history[0].diverged
         assert math.isnan(history[0].train_loss)
+
+    def test_numeric_error_text_recorded_with_epoch_and_batch(self, monkeypatch):
+        real_step, calls = training.sgd_step, []
+
+        def step_failing_late(block, grad, *args):
+            calls.append(block.name)
+            if len(calls) == fail_at:
+                raise ad.NumericError(f"sgd_step: non-finite gradient for block {block.name}")
+            real_step(block, grad, *args)
+
+        model, ds = _small_mlp(seed=9), _toy_blobs(seed=9)
+        n_blocks, n_batches = len(model.blocks), -(-len(ds.x_train) // 16)
+        fail_at = (n_batches + 2) * n_blocks + 1      # first block of epoch 1, batch 2
+        monkeypatch.setattr(training, "sgd_step", step_failing_late)
+        cfg = training.TrainConfig(epochs=3, batch_size=16, lr0=0.05, milestones=(), seed=9)
+        history = training.train(model, ds, cfg)
+        assert [r.error for r in history[:-1]] == [None]
+        assert history[-1].diverged
+        assert history[-1].error == (f"sgd_step: non-finite gradient for block {calls[-1]}"
+                                     " at epoch 1, batch 2")
+
+    def test_exploding_loss_records_value_epoch_and_batch(self):
+        cfg = training.TrainConfig(epochs=10, batch_size=16, lr0=1e9, milestones=(), seed=6)
+        history = training.train(_small_mlp(seed=6), _toy_blobs(seed=6), cfg)
+        last = history[-1]
+        m = re.fullmatch(r"train loss (\S+) at epoch (\d+), batch (\d+)", last.error or "")
+        assert m is not None, last.error
+        loss = float(m.group(1))
+        assert not math.isfinite(loss) or loss > training.DIVERGENCE_LOSS
+        assert int(m.group(2)) == last.epoch and int(m.group(3)) >= 0
 
 
 class TestGhostIntegration:

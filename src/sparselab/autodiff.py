@@ -12,13 +12,42 @@ step; tensors in a graph are never mutated in place.
 Also hosts the finite-difference oracles (``finite_diff_grad``,
 ``finite_diff_hessian``, ``hvp_finite_diff``) used to verify gradients
 and curvature everywhere else in the package.
+
+Importing this module (and so ``sparselab``) fixes glibc's
+``M_MMAP_THRESHOLD`` at 32 MiB and ``M_TRIM_THRESHOLD`` at 64 MiB, so the
+multi-MB arrays every pass frees and reallocates (``conv2d``'s padded
+input and column matrices, dense activations) are reused from the heap
+instead of going back to the kernel and being page-faulted in again. No
+arithmetic changes. A user's ``MALLOC_MMAP_THRESHOLD_``,
+``MALLOC_TRIM_THRESHOLD_`` or ``glibc.malloc.*`` tunable takes precedence.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 
 import numpy as np
+
+
+def _retain_freed_memory():
+    """Keep freed arrays below 32 MiB in the heap for reuse (see the module
+    docstring). True when glibc took both thresholds; False, changing
+    nothing, without ``mallopt`` or under the user's own settings."""
+    if ("MALLOC_MMAP_THRESHOLD_" in os.environ or "MALLOC_TRIM_THRESHOLD_" in os.environ
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        # malloc.h: M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1; 0 = refused
+        return bool(mallopt(-3, 32 << 20) and mallopt(-1, 64 << 20))
+    except (OSError, AttributeError, TypeError):
+        return False
+
+
+_retain_freed_memory()
 
 
 class ShapeError(ValueError):

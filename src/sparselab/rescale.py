@@ -16,6 +16,7 @@ import numpy as np
 from sparselab import autodiff as ad
 from sparselab.diagnostics import probe_functions
 from sparselab.ghost import ConfigError
+from sparselab.layers import ParamLayout
 
 
 @dataclass
@@ -61,8 +62,10 @@ def first_step_loss(model, batch, lr, values=None, **forward_kwargs):
     """Training loss after one simulated masked SGD step on the same batch.
 
     Returns L(theta - lr * (m ⊙ grad L(theta))) at theta = ``values`` (default:
-    the model's) without mutating the model; ``forward_kwargs`` (activation,
-    beta, alpha) select the network variant.
+    the model's) without mutating the model. ``forward_kwargs`` go to
+    :func:`probe_functions`: activation, beta and alpha select the network
+    variant, and ``layout`` lets a caller that evaluates many scalings reuse
+    one ``ParamLayout`` of the model's blocks.
     """
     x, targets = batch
     loss_fn, grad_fn, theta = probe_functions(model, x, targets, training=True,
@@ -84,6 +87,8 @@ def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):
     if not groups:
         raise ValueError("learn_scales: model has no maskable weight blocks")
     lo, hi = math.log(cfg.bounds[0]), math.log(cfg.bounds[1])
+    # masks and shapes are fixed here, so every objective call shares one layout
+    forward_kwargs = {**forward_kwargs, "layout": ParamLayout(model.blocks.values())}
 
     def objective(u):
         scales = {g: math.exp(ui) for g, ui in zip(groups, u)}

@@ -5,14 +5,16 @@ oracle; Hessian-vector products are verified against a dense
 double-finite-difference Hessian.
 """
 
+import ctypes
+import resource
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from sparselab import autodiff as ad
-from sparselab import layers
-from sparselab.training import smooth_labels_batch
+from sparselab import diagnostics, layers, masks
+from sparselab.training import sgd_step, smooth_labels_batch
 
 
 def _rel_err(got, want):
@@ -406,6 +408,77 @@ class TestBackwardFreesIntermediates:
 
         flat0 = layout.flatten({n: b.value for n, b in model.blocks.items()})
         self._check(build, flat0, tol=1e-6)
+
+
+class TestAllocatorRetention:
+    """Importing the package fixes glibc's mmap and trim thresholds, so
+    same-shaped passes reuse heap pages instead of faulting them in."""
+
+    @staticmethod
+    def _minor_faults(fn, warmup, reps):
+        for _ in range(warmup):
+            fn()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(reps):
+            fn()
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    def test_repeated_passes_do_not_fault(self):
+        if not ad._retain_freed_memory():
+            pytest.skip("glibc mallopt unavailable or overridden by the environment")
+        rng = np.random.default_rng(16)
+
+        mlp = layers.build_model({"preset": "mlp", "in_shape": [2], "classes": 2}, seed=0)
+        xm = rng.normal(size=(64, 2))
+        tm = smooth_labels_batch(rng.integers(0, 2, 64), 2, 0.0)
+
+        def train_step():
+            res = mlp.forward(xm, training=True)
+            ad.backward(ad.softmax_cross_entropy(res.logits, tm))
+            for n, b in mlp.blocks.items():
+                sgd_step(b, res.leaves[n].grad, lr=0.01)
+
+        # with multithreaded BLAS, a fresh process's fourth step faults ~100 pages once
+        mlp_faults = self._minor_faults(train_step, warmup=5, reps=20)
+
+        net = layers.build_model({"preset": "resnet-tiny", "in_shape": [1, 8, 8], "classes": 2},
+                                 seed=0)
+        masks.apply_mask(net, masks.random_mask(net, 0.9, seed=0))
+        xr = rng.normal(size=(128, 1, 8, 8))
+        tr = smooth_labels_batch(rng.integers(0, 2, 128), 2, 0.0)
+        _, grad_fn, theta = diagnostics.probe_functions(net, xr, tr)
+        probe_faults = self._minor_faults(lambda: grad_fn(theta), warmup=3, reps=5)
+
+        assert mlp_faults < 100 and probe_faults < 100, (mlp_faults, probe_faults)
+
+    @pytest.mark.parametrize("cdll", ["raises", "no_mallopt", "refuses"])
+    def test_fallback_without_glibc(self, monkeypatch, cdll):
+        for var in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"):
+            monkeypatch.delenv(var, raising=False)
+
+        class Libc:
+            if cdll == "refuses":       # musl's mallopt accepts nothing
+                mallopt = staticmethod(lambda param, value: 0)
+
+        def fake_cdll(name):
+            if cdll == "raises":
+                raise OSError("no C library")
+            return Libc()
+
+        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+        assert ad._retain_freed_memory() is False
+
+    @pytest.mark.parametrize("var, value", [
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+    ])
+    def test_user_settings_take_precedence(self, monkeypatch, var, value):
+        monkeypatch.setenv(var, value)
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: calls.append(name))
+        assert ad._retain_freed_memory() is False
+        assert calls == []
 
 
 class TestErrors:

@@ -3,10 +3,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sparselab
 from sparselab import cli, experiments
 from sparselab.ghost import ConfigError
 
@@ -240,6 +243,19 @@ class TestCli:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 2
+
+    def test_closed_stdout_exits_without_traceback(self):
+        """`sparselab selftest | head -1`: the reader goes away after one
+        line; the verb stops with exit code 1 and nothing on stderr."""
+        src = os.path.dirname(os.path.dirname(sparselab.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}
+        proc = subprocess.Popen([sys.executable, "-m", "sparselab", "selftest"], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"PASS")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
     def test_mask_and_probe_verbs(self, tmp_path):
         path = _config(tmp_path)

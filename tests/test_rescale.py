@@ -151,6 +151,24 @@ class TestLearnScales:
         for c in out.scales.values():
             assert 0.5 - 1e-12 <= c <= 2.0 + 1e-12
 
+    def test_one_layout_per_run(self, monkeypatch):
+        """Masks and shapes do not change during a run, so the 2G+1 objective
+        calls of an iteration share the layout built once up front."""
+        built = []
+        init = layers.ParamLayout.__init__
+
+        def counting_init(self, blocks):
+            built.append(1)
+            init(self, blocks)
+
+        model = _mlp(seed=12, hidden=(8, 8, 8))
+        masks.apply_mask(model, masks.random_mask(model, 0.5, seed=13))
+        batch = _batch(model, seed=14)
+        monkeypatch.setattr(layers.ParamLayout, "__init__", counting_init)
+        out = rescale.learn_scales(model, batch, lr_train=0.1, config=rescale.LRsIConfig(iters=1))
+        assert len(rescale.scale_groups(model)) == 4 and len(out.trace) == 2
+        assert len(built) == 1
+
 
 class TestApplyScales:
     def test_unit_scales_are_identity(self):

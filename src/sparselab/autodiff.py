@@ -209,26 +209,20 @@ def relu(x, label=""):
 
 
 def pswish(x, beta=1.0, label=""):
-    """Parametric swish x * sigmoid(beta * x); beta=1 is swish, beta -> inf is relu."""
+    """Parametric swish x * sigmoid(beta * x); beta=1 is swish, beta=inf is
+    relu itself (the limit, computed exactly: inf * 0 would give NaN)."""
     x = as_tensor(x)
     beta = float(beta)
     if beta < 0:
         raise ValueError(f"pswish: beta must be >= 0, got {beta}")
-    # beta = inf is the relu limit, computed exactly (inf * 0 would give NaN)
-    relu_limit = beta == math.inf
-    if relu_limit:
-        data = np.maximum(x.data, 0.0)
-    else:
-        s = _sigmoid(beta * x.data)
-        data = x.data * s
+    if beta == math.inf:
+        return relu(x, label)
+    s = _sigmoid(beta * x.data)
 
     def bw(g):
-        if relu_limit:
-            _accumulate(x, g * (x.data > 0))
-        else:
-            _accumulate(x, g * (s * (1.0 + beta * x.data * (1.0 - s))))
+        _accumulate(x, g * (s * (1.0 + beta * x.data * (1.0 - s))))
 
-    return _result(data, "pswish", (x,), bw, label)
+    return _result(x.data * s, "pswish", (x,), bw, label)
 
 
 def mish(x, label=""):

@@ -24,8 +24,9 @@ from sparselab.training import smooth_labels_batch
 
 
 def _cmd_run(args):
-    out_dir = args.out or experiments.load_config(args.config).out_dir
-    code, results = experiments.run_experiment(args.config, out_dir=out_dir)
+    cfg = experiments.load_config(args.config)
+    out_dir = args.out or cfg.out_dir
+    code, results = experiments.run_experiment(cfg, out_dir=out_dir)
     for r in results:
         status = (f"DIVERGED ({r.history[-1].error})" if r.diverged
                   else f"acc={r.final_test_acc:.4f}")
@@ -38,8 +39,7 @@ def _cmd_mask(args):
     cfg = experiments.load_config(args.config)
     seed = cfg.seeds[0]
     model = build_model(cfg.raw["model"], seed=seed)
-    dataset = experiments._build_dataset(cfg.raw)
-    mask = experiments.generate_mask(args.algo, model, dataset, args.sparsity, seed, cfg.raw)
+    mask = experiments.generate_mask(args.algo, model, cfg.dataset, args.sparsity, seed, cfg.raw)
     masks.apply_mask(model, mask)
     checkpoint.save_model(args.out, model)
     report = masks.layer_collapse_check(mask)
@@ -65,8 +65,7 @@ def _cmd_probe(args):
     cfg = experiments.load_config(args.config)
     model = build_model(cfg.raw["model"], seed=cfg.seeds[0])
     checkpoint.load_into_model(args.checkpoint, model)
-    dataset = experiments._build_dataset(cfg.raw)
-    x, y = _parse_batch_spec(args.batch, dataset)
+    x, y = _parse_batch_spec(args.batch, cfg.dataset)
     targets = smooth_labels_batch(y, model.n_classes, 0.0)
     pc = experiments._probe_config(cfg.raw) or diagnostics.ProbeConfig()
     out_dir = args.out or os.path.dirname(args.checkpoint) or "."
@@ -86,9 +85,9 @@ def _cmd_probe(args):
             wrote.append(path)
         if args.scan:
             losses = diagnostics.eigvec_perturb_scan(model, (x, targets), vecs[0],
-                                                     pc.scan_distances)
+                                                     diagnostics.SCAN_DISTANCES)
             path = os.path.join(out_dir, "scan.csv")
-            training.write_csv(path, ["t", "loss"], zip(pc.scan_distances, losses))
+            training.write_csv(path, ["t", "loss"], zip(diagnostics.SCAN_DISTANCES, losses))
             wrote.append(path)
 
     if args.landscape:
@@ -167,10 +166,7 @@ def main(argv=None):
         # the interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, checkpoint.CheckpointError) as exc:

@@ -142,11 +142,11 @@ def _derive_labels_path(images_path):
     return None
 
 
-def load_idx_images(path, labels_path=None, limit=None, test_fraction=1 / 6):
+def load_idx_images(path, labels_path=None, limit=None):
     """Load an IDX image/label pair as a Dataset.
 
     Pixels are scaled to [0,1] then normalized with train-split mean/std
-    (scalars). The deterministic split keeps the head for training.
+    (scalars). The deterministic split keeps the last sixth for testing.
     """
     if labels_path is None:
         labels_path = _derive_labels_path(path)
@@ -161,7 +161,7 @@ def load_idx_images(path, labels_path=None, limit=None, test_fraction=1 / 6):
     if len(x) < 2:
         raise FormatError(f"{path}: need at least 2 examples, got {len(x)}")
     x = x.astype(np.float64) / 255.0
-    n_test = max(int(round(len(x) * test_fraction)), 1)
+    n_test = max(int(round(len(x) * (1 / 6))), 1)
     n_train = len(x) - n_test
     x_train, x_test = x[:n_train], x[n_train:]
     mean = x_train.mean()

@@ -19,6 +19,9 @@ from sparselab import autodiff as ad
 from sparselab.ghost import ConfigError
 from sparselab.layers import ParamLayout
 
+# the distances ``sparselab probe --scan`` moves along the top eigenvector
+SCAN_DISTANCES = tuple(np.linspace(-0.5, 0.5, 11))
+
 
 @dataclass
 class ProbeConfig:
@@ -31,22 +34,22 @@ class ProbeConfig:
     probe_batch: int = 256
     landscape_grid: int = 11
     landscape_span: float = 0.5
-    scan_distances: tuple = tuple(np.linspace(-0.5, 0.5, 11))
 
     def __post_init__(self):
-        if self.eig_count < 1:
+        # each check is written so that NaN fails it
+        if not self.eig_count >= 1:
             raise ConfigError("probe eig_count must be >= 1")
-        if self.act_eps <= 0:
+        if not self.act_eps > 0:
             raise ConfigError("probe act_eps must be positive")
-        if self.every < 1:
+        if not self.every >= 1:
             raise ConfigError("probe cadence must be >= 1 epoch")
-        if self.power_iters < 1:
+        if not self.power_iters >= 1:
             raise ConfigError("probe power_iters must be >= 1")
         if not self.tol > 0:
             raise ConfigError("probe tol must be positive")
-        if self.probe_batch < 1:
+        if not self.probe_batch >= 1:
             raise ConfigError("probe probe_batch must be >= 1")
-        if self.landscape_grid % 2 == 0 or self.landscape_grid < 1:
+        if self.landscape_grid % 2 == 0 or not self.landscape_grid >= 1:
             raise ConfigError("landscape grid must be odd so the origin is sampled")
 
 
@@ -55,14 +58,13 @@ class SpectrumRecord:
     eigenvalues: tuple
     residuals: tuple
     converged: tuple
-    epoch: int | None = None
 
 
 def activation_sparsity(model, x, eps=1e-6, **forward_kwargs):
     """Fraction of post-activation values with |a| < eps, per activation site."""
     if len(x) == 0:
         raise ValueError("activation_sparsity: batch must be non-empty")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("activation_sparsity: eps must be positive")
     res = model.forward(x, record=True, update_stats=False, **forward_kwargs)
     return np.array([float((np.abs(a) < eps).mean()) for a in res.activations])
@@ -125,7 +127,7 @@ def probe_functions(model, x, targets, *, training=False, activation=None,
     return loss_fn, grad_fn, theta0
 
 
-def top_hessian_eigs(grad_fn, theta, k=1, iters=100, tol=1e-3, seed=0, h=1e-5, epoch=None):
+def top_hessian_eigs(grad_fn, theta, k=1, iters=100, tol=1e-3, seed=0):
     """Top-k Hessian eigenvalues by shifted power iteration with deflation.
 
     A first pass estimates the spectral radius; iterating on H + radius*I
@@ -146,7 +148,7 @@ def top_hessian_eigs(grad_fn, theta, k=1, iters=100, tol=1e-3, seed=0, h=1e-5, e
     if iters < 1:
         raise ValueError("top_hessian_eigs: iters must be >= 1")
     rng = np.random.default_rng(seed)
-    hvp = lambda v: ad.hvp_finite_diff(grad_fn, theta, v, h=h)
+    hvp = lambda v: ad.hvp_finite_diff(grad_fn, theta, v)
 
     v = rng.normal(size=theta.size)
     v /= np.linalg.norm(v)
@@ -193,7 +195,6 @@ def top_hessian_eigs(grad_fn, theta, k=1, iters=100, tol=1e-3, seed=0, h=1e-5, e
         eigenvalues=tuple(vals[i] for i in order),
         residuals=tuple(resids[i] for i in order),
         converged=tuple(conv[i] for i in order),
-        epoch=epoch,
     ), [vecs[i] for i in order]
 
 

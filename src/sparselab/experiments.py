@@ -31,13 +31,18 @@ from sparselab.training import TrainConfig
 MASK_ALGOS = ("random", "magnitude", "snip", "grasp", "synflow", "lth")
 TWEAK_TOKENS = ("soft", "skips", "lrsi", "ls")
 
+# train-section key -> (TrainConfig field, cast); ls_alpha and seed are read
+# apart: smoothing belongs to the "ls" tweak and the seed is a grid axis
+_TRAIN_FIELDS = {"epochs": ("epochs", int), "batch": ("batch_size", int),
+                 "lr0": ("lr0", float), "momentum": ("momentum", float),
+                 "wd": ("weight_decay", float), "milestones": ("milestones", tuple)}
+
 _SCHEMA = {
     "model": {"preset", "layers", "in_shape", "classes", "hidden", "channels"},
     "dataset": {"name", "n", "classes", "noise", "seed", "input_shape",
                 "path", "labels_path", "limit"},
     "mask": {"algo", "sparsity", "scope", "synflow_iterations", "imp_rounds"},
-    "train": {"epochs", "batch", "lr0", "milestones", "momentum", "wd",
-              "ls_alpha", "seed"},
+    "train": set(_TRAIN_FIELDS) | {"ls_alpha", "seed"},
     "ghost": {"policy", "beta0", "beta_max", "alpha0", "schedule", "activation"},
     "lrsi": {"iters", "step", "bounds"},
     "probes": {"enabled", "every", "eig_count", "power_iters", "tol", "act_eps",
@@ -54,6 +59,7 @@ class ExperimentConfig:
     tweaks: list
     seeds: list
     out_dir: str
+    dataset: datasets.Dataset = field(repr=False)
 
 
 def _check_keys(section, given, allowed):
@@ -79,9 +85,13 @@ def parse_tweaks(label):
     return tokens
 
 
+def _reject_constant(name):
+    raise ConfigError(f"non-finite number {name} in config")
+
+
 def load_config(path):
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, parse_constant=_reject_constant)
     return validate_config(raw)
 
 
@@ -107,6 +117,11 @@ def validate_config(raw):
     for s in sparsities:
         if not 0.0 <= s < 1.0:
             raise ConfigError(f"sparsity must be in [0,1), got {s}")
+    if "scope" in mask and mask["scope"] not in masks.SCOPES:
+        raise ConfigError(f"unknown mask scope {mask['scope']!r}; choose from {masks.SCOPES}")
+    for key in ("synflow_iterations", "imp_rounds"):
+        if key in mask and not int(mask[key]) >= 1:
+            raise ConfigError(f"mask {key} must be >= 1, got {mask[key]}")
     tweaks = [str(t) for t in _as_list(raw.get("tweaks", ["baseline"]))]
     for t in tweaks:
         parse_tweaks(t)
@@ -117,11 +132,20 @@ def validate_config(raw):
         if len(set(keys)) < len(keys):
             raise ConfigError(f"repeated {axis} on the grid: {keys}")
     out_dir = raw.get("out_dir", "runs")
-    # constructing every per-run config validates the remaining values
-    for t in tweaks:
-        _train_config(raw, t, seeds[0])
-    return ExperimentConfig(raw=raw, algos=algos, sparsities=sparsities,
-                            tweaks=tweaks, seeds=seeds, out_dir=out_dir)
+    # building every per-run config, the dataset and the first model validates the rest
+    try:
+        for t in tweaks:
+            _train_config(raw, t, seeds[0])
+        dataset = _build_dataset(raw)
+        model = build_model(raw["model"], seed=seeds[0])
+    except (TypeError, ValueError) as exc:      # a value of the wrong type or range
+        raise ConfigError(str(exc)) from exc
+    if model.in_shape != dataset.input_shape:
+        raise ConfigError(f"model in_shape {model.in_shape} != dataset shape {dataset.input_shape}")
+    if model.n_classes < dataset.n_classes:
+        raise ConfigError(f"model has {model.n_classes} classes, dataset {dataset.n_classes}")
+    return ExperimentConfig(raw=raw, algos=algos, sparsities=sparsities, tweaks=tweaks,
+                            seeds=seeds, out_dir=out_dir, dataset=dataset)
 
 
 def _probe_config(raw):
@@ -144,19 +168,10 @@ def _train_config(raw, tweak_label, seed):
         if "bounds" in kw:
             kw["bounds"] = tuple(kw["bounds"])
         lrsi = LRsIConfig(**kw)
-    return TrainConfig(
-        epochs=int(t.get("epochs", 60)),
-        batch_size=int(t.get("batch", 128)),
-        lr0=float(t.get("lr0", 0.1)),
-        momentum=float(t.get("momentum", 0.9)),
-        weight_decay=float(t.get("wd", 2e-4)),
-        milestones=tuple(t.get("milestones", (30, 45))),
-        ls_alpha=float(t.get("ls_alpha", 0.1)) if "ls" in tokens else 0.0,
-        seed=seed,
-        ghost=ghost,
-        lrsi=lrsi,
-        probes=_probe_config(raw),
-    )
+    kw = {f: cast(t[key]) for key, (f, cast) in _TRAIN_FIELDS.items() if key in t}
+    ls_alpha = float(t.get("ls_alpha", 0.1)) if "ls" in tokens else 0.0
+    return TrainConfig(**kw, ls_alpha=ls_alpha, seed=seed, ghost=ghost, lrsi=lrsi,
+                       probes=_probe_config(raw))
 
 
 def _build_dataset(raw):
@@ -170,12 +185,12 @@ def _build_dataset(raw):
         input_shape=tuple(d["input_shape"]) if "input_shape" in d else None)
 
 
-def generate_mask(algo, model, dataset, sparsity, seed, raw, train_config=None):
+def generate_mask(algo, model, dataset, sparsity, seed, raw):
     """Dispatch to the requested generator with a deterministic batch."""
     mask_cfg = raw.get("mask", {})
     scope = mask_cfg.get("scope", "global")
-    batch_n = min(int(raw["train"].get("batch", 128)), len(dataset.x_train))
-    batch = (dataset.x_train[:batch_n], dataset.y_train[:batch_n])
+    cfg = _train_config(raw, "baseline", seed)
+    batch = (dataset.x_train[:cfg.batch_size], dataset.y_train[:cfg.batch_size])
     if algo == "random":
         return masks.random_mask(model, sparsity, seed=seed, scope=scope)
     if algo == "magnitude":
@@ -192,7 +207,6 @@ def generate_mask(algo, model, dataset, sparsity, seed, raw, train_config=None):
             return masks.random_mask(model, 0.0, seed=seed)
         rounds = int(mask_cfg.get("imp_rounds", 3))
         rate = 1.0 - (1.0 - sparsity) ** (1.0 / rounds)
-        cfg = train_config or _train_config(raw, "baseline", seed)
         found, _ = masks.imp_lth(model, dataset, rounds, rate, cfg)
         return found
     raise ConfigError(f"unknown mask algo {algo!r}")
@@ -216,15 +230,16 @@ def _cell_dir(out_dir, algo, sparsity, tweaks):
 
 
 def run_experiment(config_path, out_dir=None):
-    """Execute every grid cell; returns (exit_code, results).
+    """Execute every grid cell; returns (exit_code, results). ``config_path``
+    may also be an ExperimentConfig that load_config already returned.
 
     Exit codes: 0 success, 1 at least one run diverged, 2 config error
     (raised as ConfigError by load_config before any run starts).
     """
-    cfg = load_config(config_path)
+    cfg = config_path if isinstance(config_path, ExperimentConfig) else load_config(config_path)
     out_root = out_dir or cfg.out_dir
     os.makedirs(out_root, exist_ok=True)
-    dataset = _build_dataset(cfg.raw)
+    dataset = cfg.dataset
     results = []
     for algo in cfg.algos:
         for s in cfg.sparsities:
@@ -246,11 +261,11 @@ def _finish_cell(out_root, model, history, tc, algo, s, tweaks, seed):
     run_dir = os.path.join(_cell_dir(out_root, algo, s, tweaks), f"seed{seed}")
     os.makedirs(run_dir, exist_ok=True)
     n_act = len(model.activation_site_names())
-    eig_count = tc.probes.eig_count if tc.probes else 1
+    pc = tc.probes or ProbeConfig()
     training.write_metrics_csv(os.path.join(run_dir, "metrics.csv"),
-                               history, n_act, eig_count)
-    if tc.probes and tc.probes.enabled:
-        _write_spectrum_csv(os.path.join(run_dir, "spectrum.csv"), eig_count,
+                               history, n_act, pc.eig_count)
+    if pc.enabled:
+        _write_spectrum_csv(os.path.join(run_dir, "spectrum.csv"), pc.eig_count,
                             [(r.epoch, r.top_eigs, r.eig_residuals, r.eig_converged)
                              for r in history if r.top_eigs is not None])
     if model.applied_scales is not None:

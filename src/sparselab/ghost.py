@@ -40,7 +40,7 @@ def _fraction(epoch, t_end, shape):
 
 def beta_at(epoch, t_end, beta0=1.0, beta_max=10.0, shape="linear"):
     """Soft-neuron sharpness at ``epoch``; +inf sentinel once relu is swapped in."""
-    if beta0 <= 0:
+    if not beta0 > 0:
         raise ValueError(f"beta_at: beta0 must be positive, got {beta0}")
     if t_end <= 0:
         raise ValueError(f"beta_at: t_end must be positive, got {t_end}")
@@ -80,7 +80,7 @@ class GhostConfig:
             raise ConfigError(f"unknown ghost schedule {self.schedule!r}")
         if self.activation not in ("pswish", "mish"):
             raise ConfigError(f"unknown ghost activation {self.activation!r}")
-        if self.beta0 <= 0:
+        if not self.beta0 > 0:
             raise ConfigError(f"ghost beta0 must be positive, got {self.beta0}")
         if not 0.0 <= self.alpha0 <= 1.0:
             raise ConfigError(f"ghost alpha0 must be in [0,1], got {self.alpha0}")
@@ -120,6 +120,4 @@ class SchedulePolicy:
         )
 
 
-def ghost_mode(config: GhostConfig, milestones) -> SchedulePolicy:
-    """Schedule generator honoring the configured removal policy."""
-    return SchedulePolicy(config, milestones)
+ghost_mode = SchedulePolicy     # the schedule generator's older name

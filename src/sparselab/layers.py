@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sparselab import autodiff as ad
-from sparselab.autodiff import mish, pswish, relu  # noqa: F401  (re-exported op surface)
 from sparselab.checkpoint import CheckpointError
 
 # Tiny eps: guards the zero-variance channel while keeping batchnorm
@@ -173,12 +172,12 @@ class _Dense:
 
 
 class _Conv:
-    def __init__(self, name, in_ch, out_ch, stride):
+    def __init__(self, name, stride, ghost_site):
         self.name = name
         self.w = f"{name}.w"
         self.b = f"{name}.b"
         self.stride = stride
-        self.ghost_site = (in_ch == out_ch) and stride == 1
+        self.ghost_site = ghost_site
 
     def forward(self, x, ctx, P):
         z = ad.conv2d(x, P[self.w], stride=self.stride, label=self.name)
@@ -230,13 +229,11 @@ class _ResidualBlock:
         self.name = name
         self.has_native_skip = has_native_skip
         self.activation = activation
-        self.conv1 = _Conv(f"{name}.conv1", channels, channels, 1)
-        self.conv2 = _Conv(f"{name}.conv2", channels, channels, 1)
+        # the two conv sub-blocks are the ghost sites, not the convs themselves
+        self.conv1 = _Conv(f"{name}.conv1", 1, ghost_site=False)
+        self.conv2 = _Conv(f"{name}.conv2", 1, ghost_site=False)
         self.bn1 = _BatchNorm(f"{name}.bn1")
         self.bn2 = _BatchNorm(f"{name}.bn2")
-        # the two conv sub-blocks are the ghost sites; disable the plain-conv hook
-        self.conv1.ghost_site = False
-        self.conv2.ghost_site = False
 
     def forward(self, x, ctx, P):
         z1 = self.bn1.forward(self.conv1.forward(x, ctx, P), ctx, P)
@@ -259,8 +256,7 @@ class Model:
     from the logits.
     """
 
-    def __init__(self, specs, layers, blocks, bn_stats, in_shape, n_classes):
-        self.specs = specs
+    def __init__(self, layers, blocks, bn_stats, in_shape, n_classes):
         self.layers = layers
         self.blocks = blocks          # dict name -> ParamBlock (insertion ordered)
         self.bn_stats = bn_stats      # dict bn name -> (running_mean, running_var)
@@ -303,7 +299,7 @@ class Model:
     def clone(self):
         blocks = {n: b.copy() for n, b in self.blocks.items()}
         stats = {n: (m.copy(), v.copy()) for n, (m, v) in self.bn_stats.items()}
-        out = Model(self.specs, self.layers, blocks, stats, self.in_shape, self.n_classes)
+        out = Model(self.layers, blocks, stats, self.in_shape, self.n_classes)
         out.applied_scales = self.applied_scales
         return out
 
@@ -444,7 +440,7 @@ def build_model(spec, seed=0):
         w = rng.normal(size=(out_ch, in_ch, 3, 3)) * np.sqrt(2.0 / (in_ch * 9))
         add_block(f"{name}.w", "weight", w, name)
         add_block(f"{name}.b", "bias", np.zeros(out_ch), name)
-        return _Conv(name, in_ch, out_ch, stride)
+        return _Conv(name, stride, ghost_site=in_ch == out_ch and stride == 1)
 
     def make_bn(name, dim):
         add_block(f"{name}.g", "bn_scale", np.ones(dim), name)
@@ -493,7 +489,7 @@ def build_model(spec, seed=0):
 
     if shape != (n_classes,):
         raise BuildError(f"network output shape {shape} does not match classes {n_classes}")
-    return Model(lspecs, layers, blocks, bn_stats, in_shape, n_classes)
+    return Model(layers, blocks, bn_stats, in_shape, n_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from sparselab.layers import ParamLayout
 from sparselab.training import smooth_labels_batch, train
 
 GRASP_PRUNE_LARGEST = True
+SCOPES = ("global", "layerwise")    # every scoped generator ranks by one of these
 
 
 class DegenerateSaliencyError(RuntimeError):
@@ -96,12 +97,9 @@ def _scoped_mask(layout, s, scope, keep):
     """The one scope split: "global" ranks all of ``layout`` as one group,
     "layerwise" each block in order; ``keep(lo, hi, keep_n)`` gives the 0/1
     vector of flat coordinates [lo, hi)."""
-    if scope == "global":
-        bounds = [0, layout.size]
-    elif scope == "layerwise":
-        bounds = layout.offsets.tolist()
-    else:
-        raise ValueError(f"unknown ranking scope {scope!r}")
+    if scope not in SCOPES:
+        raise ValueError(f"unknown ranking scope {scope!r}; choose from {SCOPES}")
+    bounds = [0, layout.size] if scope == "global" else layout.offsets.tolist()
     flat = np.zeros(layout.size)
     for lo, hi in zip(bounds, bounds[1:]):
         flat[lo:hi] = keep(lo, hi, _keep_count(hi - lo, s))
@@ -130,16 +128,15 @@ def random_mask(model, s, seed, scope="global"):
     return Mask(_scoped_mask(ParamLayout(model.maskable_blocks()), s, scope, keep), s)
 
 
-def magnitude_mask(model, s, scope="global", values=None):
+def magnitude_mask(model, s, scope="global"):
     """Keep the top (1-s) fraction by |theta|."""
     _check_sparsity(s)
     blocks = model.maskable_blocks()
     scores = {}
     for b in blocks:
-        v = b.value if values is None else values[b.name]
-        if not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(b.value)):
             raise ad.NumericError(f"magnitude_mask: non-finite weights in {b.name}")
-        scores[b.name] = np.abs(v)
+        scores[b.name] = np.abs(b.value)
     return Mask(_rank_mask(ParamLayout(blocks), scores, s, scope), s)
 
 

@@ -18,15 +18,18 @@ from sparselab.diagnostics import probe_functions
 from sparselab.ghost import ConfigError
 from sparselab.layers import ParamLayout
 
+FD_STEP = 1e-3                     # central-difference step in log space
+
 
 @dataclass
 class LRsIConfig:
     iters: int = 50
     step: float = 0.05
-    fd_step: float = 1e-3          # central-difference step in log space
     bounds: tuple = (0.01, 100.0)  # clamp on each scalar
 
     def __post_init__(self):
+        if not self.iters >= 0:
+            raise ConfigError(f"lrsi iters must be >= 0, got {self.iters}")
         lo, hi = self.bounds
         if not (0 < lo < hi):
             raise ConfigError(f"lrsi bounds must satisfy 0 < lo < hi, got {self.bounds}")
@@ -109,8 +112,8 @@ def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):
         grad = np.zeros_like(u)
         for i in range(len(u)):
             step = np.zeros_like(u)
-            step[i] = cfg.fd_step
-            grad[i] = (objective(u + step) - objective(u - step)) / (2 * cfg.fd_step)
+            step[i] = FD_STEP
+            grad[i] = (objective(u + step) - objective(u - step)) / (2 * FD_STEP)
         if not np.all(np.isfinite(grad)):
             break
         u = np.clip(u - cfg.step * grad, lo, hi)
@@ -130,8 +133,6 @@ def apply_scales(model, scale_set):
             raise ValueError(f"apply_scales: unknown scale group {g!r}")
         if not (c > 0):
             raise ValueError(f"apply_scales: scalar for {g!r} must be positive, got {c}")
-    for blk in model.blocks.values():
-        c = scales.get(blk.group)
-        if c is not None and blk.kind in ("weight", "bias"):
-            blk.value = blk.value * c
+    for name, value in _scaled_values(model, scales).items():
+        model.blocks[name].value = value
     return model

@@ -24,7 +24,7 @@ from sparselab import autodiff as ad
 from sparselab import diagnostics, rescale
 from sparselab.checkpoint import atomic_open
 from sparselab.diagnostics import ProbeConfig
-from sparselab.ghost import ConfigError, GhostConfig, ghost_mode
+from sparselab.ghost import ConfigError, GhostConfig, SchedulePolicy
 from sparselab.rescale import LRsIConfig
 
 DIVERGENCE_LOSS = 1e6
@@ -52,10 +52,10 @@ class TrainConfig:
             raise ConfigError(f"milestones {ms} must lie before the last epoch {self.epochs}")
         if not 0.0 <= self.ls_alpha < 1.0:
             raise ConfigError(f"ls_alpha must be in [0,1), got {self.ls_alpha}")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ConfigError("batch_size must be >= 1")
         if self.ghost is not None:
-            ghost_mode(self.ghost, ms)   # the schedule needs its milestones
+            SchedulePolicy(self.ghost, ms)   # the schedule needs its milestones
         self.milestones = ms
 
 
@@ -163,12 +163,10 @@ def train(model, dataset, config, mask=None):
     x_train, y_train = dataset.x_train, dataset.y_train
     n = len(x_train)
     k_classes = model.n_classes
-    pc = config.probes
-    probe_n = min(pc.probe_batch if pc else 256, n)
-    probe_x, probe_y = x_train[:probe_n], y_train[:probe_n]
-    act_eps = pc.act_eps if pc else 1e-6
+    pc = config.probes or ProbeConfig()
+    probe_x, probe_y = x_train[:pc.probe_batch], y_train[:pc.probe_batch]
 
-    policy = ghost_mode(config.ghost, config.milestones) if config.ghost else None
+    policy = SchedulePolicy(config.ghost, config.milestones) if config.ghost else None
 
     if config.lrsi is not None:
         bx = x_train[:min(config.batch_size, n)]
@@ -230,7 +228,7 @@ def train(model, dataset, config, mask=None):
         test_loss, test_acc = evaluate(model, dataset.x_test, dataset.y_test,
                                        config.batch_size, activation=act_kind,
                                        beta=beta, alpha=alpha)
-        act_sp = diagnostics.activation_sparsity(model, probe_x, act_eps,
+        act_sp = diagnostics.activation_sparsity(model, probe_x, pc.act_eps,
                                                  activation=act_kind, beta=beta, alpha=alpha)
 
         swap_dev = None
@@ -240,13 +238,13 @@ def train(model, dataset, config, mask=None):
         prev_phase = state.phase if state else None
 
         top_eigs = resids = converged = None
-        if pc and pc.enabled and epoch % pc.every == 0:
+        if pc.enabled and epoch % pc.every == 0:
             onehot = smooth_labels_batch(probe_y, k_classes, 0.0)
             _, grad_fn, theta0 = diagnostics.probe_functions(
                 model, probe_x, onehot, activation=act_kind, beta=beta, alpha=alpha)
             record, _ = diagnostics.top_hessian_eigs(
                 grad_fn, theta0, k=pc.eig_count, iters=pc.power_iters,
-                tol=pc.tol, seed=config.seed * 1000 + epoch, epoch=epoch)
+                tol=pc.tol, seed=config.seed * 1000 + epoch)
             top_eigs, resids, converged = record.eigenvalues, record.residuals, record.converged
 
         history.append(RunRecord(

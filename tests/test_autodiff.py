@@ -55,13 +55,16 @@ class TestForwardBasics:
         np.testing.assert_array_equal(y.data, [0.0, 0.0, 2.0])
 
     def test_pswish_infinite_beta_is_exact_relu(self):
-        data = [-2.0, -1e-300, 0.0, 1e-300, 3.0]
+        """pswish at beta = inf is the relu node itself: same op, same bits."""
+        data = [-2.0, -1e-300, -0.0, 0.0, 1e-300, 3.0]
         x, xr = ad.Tensor(data, requires_grad=True), ad.Tensor(data, requires_grad=True)
         y, yr = ad.pswish(x, float("inf")), ad.relu(xr)
-        np.testing.assert_array_equal(y.data, yr.data)
-        ad.backward(y)
-        ad.backward(yr)
-        np.testing.assert_array_equal(x.grad, xr.grad)
+        assert y.op == yr.op == "relu"
+        assert y.data.tobytes() == yr.data.tobytes()
+        seed = np.array([1.5, -2.0, 3.0, 0.25, -1e-300, 7.0])
+        ad.backward(ad.sum_all(ad.mul(y, seed)))
+        ad.backward(ad.sum_all(ad.mul(yr, seed)))
+        assert x.grad.tobytes() == xr.grad.tobytes()
 
     def test_zero_two_layer_net(self):
         x = ad.Tensor(np.random.default_rng(0).normal(size=(3, 2)))

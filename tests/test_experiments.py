@@ -1,7 +1,9 @@
 """Config validation, grid execution, summaries, deltas, CLI dispatch."""
 
 import csv
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,15 +103,59 @@ class TestEveryTweakValidated:
         {"mask": {"algo": "random", "sparsity": [0.9, 0.9000001]}},
         {"tweaks": ["baseline", "baseline"]},
         {"train": {"epochs": 2, "batch": 16, "lr0": 0.1, "milestones": [1], "seed": [0, 0]}},
+        {"mask": {"algo": "random", "sparsity": 0.5, "scope": "bogus"}},
+        {"mask": {"algo": "synflow", "sparsity": 0.5, "synflow_iterations": 0}},
+        {"mask": {"algo": "lth", "sparsity": 0.5, "imp_rounds": 0}},
+        {"model": {"preset": "bogus", "in_shape": [2], "classes": 2}},
+        {"model": {"preset": "mlp", "in_shape": [3], "hidden": [8], "classes": 2}},
+        {"model": {"preset": "mlp", "in_shape": [2], "hidden": [8], "classes": 2},
+         "dataset": {"name": "spirals", "n": 80, "classes": 3}},
+        {"dataset": {"name": "bogus", "n": 80, "classes": 2}},
+        {"probes": {"act_eps": math.nan}},
+        {"train": {"epochs": 2, "batch": 16, "lr0": math.nan, "milestones": [1], "seed": [0]}},
+        {"ghost": {"beta0": math.nan}},
+        {"ghost": {"beta_max": math.nan}},
+        {"lrsi": {"step": math.nan}},
+        {"lrsi": {"iters": -2}},
+        {"probes": {"landscape_span": math.nan}},
+        {"probes": {"landscape_span": math.inf}},
+        {"probes": {"every": "5"}},
     ], ids=["ghost-policy", "ghost-second-decay-one-milestone", "lrsi-bounds", "lrsi-enabled",
             "probe-power-iters", "probe-batch", "probe-tol", "algo-repeat", "sparsity-repeat",
-            "sparsity-same-dir", "tweak-repeat", "seed-repeat"])
+            "sparsity-same-dir", "tweak-repeat", "seed-repeat", "mask-scope",
+            "synflow-iterations", "imp-rounds", "model-preset", "in-shape-mismatch",
+            "fewer-model-classes", "dataset-name", "nan-act-eps", "nan-lr0", "nan-beta0",
+            "nan-beta-max", "nan-lrsi-step", "lrsi-iters-negative", "nan-landscape-span",
+            "inf-landscape-span", "wrong-type"])
     def test_exit_2_and_no_cell_written(self, tmp_path, overrides):
         path = _config(tmp_path, **{"tweaks": ["baseline", "toolkit"], **overrides})
         with pytest.raises(ConfigError):
             experiments.load_config(path)
         assert cli.main(["run", path]) == 2
         assert not (tmp_path / "runs").exists()
+
+
+class TestSchema:
+    def test_sections_name_the_config_fields(self):
+        """Each dataclass-backed section accepts exactly its dataclass's
+        fields; the ghost tweak tokens set soft_neurons and skip_gates."""
+        names = lambda cls: {f.name for f in dataclasses.fields(cls)}
+        assert experiments._SCHEMA["lrsi"] == names(sparselab.LRsIConfig)
+        assert experiments._SCHEMA["probes"] == names(sparselab.ProbeConfig)
+        assert experiments._SCHEMA["ghost"] == (names(sparselab.GhostConfig)
+                                               - {"soft_neurons", "skip_gates"})
+
+    def test_unset_train_keys_take_train_config_defaults(self):
+        tc = experiments._train_config({"train": {"seed": 3}}, "baseline", 3)
+        want = sparselab.TrainConfig(seed=3)
+        for f in dataclasses.fields(sparselab.TrainConfig):
+            assert getattr(tc, f.name) == getattr(want, f.name), f.name
+
+    def test_validated_dataset_is_the_one_run_uses(self, tmp_path):
+        cfg = experiments.load_config(_config(tmp_path))
+        again = experiments._build_dataset(cfg.raw)
+        np.testing.assert_array_equal(cfg.dataset.x_train, again.x_train)
+        np.testing.assert_array_equal(cfg.dataset.y_test, again.y_test)
 
 
 class TestGridExecution:

@@ -151,6 +151,23 @@ class TestTrainLoop:
         for n, b in model.blocks.items():
             assert b.value.tobytes() == before[n]
 
+    def test_default_probes_use_probe_config_batch(self, monkeypatch):
+        """Without a ProbeConfig, train() probes with ProbeConfig's own defaults."""
+        from sparselab import diagnostics
+        seen = []
+        real = diagnostics.activation_sparsity
+
+        def spy(model, x, eps, **kw):
+            seen.append((len(x), eps))
+            return real(model, x, eps, **kw)
+
+        monkeypatch.setattr(diagnostics, "activation_sparsity", spy)
+        cfg = training.TrainConfig(epochs=1, batch_size=100, milestones=(), seed=0)
+        training.train(_small_mlp(), _toy_blobs(n=400), cfg)
+        want = diagnostics.ProbeConfig()
+        assert want.probe_batch < 400
+        assert seen == [(want.probe_batch, want.act_eps)]
+
     def test_separable_toy_fits_within_five_epochs(self):
         # the full-width preset, dense (no mask), on linearly separable blobs
         model = layers.build_model({"preset": "mlp", "in_shape": [2], "classes": 2}, seed=1)

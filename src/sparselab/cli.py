@@ -7,13 +7,13 @@ Verbs:
     compare <summary.csv> <summary.csv...> [--out PATH]
     selftest                               run the oracle battery
 
-Exit codes: 0 success, 1 run failure, 2 configuration error.
+Exit codes: 0 success, 1 run failure (a missing checkpoint included), 2
+configuration error (a missing config file included).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -39,8 +39,9 @@ def _cmd_mask(args):
     cfg = experiments.load_config(args.config)
     seed = cfg.seeds[0]
     model = build_model(cfg.raw["model"], seed=seed)
-    mask = experiments.generate_mask(args.algo, model, cfg.dataset, args.sparsity, seed, cfg.raw)
+    mask = experiments.generate_mask(args.algo, model, cfg.dataset, args.sparsity, seed, cfg)
     masks.apply_mask(model, mask)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     checkpoint.save_model(args.out, model)
     report = masks.layer_collapse_check(mask)
     print(f"{args.algo} mask at s={args.sparsity:g}: {mask.survivors()}/{mask.total()} "
@@ -53,11 +54,11 @@ def _cmd_mask(args):
 
 def _parse_batch_spec(spec, dataset):
     split, _, count = (spec or "test").partition(":")
-    if split not in ("train", "test"):
-        raise ConfigError(f"--batch must be train[:n] or test[:n], got {spec!r}")
+    if split not in ("train", "test") or count and not (count.isdecimal() and int(count) > 0):
+        raise ConfigError(f"--batch must be train[:n] or test[:n] with n >= 1, got {spec!r}")
     x = dataset.x_train if split == "train" else dataset.x_test
     y = dataset.y_train if split == "train" else dataset.y_test
-    n = min(int(count), len(x)) if count else min(256, len(x))
+    n = min(int(count) if count else diagnostics.ProbeConfig.probe_batch, len(x))
     return x[:n], y[:n]
 
 
@@ -67,7 +68,7 @@ def _cmd_probe(args):
     checkpoint.load_into_model(args.checkpoint, model)
     x, y = _parse_batch_spec(args.batch, cfg.dataset)
     targets = smooth_labels_batch(y, model.n_classes, 0.0)
-    pc = experiments._probe_config(cfg.raw) or diagnostics.ProbeConfig()
+    pc = cfg.baseline.probes
     out_dir = args.out or os.path.dirname(args.checkpoint) or "."
     os.makedirs(out_dir, exist_ok=True)
     wrote = []
@@ -166,10 +167,10 @@ def main(argv=None):
         # the interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, checkpoint.CheckpointError) as exc:
+    except (OSError, ValueError) as exc:      # CheckpointError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

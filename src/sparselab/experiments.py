@@ -17,42 +17,91 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from sparselab import checkpoint, datasets, masks, training
 from sparselab.diagnostics import ProbeConfig
 from sparselab.ghost import ConfigError, GhostConfig
-from sparselab.layers import build_model
+from sparselab.layers import MODEL_KEYS, build_model
 from sparselab.rescale import LRsIConfig
 from sparselab.training import TrainConfig
 
 MASK_ALGOS = ("random", "magnitude", "snip", "grasp", "synflow", "lth")
 TWEAK_TOKENS = ("soft", "skips", "lrsi", "ls")
 
-# train-section key -> (TrainConfig field, cast); ls_alpha and seed are read
-# apart: smoothing belongs to the "ls" tweak and the seed is a grid axis
-_TRAIN_FIELDS = {"epochs": ("epochs", int), "batch": ("batch_size", int),
-                 "lr0": ("lr0", float), "momentum": ("momentum", float),
-                 "wd": ("weight_decay", float), "milestones": ("milestones", tuple)}
 
-_SCHEMA = {
-    "model": {"preset", "layers", "in_shape", "classes", "hidden", "channels"},
-    "dataset": {"name", "n", "classes", "noise", "seed", "input_shape",
-                "path", "labels_path", "limit"},
-    "mask": {"algo", "sparsity", "scope", "synflow_iterations", "imp_rounds"},
-    "train": set(_TRAIN_FIELDS) | {"ls_alpha", "seed"},
-    "ghost": {"policy", "beta0", "beta_max", "alpha0", "schedule", "activation"},
-    "lrsi": {"iters", "step", "bounds"},
-    "probes": {"enabled", "every", "eig_count", "power_iters", "tol", "act_eps",
-               "probe_batch", "landscape_grid", "landscape_span"},
+def _strict(what, ok, convert):
+    """A cast ``cast(key, value)``: ``convert(value)`` of the JSON values ``ok`` accepts."""
+    def cast(key, value):
+        if not ok(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        return convert(value)
+    return cast
+
+
+# bool is a subclass of int, so each test names its types exactly
+_INT = _strict("an integer", lambda v: type(v) is int, int)
+_FLOAT = _strict("a number", lambda v: type(v) in (int, float), float)
+_STR = _strict("a string", lambda v: type(v) is str, str)
+_TUPLE = _strict("a list", lambda v: isinstance(v, (list, tuple)), tuple)
+_INTS = _strict("a list of integers", lambda v: isinstance(v, (list, tuple))
+                and all(type(d) is int for d in v), tuple)
+_CASTS = {"int": _INT, "float": _FLOAT, "str": _STR, "tuple": _TUPLE,    # by annotation
+          "bool": _strict("true or false", lambda v: type(v) is bool, bool)}
+_COUNT = _strict("an integer >= 1", lambda v: type(v) is int and v >= 1, int)
+_ALGO = _strict(f"one of {MASK_ALGOS}", lambda v: v in MASK_ALGOS, str)
+_SPARSITY = _strict("a number in [0, 1)", lambda v: type(v) in (int, float) and 0 <= v < 1, float)
+_SCOPE = _strict(f"one of {masks.SCOPES}", lambda v: v in masks.SCOPES, str)
+
+
+def _axis(cast, dirname):
+    """A grid axis: one value or a list of them, no two naming one cell directory."""
+    def read(key, v):
+        values = [cast(key, x) for x in (v if isinstance(v, (list, tuple)) else [v])]
+        if not values or len({dirname(x) for x in values}) < len(values):
+            raise ConfigError(f"{key} must be one value or a list of distinct ones, got {v!r}")
+        return values
+    return read
+
+
+def _fields_table(cls, set_by_tweaks):
+    """key -> (field, cast) for a config dataclass, cast by each field's annotation."""
+    return {f.name: (f.name, _CASTS[f.type]) for f in fields(cls) if f.name not in set_by_tweaks}
+
+
+# One table per config section: key -> (owner parameter, cast). Only the
+# keys a config writes are passed on, so each default stays with its owner.
+# The grid axes and the "ls" tweak's ls_alpha are taken out first; dataset
+# "idx" goes to load_idx_images, any other name to make_synthetic.
+_TRAIN_FIELDS = {"epochs": ("epochs", _INT), "batch": ("batch_size", _INT),
+                 "lr0": ("lr0", _FLOAT), "momentum": ("momentum", _FLOAT),
+                 "wd": ("weight_decay", _FLOAT), "milestones": ("milestones", _INTS),
+                 "ls_alpha": ("ls_alpha", _FLOAT), "seed": ("seeds", _axis(_INT, str))}
+_TABLES = {
+    "dataset": {"name": ("name", _STR), "path": ("path", _STR),
+                "labels_path": ("labels_path", _STR), "limit": ("limit", _INT),
+                "n": ("n", _INT), "classes": ("k_classes", _INT), "noise": ("noise", _FLOAT),
+                "seed": ("seed", _INT), "input_shape": ("input_shape", _INTS)},
+    "mask": {"sparsity": ("sparsities", _axis(_SPARSITY, lambda s: format(s, "g"))),
+             "algo": ("algos", _axis(_ALGO, str)), "scope": ("scope", _SCOPE),
+             "synflow_iterations": ("iterations", _COUNT), "imp_rounds": ("rounds", _COUNT)},
+    "train": _TRAIN_FIELDS,
+    "ghost": _fields_table(GhostConfig, {"soft_neurons", "skip_gates"}),
+    "lrsi": _fields_table(LRsIConfig, ()),
+    "probes": _fields_table(ProbeConfig, ()),
 }
-_TOP_KEYS = set(_SCHEMA) | {"tweaks", "out_dir"}
+_SCHEMA = {"model": set(MODEL_KEYS), **{s: set(table) for s, table in _TABLES.items()}}
+# the whole config: each section goes through its table, "model" to build_model
+_CONFIG = {"tweaks": ("tweaks", _axis(_STR, str)), "out_dir": ("out_dir", _STR),
+           "model": ("model", lambda key, v: v),
+           **{s: (s, lambda key, v, t=table: _read(key, v, t)) for s, table in _TABLES.items()}}
 
 
 @dataclass
 class ExperimentConfig:
+    """A validated config: the grid axes and the objects that run each cell."""
     raw: dict
     algos: list
     sparsities: list
@@ -60,23 +109,26 @@ class ExperimentConfig:
     seeds: list
     out_dir: str
     dataset: datasets.Dataset = field(repr=False)
+    train: dict = field(repr=False)    # tweak label -> TrainConfig (first seed)
+    baseline: TrainConfig = field(repr=False)   # what lth's rounds train with
+    mask_options: dict = field(repr=False)      # generator parameter -> value
 
 
-def _check_keys(section, given, allowed):
-    unknown = set(given) - allowed
+def _read(section, given, table):
+    """The owners' keyword arguments for the keys ``section`` writes."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {given!r}")
+    unknown = set(given) - set(table)
     if unknown:
         raise ConfigError(f"unknown config key(s) in {section}: {sorted(unknown)}")
-
-
-def _as_list(v):
-    return list(v) if isinstance(v, (list, tuple)) else [v]
+    return {table[key][0]: table[key][1](f"{section}.{key}", v) for key, v in given.items()}
 
 
 def parse_tweaks(label):
     """'baseline' -> none; 'toolkit' -> all four; otherwise '+'-joined tokens."""
     if label == "baseline":
         return set()
-    if label in ("toolkit", "full"):
+    if label == "toolkit":
         return set(TWEAK_TOKENS)
     tokens = set(label.split("+"))
     bad = tokens - set(TWEAK_TOKENS)
@@ -90,124 +142,81 @@ def _reject_constant(name):
 
 
 def load_config(path):
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh, parse_constant=_reject_constant)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh, parse_constant=_reject_constant)
+    except (FileNotFoundError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return validate_config(raw)
 
 
 def validate_config(raw):
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys("top level", raw, _TOP_KEYS)
-    for section, allowed in _SCHEMA.items():
-        if section in raw:
-            if not isinstance(raw[section], dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-            _check_keys(section, raw[section], allowed)
+    """The objects that run the grid, each section parsed through its table."""
+    kw = {"ghost": {}, "lrsi": {}, "probes": {}, **_read("config", raw, _CONFIG)}
     for required in ("model", "dataset", "mask", "train"):
-        if required not in raw:
+        if required not in kw:
             raise ConfigError(f"config is missing the {required!r} section")
-
-    mask = raw["mask"]
-    algos = [str(a) for a in _as_list(mask.get("algo", "random"))]
-    for a in algos:
-        if a not in MASK_ALGOS:
-            raise ConfigError(f"unknown mask algo {a!r}; choose from {MASK_ALGOS}")
-    sparsities = [float(s) for s in _as_list(mask.get("sparsity", 0.9))]
-    for s in sparsities:
-        if not 0.0 <= s < 1.0:
-            raise ConfigError(f"sparsity must be in [0,1), got {s}")
-    if "scope" in mask and mask["scope"] not in masks.SCOPES:
-        raise ConfigError(f"unknown mask scope {mask['scope']!r}; choose from {masks.SCOPES}")
-    for key in ("synflow_iterations", "imp_rounds"):
-        if key in mask and not int(mask[key]) >= 1:
-            raise ConfigError(f"mask {key} must be >= 1, got {mask[key]}")
-    tweaks = [str(t) for t in _as_list(raw.get("tweaks", ["baseline"]))]
-    for t in tweaks:
-        parse_tweaks(t)
-    seeds = [int(s) for s in _as_list(raw["train"].get("seed", 0))]
-    # each axis value names its own cell directory (sparsities by format 'g')
-    for axis, keys in (("mask algo", algos), ("sparsity", [format(s, "g") for s in sparsities]),
-                       ("tweak", tweaks), ("seed", seeds)):
-        if len(set(keys)) < len(keys):
-            raise ConfigError(f"repeated {axis} on the grid: {keys}")
-    out_dir = raw.get("out_dir", "runs")
-    # building every per-run config, the dataset and the first model validates the rest
+    options, data, seeds = kw["mask"], kw["dataset"], kw["train"].pop("seeds", [0])
+    algos, sparsities = options.pop("algos", ["random"]), options.pop("sparsities", [0.9])
+    tweaks, out_dir = kw.get("tweaks", ["baseline"]), kw.get("out_dir", "runs")
     try:
-        for t in tweaks:
-            _train_config(raw, t, seeds[0])
-        dataset = _build_dataset(raw)
-        model = build_model(raw["model"], seed=seeds[0])
-    except (TypeError, ValueError) as exc:      # a value of the wrong type or range
+        kw["probes"] = ProbeConfig(**kw["probes"])
+        configs = {t: _train_config(t, kw, seeds[0]) for t in ["baseline", *tweaks]}
+        name = data.pop("name", "spirals")
+        dataset = (datasets.load_idx_images(**data) if name == "idx"
+                   else datasets.make_synthetic(name, data.pop("n", 512), **data))
+        model = build_model(kw["model"], seed=seeds[0])
+    except (TypeError, ValueError) as exc:      # an owner rejected a value
         raise ConfigError(str(exc)) from exc
     if model.in_shape != dataset.input_shape:
         raise ConfigError(f"model in_shape {model.in_shape} != dataset shape {dataset.input_shape}")
     if model.n_classes < dataset.n_classes:
         raise ConfigError(f"model has {model.n_classes} classes, dataset {dataset.n_classes}")
     return ExperimentConfig(raw=raw, algos=algos, sparsities=sparsities, tweaks=tweaks,
-                            seeds=seeds, out_dir=out_dir, dataset=dataset)
+                            seeds=seeds, out_dir=out_dir, dataset=dataset,
+                            train={t: configs[t] for t in tweaks}, baseline=configs["baseline"],
+                            mask_options=options)
 
 
-def _probe_config(raw):
-    p = raw.get("probes")
-    if not p:
-        return None
-    return ProbeConfig(**p)
-
-
-def _train_config(raw, tweak_label, seed):
-    t = raw["train"]
+def _train_config(tweak_label, kw, seed):
+    """The TrainConfig of a tweak label; its tokens switch on ghost, lrsi and ls."""
     tokens = parse_tweaks(tweak_label)
-    ghost = None
+    train = dict(kw["train"])
+    ls_alpha = train.pop("ls_alpha", 0.1)       # the "ls" tweak's smoothing
+    if "ls" in tokens:
+        train["ls_alpha"] = ls_alpha
     if tokens & {"soft", "skips"}:
-        g = dict(raw.get("ghost", {}))
-        ghost = GhostConfig(soft_neurons="soft" in tokens, skip_gates="skips" in tokens, **g)
-    lrsi = None
+        train["ghost"] = GhostConfig(soft_neurons="soft" in tokens,
+                                     skip_gates="skips" in tokens, **kw["ghost"])
     if "lrsi" in tokens:
-        kw = dict(raw.get("lrsi", {}))
-        if "bounds" in kw:
-            kw["bounds"] = tuple(kw["bounds"])
-        lrsi = LRsIConfig(**kw)
-    kw = {f: cast(t[key]) for key, (f, cast) in _TRAIN_FIELDS.items() if key in t}
-    ls_alpha = float(t.get("ls_alpha", 0.1)) if "ls" in tokens else 0.0
-    return TrainConfig(**kw, ls_alpha=ls_alpha, seed=seed, ghost=ghost, lrsi=lrsi,
-                       probes=_probe_config(raw))
+        train["lrsi"] = LRsIConfig(**kw["lrsi"])
+    return TrainConfig(**train, seed=seed, probes=kw["probes"])
 
 
-def _build_dataset(raw):
-    d = raw["dataset"]
-    name = d.get("name", "spirals")
-    if name == "idx":
-        return datasets.load_idx_images(d["path"], d.get("labels_path"), d.get("limit"))
-    return datasets.make_synthetic(
-        name, int(d.get("n", 512)), int(d.get("classes", 2)),
-        noise=float(d.get("noise", 0.1)), seed=int(d.get("seed", 0)),
-        input_shape=tuple(d["input_shape"]) if "input_shape" in d else None)
-
-
-def generate_mask(algo, model, dataset, sparsity, seed, raw):
-    """Dispatch to the requested generator with a deterministic batch."""
-    mask_cfg = raw.get("mask", {})
-    scope = mask_cfg.get("scope", "global")
-    cfg = _train_config(raw, "baseline", seed)
-    batch = (dataset.x_train[:cfg.batch_size], dataset.y_train[:cfg.batch_size])
+def generate_mask(algo, model, dataset, sparsity, seed, cfg):
+    """Dispatch to the requested generator with the mask options of ``cfg``;
+    its baseline TrainConfig (at ``seed``) gives the batch and lth's training."""
+    train = replace(cfg.baseline, seed=seed)
+    batch = (dataset.x_train[:train.batch_size], dataset.y_train[:train.batch_size])
+    options = cfg.mask_options
+    scope = {k: v for k, v in options.items() if k == "scope"}    # the four scoped generators
     if algo == "random":
-        return masks.random_mask(model, sparsity, seed=seed, scope=scope)
+        return masks.random_mask(model, sparsity, seed=seed, **scope)
     if algo == "magnitude":
-        return masks.magnitude_mask(model, sparsity, scope=scope)
+        return masks.magnitude_mask(model, sparsity, **scope)
     if algo == "snip":
-        return masks.snip_mask(model, batch, sparsity, scope=scope)
+        return masks.snip_mask(model, batch, sparsity, **scope)
     if algo == "grasp":
-        return masks.grasp_mask(model, batch, sparsity, scope=scope)
+        return masks.grasp_mask(model, batch, sparsity, **scope)
     if algo == "synflow":
-        return masks.synflow_mask(model, sparsity,
-                                  iterations=int(mask_cfg.get("synflow_iterations", 100)))
+        iterations = {k: v for k, v in options.items() if k == "iterations"}
+        return masks.synflow_mask(model, sparsity, **iterations)
     if algo == "lth":
         if sparsity == 0.0:
             return masks.random_mask(model, 0.0, seed=seed)
-        rounds = int(mask_cfg.get("imp_rounds", 3))
+        rounds = options.get("rounds", 3)
         rate = 1.0 - (1.0 - sparsity) ** (1.0 / rounds)
-        found, _ = masks.imp_lth(model, dataset, rounds, rate, cfg)
+        found, _ = masks.imp_lth(model, dataset, rounds, rate, train)
         return found
     raise ConfigError(f"unknown mask algo {algo!r}")
 
@@ -239,17 +248,16 @@ def run_experiment(config_path, out_dir=None):
     cfg = config_path if isinstance(config_path, ExperimentConfig) else load_config(config_path)
     out_root = out_dir or cfg.out_dir
     os.makedirs(out_root, exist_ok=True)
-    dataset = cfg.dataset
     results = []
     for algo in cfg.algos:
         for s in cfg.sparsities:
             for seed in cfg.seeds:
                 model0 = build_model(cfg.raw["model"], seed=seed)
-                mask = generate_mask(algo, model0, dataset, s, seed, cfg.raw)
+                mask = generate_mask(algo, model0, cfg.dataset, s, seed, cfg)
                 for tweaks in cfg.tweaks:
-                    tc = _train_config(cfg.raw, tweaks, seed)
+                    tc = replace(cfg.train[tweaks], seed=seed)
                     model = build_model(cfg.raw["model"], seed=seed)
-                    history = training.train(model, dataset, tc, mask=mask)
+                    history = training.train(model, cfg.dataset, tc, mask=mask)
                     results.append(_finish_cell(out_root, model, history, tc,
                                                 algo, s, tweaks, seed))
     _write_summary(os.path.join(out_root, "summary.csv"), results)
@@ -261,11 +269,10 @@ def _finish_cell(out_root, model, history, tc, algo, s, tweaks, seed):
     run_dir = os.path.join(_cell_dir(out_root, algo, s, tweaks), f"seed{seed}")
     os.makedirs(run_dir, exist_ok=True)
     n_act = len(model.activation_site_names())
-    pc = tc.probes or ProbeConfig()
     training.write_metrics_csv(os.path.join(run_dir, "metrics.csv"),
-                               history, n_act, pc.eig_count)
-    if pc.enabled:
-        _write_spectrum_csv(os.path.join(run_dir, "spectrum.csv"), pc.eig_count,
+                               history, n_act, tc.probes.eig_count)
+    if tc.probes.enabled:
+        _write_spectrum_csv(os.path.join(run_dir, "spectrum.csv"), tc.probes.eig_count,
                             [(r.epoch, r.top_eigs, r.eig_residuals, r.eig_converged)
                              for r in history if r.top_eigs is not None])
     if model.applied_scales is not None:
@@ -317,8 +324,7 @@ def _write_summary(path, results):
 
 def read_summary(path):
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return list(reader)
+        return list(csv.DictReader(fh))
 
 
 def compare_runs(paths, out_path=None):
@@ -330,10 +336,8 @@ def compare_runs(paths, out_path=None):
     """
     if len(paths) < 2:
         raise ValueError("compare_runs: need at least two summaries")
-    tables = []
-    for p in paths:
-        rows = {(r["mask_algo"], r["sparsity"], r["tweaks"]): r for r in read_summary(p)}
-        tables.append(rows)
+    tables = [{(r["mask_algo"], r["sparsity"], r["tweaks"]): r for r in read_summary(p)}
+              for p in paths]
     base = tables[0]
     for p, t in zip(paths[1:], tables[1:]):
         if set(t) != set(base):

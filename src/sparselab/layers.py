@@ -26,6 +26,7 @@ BN_EPS = 1e-12
 BN_MOMENTUM = 0.1
 
 ACTIVATION_KINDS = ("relu", "pswish", "mish")
+MODEL_KEYS = ("preset", "layers", "in_shape", "classes", "hidden", "channels")
 
 
 class BuildError(ValueError):
@@ -404,23 +405,25 @@ def _conv_out(h, stride):
 def build_model(spec, seed=0):
     """Construct a Model from a structured description.
 
-    ``spec`` keys: either ``preset`` ("mlp" | "resnet-tiny") or ``layers``
-    (a list of LayerSpec/dicts), plus ``in_shape`` and ``classes``.
-    Parameters: conv/dense weights are fan-in-scaled normal
-    (std = sqrt(2/fan_in)), biases 0, BN gamma=1 beta=0.
+    ``spec`` keys (``MODEL_KEYS``): ``preset`` ("mlp" | "resnet-tiny", sized by
+    ``hidden`` and ``channels``) or ``layers`` (LayerSpecs/dicts), plus
+    ``in_shape`` and ``classes``, all integers. Parameters: conv/dense weights
+    are fan-in-scaled normal (std = sqrt(2/fan_in)), biases 0, BN gamma=1 beta=0.
     """
     if not spec:
         raise BuildError("empty model spec")
     if "in_shape" not in spec or "classes" not in spec:
         raise BuildError("model spec needs in_shape and classes")
-    in_shape = tuple(int(d) for d in spec["in_shape"])
-    n_classes = int(spec["classes"])
+    unknown = set(spec) - set(MODEL_KEYS)
+    if unknown:
+        raise BuildError(f"unknown model key(s) {sorted(unknown)}")
+    lists = {k: spec[k] for k in ("in_shape", "hidden", "channels") if k in spec}
+    for key, v in {**lists, "classes": [spec["classes"]]}.items():
+        if not isinstance(v, (list, tuple)) or any(type(d) is not int for d in v):
+            raise BuildError(f"model {key} takes integers only, got {spec[key]!r}")
+    in_shape, n_classes = tuple(spec["in_shape"]), spec["classes"]
     if "preset" in spec:
-        extra = {}
-        if "hidden" in spec:
-            extra["hidden"] = tuple(spec["hidden"])
-        if "channels" in spec:
-            extra["channels"] = tuple(spec["channels"])
+        extra = {k: tuple(v) for k, v in lists.items() if k != "in_shape"}
         lspecs = preset_layers(spec["preset"], n_classes, **extra)
     elif "layers" in spec:
         lspecs = [ls if isinstance(ls, LayerSpec) else LayerSpec(**ls) for ls in spec["layers"]]
@@ -513,16 +516,3 @@ def batchnorm_forward(x, gamma, beta_shift, mode, running_mean, running_var,
         out, mean, var = ad.batchnorm_train(x, gamma, beta_shift, eps=eps, label=label)
         return out, (1 - momentum) * rm + momentum * mean, (1 - momentum) * rv + momentum * var
     return ad.batchnorm_eval(x, gamma, beta_shift, rm, rv, eps=eps, label=label), rm, rv
-
-
-def residual_block_forward(model, block_index, x, alpha, *, training=False,
-                           activation=None, beta=1.0):
-    """Run the ``block_index``-th residual block of ``model`` on a raw batch."""
-    res_layers = [l for l in model.layers if isinstance(l, _ResidualBlock)]
-    if not res_layers:
-        raise BuildError("model has no residual blocks")
-    layer = res_layers[block_index]
-    ctx = ForwardContext(training=training, activation=activation, beta=beta,
-                         alpha=alpha, update_stats=False, stats=model.bn_stats)
-    P = {n: ad.Tensor(b.value, requires_grad=True, name=n) for n, b in model.blocks.items()}
-    return layer.forward(ad.Tensor(x), ctx, P)

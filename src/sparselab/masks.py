@@ -13,7 +13,7 @@ is a module constant (`GRASP_PRUNE_LARGEST`) so flipping it is one line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -227,10 +227,11 @@ def synflow_mask(model, s, iterations=100):
 def imp_lth(model, dataset, rounds, per_round_rate, train_config):
     """Iterative magnitude pruning with rewind.
 
-    Each round trains a fresh rewound copy to completion, prunes
-    ``per_round_rate`` of the survivors by global trained magnitude, and
-    rewinds the survivors to their initial values. Returns the final mask
-    and the rewound (masked) model; the input model is untouched.
+    Each round trains a fresh rewound copy to completion (without the
+    spectrum probe: a round's history is dropped), prunes ``per_round_rate``
+    of the survivors by global trained magnitude, and rewinds the survivors
+    to their initial values. Returns the final mask and the rewound (masked)
+    model; the input model is untouched.
     """
     if rounds < 1:
         raise ValueError("imp_lth: rounds must be >= 1")
@@ -241,6 +242,7 @@ def imp_lth(model, dataset, rounds, per_round_rate, train_config):
     if int(round(total * (1.0 - per_round_rate) ** rounds)) < 1:
         raise ValueError("imp_lth: requested rounds prune every weight (sparsity >= 1)")
 
+    train_config = replace(train_config, probes=replace(train_config.probes, enabled=False))
     mask = Mask(layout.unflatten(np.ones(total)), 0.0)
     for r in range(1, rounds + 1):
         work = model.clone()

@@ -42,7 +42,7 @@ class TrainConfig:
     seed: int = 0
     ghost: GhostConfig | None = None
     lrsi: LRsIConfig | None = None
-    probes: ProbeConfig | None = None
+    probes: ProbeConfig | None = None      # None: ProbeConfig's defaults
 
     def __post_init__(self):
         ms = tuple(int(m) for m in self.milestones)
@@ -57,6 +57,8 @@ class TrainConfig:
         if self.ghost is not None:
             SchedulePolicy(self.ghost, ms)   # the schedule needs its milestones
         self.milestones = ms
+        if self.probes is None:
+            self.probes = ProbeConfig()
 
 
 @dataclass
@@ -163,7 +165,7 @@ def train(model, dataset, config, mask=None):
     x_train, y_train = dataset.x_train, dataset.y_train
     n = len(x_train)
     k_classes = model.n_classes
-    pc = config.probes or ProbeConfig()
+    pc = config.probes
     probe_x, probe_y = x_train[:pc.probe_batch], y_train[:pc.probe_batch]
 
     policy = SchedulePolicy(config.ghost, config.milestones) if config.ghost else None

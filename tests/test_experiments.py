@@ -7,12 +7,13 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sparselab
-from sparselab import cli, experiments
+from sparselab import cli, datasets, diagnostics, experiments
 from sparselab.ghost import ConfigError
 
 
@@ -64,14 +65,13 @@ class TestConfigValidation:
 
     def test_tweak_subset_isolation(self, tmp_path):
         """'skips' alone must disable soft neurons, rescaling, and smoothing."""
-        path = _config(tmp_path)
-        cfg = experiments.load_config(path)
-        tc = experiments._train_config(cfg.raw, "skips", 0)
+        cfg = experiments.load_config(_config(tmp_path, tweaks=["skips", "toolkit"]))
+        tc = cfg.train["skips"]
         assert tc.ghost is not None
         assert tc.ghost.skip_gates and not tc.ghost.soft_neurons
         assert tc.lrsi is None
         assert tc.ls_alpha == 0.0
-        tc_full = experiments._train_config(cfg.raw, "toolkit", 0)
+        tc_full = cfg.train["toolkit"]
         assert tc_full.ghost.soft_neurons and tc_full.ghost.skip_gates
         assert tc_full.lrsi is not None and tc_full.ls_alpha == 0.1
 
@@ -120,13 +120,27 @@ class TestEveryTweakValidated:
         {"probes": {"landscape_span": math.nan}},
         {"probes": {"landscape_span": math.inf}},
         {"probes": {"every": "5"}},
+        {"train": {"epochs": 2, "batch": 16, "milestones": [1], "seed": [[0]]}},
+        {"mask": {"algo": "random", "sparsity": [[0.5]]}},
+        {"lrsi": {"iters": 2.5}},
+        {"probes": {"eig_count": 1.5}},
+        {"probes": {"enabled": "false"}},
+        {"train": {"epochs": 2.5, "batch": 16, "milestones": [1], "seed": [0]}},
+        {"train": {"epochs": 2, "batch": True, "milestones": [1], "seed": [0]}},
+        {"dataset": {"name": "spirals", "limit": 5}},
+        {"out_dir": 5},
+        {"train": {"epochs": 2, "batch": 16, "milestones": [1], "seed": []}},
+        {"train": {"epochs": 2, "batch": 16, "milestones": [1.5], "seed": [0]}},
     ], ids=["ghost-policy", "ghost-second-decay-one-milestone", "lrsi-bounds", "lrsi-enabled",
             "probe-power-iters", "probe-batch", "probe-tol", "algo-repeat", "sparsity-repeat",
             "sparsity-same-dir", "tweak-repeat", "seed-repeat", "mask-scope",
             "synflow-iterations", "imp-rounds", "model-preset", "in-shape-mismatch",
             "fewer-model-classes", "dataset-name", "nan-act-eps", "nan-lr0", "nan-beta0",
             "nan-beta-max", "nan-lrsi-step", "lrsi-iters-negative", "nan-landscape-span",
-            "inf-landscape-span", "wrong-type"])
+            "inf-landscape-span", "wrong-type", "nested-seed", "nested-sparsity",
+            "float-lrsi-iters", "float-eig-count", "string-enabled", "float-epochs",
+            "bool-batch", "idx-key-on-spirals", "int-out-dir", "empty-seed-axis",
+            "float-milestone"])
     def test_exit_2_and_no_cell_written(self, tmp_path, overrides):
         path = _config(tmp_path, **{"tweaks": ["baseline", "toolkit"], **overrides})
         with pytest.raises(ConfigError):
@@ -145,17 +159,69 @@ class TestSchema:
         assert experiments._SCHEMA["ghost"] == (names(sparselab.GhostConfig)
                                                - {"soft_neurons", "skip_gates"})
 
-    def test_unset_train_keys_take_train_config_defaults(self):
-        tc = experiments._train_config({"train": {"seed": 3}}, "baseline", 3)
+    def test_unset_train_keys_take_train_config_defaults(self, tmp_path):
+        cfg = experiments.load_config(_config(tmp_path, train={"seed": 3}))
         want = sparselab.TrainConfig(seed=3)
         for f in dataclasses.fields(sparselab.TrainConfig):
-            assert getattr(tc, f.name) == getattr(want, f.name), f.name
+            assert getattr(cfg.baseline, f.name) == getattr(want, f.name), f.name
 
     def test_validated_dataset_is_the_one_run_uses(self, tmp_path):
+        """run, mask and probe reuse cfg.dataset: make_synthetic's, from the keys given."""
         cfg = experiments.load_config(_config(tmp_path))
-        again = experiments._build_dataset(cfg.raw)
-        np.testing.assert_array_equal(cfg.dataset.x_train, again.x_train)
-        np.testing.assert_array_equal(cfg.dataset.y_test, again.y_test)
+        want = datasets.make_synthetic("spirals", 80, 2, noise=0.2, seed=0)
+        np.testing.assert_array_equal(cfg.dataset.x_train, want.x_train)
+        np.testing.assert_array_equal(cfg.dataset.y_test, want.y_test)
+
+    def test_unset_dataset_and_mask_keys_take_their_owners_defaults(self, tmp_path):
+        cfg = experiments.load_config(_config(tmp_path, dataset={"n": 80},
+                                              mask={"algo": "synflow"}))
+        want = datasets.make_synthetic("spirals", 80)
+        np.testing.assert_array_equal(cfg.dataset.x_train, want.x_train)
+        assert cfg.mask_options == {} and cfg.sparsities == [0.9]
+
+    # (section, key) -> a value of the wrong type for that key; every key of
+    # every section's table has one
+    WRONG_TYPED = {
+        ("model", "preset"): 5, ("model", "layers"): [5], ("model", "in_shape"): [2.0],
+        ("model", "classes"): 2.0, ("model", "hidden"): [8, True], ("model", "channels"): "8",
+        ("dataset", "name"): ["spirals"], ("dataset", "n"): 80.0, ("dataset", "classes"): 2.0,
+        ("dataset", "noise"): True, ("dataset", "seed"): 0.5, ("dataset", "input_shape"): [2.0],
+        ("dataset", "path"): ["a.idx"], ("dataset", "labels_path"): 5,
+        ("dataset", "limit"): 2.5,
+        ("mask", "algo"): 5, ("mask", "sparsity"): "0.5", ("mask", "scope"): ["global"],
+        ("mask", "synflow_iterations"): 2.5, ("mask", "imp_rounds"): True,
+        ("train", "epochs"): 2.0, ("train", "batch"): True, ("train", "lr0"): "0.1",
+        ("train", "momentum"): "0.9", ("train", "wd"): False, ("train", "milestones"): "1",
+        ("train", "ls_alpha"): "0.1", ("train", "seed"): "0",
+        ("ghost", "policy"): 5, ("ghost", "beta0"): True, ("ghost", "beta_max"): True,
+        ("ghost", "alpha0"): True, ("ghost", "schedule"): ["linear"],
+        ("ghost", "activation"): None,
+        ("lrsi", "iters"): 2.5, ("lrsi", "step"): True, ("lrsi", "bounds"): "ab",
+        ("probes", "enabled"): "false", ("probes", "every"): 5.0, ("probes", "eig_count"): 1.5,
+        ("probes", "power_iters"): 2.5, ("probes", "tol"): True, ("probes", "act_eps"): True,
+        ("probes", "probe_batch"): 2.5, ("probes", "landscape_grid"): 3.0,
+        ("probes", "landscape_span"): True,
+    }
+
+    def test_every_key_has_a_wrong_typed_case(self):
+        assert set(self.WRONG_TYPED) == {(section, key) for section, keys
+                                         in experiments._SCHEMA.items() for key in keys}
+
+    @pytest.mark.parametrize("section, key", sorted(WRONG_TYPED))
+    def test_wrong_type_exits_2_before_any_run(self, tmp_path, section, key):
+        base = json.loads(Path(_config(tmp_path)).read_text())
+        given = {**base.get(section, {}), key: self.WRONG_TYPED[section, key]}
+        if key == "layers":
+            given = {"layers": given["layers"], "in_shape": [2], "classes": 2}
+        if key in ("path", "labels_path", "limit"):
+            given = {"name": "idx", "path": str(tmp_path / "a.idx"), key: given[key]}
+        path = _config(tmp_path, **{section: given, "tweaks": ["baseline", "toolkit"]})
+        with pytest.raises(ConfigError) as err:
+            experiments.load_config(path)
+        if key != "layers":
+            assert key in str(err.value)
+        assert cli.main(["run", path]) == 2
+        assert not (tmp_path / "runs").exists()
 
 
 class TestGridExecution:
@@ -290,6 +356,18 @@ class TestCli:
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 2
 
+    def test_missing_checkpoint_is_a_run_failure(self, tmp_path, capsys):
+        path = _config(tmp_path)
+        assert cli.main(["probe", str(tmp_path / "nope.splb"), "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.splb" in err
+
+    def test_mask_out_creates_its_directory(self, tmp_path):
+        out = tmp_path / "new" / "dir" / "m.splb"
+        assert cli.main(["mask", _config(tmp_path), "--algo", "random", "--sparsity", "0.5",
+                         "--out", str(out)]) == 0
+        assert out.exists()
+
     def test_closed_stdout_exits_without_traceback(self):
         """`sparselab selftest | head -1`: the reader goes away after one
         line; the verb stops with exit code 1 and nothing on stderr."""
@@ -336,6 +414,15 @@ class TestProbeVerb:
     def test_flag_writes_only_its_file(self, tmp_path, flags, written):
         assert sorted(os.listdir(self._probe(tmp_path, *flags))) == written
 
+    @pytest.mark.parametrize("spec", ["test:-3", "test:0", "train:abc", "valid:8"])
+    def test_bad_batch_spec_is_a_config_error(self, tmp_path, spec):
+        path = _config(tmp_path)
+        ck = str(tmp_path / "mask.splb")
+        assert cli.main(["mask", path, "--algo", "random", "--sparsity", "0.5", "--out", ck]) == 0
+        assert cli.main(["probe", ck, "--config", path, "--batch", spec,
+                         "--out", str(tmp_path / "probes")]) == 2
+        assert not (tmp_path / "probes").exists()
+
     def test_eig_count_two_columns(self, tmp_path):
         probe_dir = self._probe(tmp_path, "--spectrum", probes={"eig_count": 2})
         with open(probe_dir / "spectrum.csv", newline="") as fh:
@@ -370,3 +457,25 @@ class TestSpectrumConvergence:
         assert rows[0] == ["epoch", "lambda_1", "residual_1", "converged_1"]
         assert len(rows) == 3                   # epochs 1 and 2
         assert all(r[3] == "0" for r in rows[1:])
+
+
+class TestImpRounds:
+    def test_rounds_run_no_spectrum_probe(self, tmp_path, monkeypatch):
+        """lth's rounds drop their histories, so they skip the Hessian probe;
+        the cells trained with the mask still run it every epoch."""
+        calls = []
+        real = diagnostics.top_hessian_eigs
+
+        def spy(*args, **kw):
+            calls.append(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(diagnostics, "top_hessian_eigs", spy)
+        path = _config(tmp_path, mask={"algo": "lth", "sparsity": 0.5, "imp_rounds": 2},
+                       probes={"enabled": True, "every": 1, "power_iters": 2,
+                               "probe_batch": 16})
+        assert cli.main(["mask", path, "--algo", "lth", "--sparsity", "0.5",
+                         "--out", str(tmp_path / "m.splb")]) == 0
+        assert calls == []
+        assert experiments.run_experiment(path)[0] == 0
+        assert len(calls) == 2          # one cell, two epochs

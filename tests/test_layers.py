@@ -120,6 +120,15 @@ def _tiny_resnet(seed=0, in_shape=(1, 8, 8), classes=3):
     return ly.build_model({"preset": "resnet-tiny", "in_shape": in_shape, "classes": classes}, seed=seed)
 
 
+def _first_residual_block(model, x, alpha, activation=None, beta=1.0):
+    """The model's first residual block alone, eval mode, on a raw batch."""
+    block = next(l for l in model.layers if isinstance(l, ly._ResidualBlock))
+    ctx = ly.ForwardContext(activation=activation, beta=beta, alpha=alpha,
+                            stats=model.bn_stats)
+    P = {n: ad.Tensor(b.value, requires_grad=True, name=n) for n, b in model.blocks.items()}
+    return block.forward(ad.Tensor(x), ctx, P)
+
+
 class TestResidualBlock:
     def test_alpha_zero_adds_no_ghost_nodes(self):
         model = _tiny_resnet()
@@ -139,7 +148,7 @@ class TestResidualBlock:
             if "res" in name and blk.kind == "weight":
                 blk.value[:] = 0.0
         x = np.random.default_rng(1).normal(size=(2, 8, 2, 2))
-        out = ly.residual_block_forward(model, 0, x, alpha=1.0, training=False)
+        out = _first_residual_block(model, x, alpha=1.0)
         want = np.maximum(np.maximum(x, 0.0) + x, 0.0)
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
@@ -151,8 +160,7 @@ class TestResidualBlock:
         x = np.random.default_rng(2).normal(size=(3, 8, 4, 4))
 
         def run(alpha):
-            return ly.residual_block_forward(model, 0, x, alpha, training=False,
-                                             activation="pswish", beta=0.0).data
+            return _first_residual_block(model, x, alpha, activation="pswish", beta=0.0).data
 
         y0, yh, y1 = run(0.0), run(0.5), run(1.0)
         # Lagrange interpolation through alpha = 0, 0.5, 1 evaluated at 0.25

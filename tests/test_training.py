@@ -165,6 +165,7 @@ class TestTrainLoop:
         cfg = training.TrainConfig(epochs=1, batch_size=100, milestones=(), seed=0)
         training.train(_small_mlp(), _toy_blobs(n=400), cfg)
         want = diagnostics.ProbeConfig()
+        assert training.TrainConfig(probes=None).probes == want
         assert want.probe_batch < 400
         assert seen == [(want.probe_batch, want.act_eps)]
 

@@ -163,6 +163,8 @@ def validate_config(raw):
         kw["probes"] = ProbeConfig(**kw["probes"])
         configs = {t: _train_config(t, kw, seeds[0]) for t in ["baseline", *tweaks]}
         name = data.pop("name", "spirals")
+        if (unread := {"spirals": "input_shape", "teacher": "noise"}.get(name)) in data:
+            raise ConfigError(f"dataset.{unread} does nothing for dataset {name!r}")
         dataset = (datasets.load_idx_images(**data) if name == "idx"
                    else datasets.make_synthetic(name, data.pop("n", 512), **data))
         model = build_model(kw["model"], seed=seeds[0])

@@ -13,7 +13,8 @@ code path as a model built without ghost sites).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +43,9 @@ class LayerSpec:
     has_native_skip: bool = True  # residual blocks only
 
     def __post_init__(self):
+        for f in fields(self):      # exact types: "stride": true is not an int here
+            if type(v := getattr(self, f.name)).__name__ != f.type:
+                raise BuildError(f"layer {self.kind}: {f.name} must be {f.type}, got {v!r}")
         if self.stride not in (1, 2):
             raise BuildError(f"layer {self.kind}: stride must be 1 or 2, got {self.stride}")
         if self.kind == "activation" and self.activation not in ACTIVATION_KINDS:
@@ -50,29 +54,20 @@ class LayerSpec:
 
 @dataclass
 class ParamBlock:
-    """Named trainable array with optional binary mask and momentum buffer."""
+    """Named trainable array with an optional binary mask; no optimiser state."""
 
     name: str
     kind: str                 # weight | bias | bn_scale | bn_shift
     value: np.ndarray
     group: str                # scale group: a layer's weight and bias share one
     mask: np.ndarray | None = None
-    momentum: np.ndarray = None
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float64)
-        if self.momentum is None:
-            self.momentum = np.zeros_like(self.value)
 
     @property
     def maskable(self):
         return self.kind == "weight"
-
-    def copy(self):
-        blk = ParamBlock(self.name, self.kind, self.value.copy(), self.group,
-                         None if self.mask is None else self.mask.copy(),
-                         self.momentum.copy())
-        return blk
 
 
 class ParamLayout:
@@ -298,9 +293,8 @@ class Model:
         return [b for b in self.blocks.values() if b.maskable]
 
     def clone(self):
-        blocks = {n: b.copy() for n, b in self.blocks.items()}
-        stats = {n: (m.copy(), v.copy()) for n, (m, v) in self.bn_stats.items()}
-        out = Model(self.layers, blocks, stats, self.in_shape, self.n_classes)
+        out = Model(self.layers, deepcopy(self.blocks), deepcopy(self.bn_stats),
+                    self.in_shape, self.n_classes)
         out.applied_scales = self.applied_scales
         return out
 
@@ -405,8 +399,8 @@ def _conv_out(h, stride):
 def build_model(spec, seed=0):
     """Construct a Model from a structured description.
 
-    ``spec`` keys (``MODEL_KEYS``): ``preset`` ("mlp" | "resnet-tiny", sized by
-    ``hidden`` and ``channels``) or ``layers`` (LayerSpecs/dicts), plus
+    ``spec`` keys (``MODEL_KEYS``): ``preset`` ("mlp" sized by ``hidden``, or
+    "resnet-tiny" by ``channels``) or else ``layers`` (LayerSpecs/dicts), plus
     ``in_shape`` and ``classes``, all integers. Parameters: conv/dense weights
     are fan-in-scaled normal (std = sqrt(2/fan_in)), biases 0, BN gamma=1 beta=0.
     """
@@ -422,13 +416,14 @@ def build_model(spec, seed=0):
         if not isinstance(v, (list, tuple)) or any(type(d) is not int for d in v):
             raise BuildError(f"model {key} takes integers only, got {spec[key]!r}")
     in_shape, n_classes = tuple(spec["in_shape"]), spec["classes"]
-    if "preset" in spec:
-        extra = {k: tuple(v) for k, v in lists.items() if k != "in_shape"}
-        lspecs = preset_layers(spec["preset"], n_classes, **extra)
-    elif "layers" in spec:
-        lspecs = [ls if isinstance(ls, LayerSpec) else LayerSpec(**ls) for ls in spec["layers"]]
-    else:
-        raise BuildError("model spec needs a preset or a layers list")
+    if ("preset" in spec) == ("layers" in spec):
+        raise BuildError("model spec needs a preset or a layers list, not both")
+    sizes = {k: tuple(v) for k, v in lists.items() if k != "in_shape"}
+    lspecs = (preset_layers(spec["preset"], n_classes, **sizes) if "preset" in spec else
+              [ls if isinstance(ls, LayerSpec) else LayerSpec(**ls) for ls in spec["layers"]])
+    preset = spec.get("preset", "a layers list")    # a known preset here, or no preset
+    if unread := set(sizes) - {{"mlp": "hidden", "resnet-tiny": "channels"}.get(preset)}:
+        raise BuildError(f"model {sorted(unread)} cannot size {preset!r}")
     if not lspecs:
         raise BuildError("empty layer list")
 

@@ -202,18 +202,16 @@ def synflow_mask(model, s, iterations=100):
 
     ones = np.ones((1,) + model.in_shape)
     base_abs = {n: np.abs(b.value) for n, b in model.blocks.items()}
+    base = layout.flatten(base_abs)
     live = np.ones(layout.size)
     density = 1.0 - s
     notes = []
     emptied = set()
     for k in range(1, iterations + 1):
-        values = dict(base_abs)
-        values.update({n: base_abs[n] * lv for n, lv in layout.unflatten(live).items()})
-        res = model.forward(ones, training=False, update_stats=False,
-                            bn_passthrough=True, values=values)
-        flow = ad.sum_all(res.logits, label="synflow_R")
-        ad.backward(flow)
-        saliency = layout.flatten({n: base_abs[n] * res.leaves[n].grad for n in layout.names})
+        res = model.forward(ones, training=False, update_stats=False, bn_passthrough=True,
+                            values={**base_abs, **layout.unflatten(base * live)})
+        ad.backward(ad.sum_all(res.logits, label="synflow_R"))
+        saliency = base * layout.flatten({n: res.leaves[n].grad for n in layout.names})
         saliency[live == 0.0] = -1.0     # pruned weights never resurrect
         keep_k = max(_keep_count(layout.size, 1.0 - density ** (k / iterations)), 1)
         live = _topk_keep(saliency, keep_k)
@@ -263,8 +261,8 @@ def imp_lth(model, dataset, rounds, per_round_rate, train_config):
 # ---------------------------------------------------------------------------
 
 def apply_mask(model, mask):
-    """Zero the masked weights and store the mask so the trainer keeps
-    gradients and momentum at exactly 0 there forever after."""
+    """Zero the masked weights and store the mask; the trainer's update is
+    gated by ``ParamLayout.free_index``, so they stay exactly 0 forever after."""
     blocks = model.maskable_blocks()
     if set(mask.arrays) != {b.name for b in blocks}:
         raise ValueError("apply_mask: mask blocks do not match the model's maskable blocks")
@@ -277,7 +275,6 @@ def apply_mask(model, mask):
             raise ValueError(f"apply_mask: mask for {b.name} is not binary")
         b.mask = arr.copy()
         b.value = b.value * b.mask
-        b.momentum = b.momentum * b.mask
     return model
 
 

@@ -4,9 +4,9 @@ Protocol: SGD with momentum and weight decay, learning rate divided by 10
 at each milestone epoch, optional label smoothing, optional ghost
 schedules (soft neurons swapped back to exact relu and skip gates cut to
 0 at the scheduled epoch), optional learned initialization rescaling
-before the first step. Masked coordinates of both the parameters and the
-momentum buffers are exactly 0 after every step: the gradient, the weight
-decay term and the buffer are all gated by the mask.
+before the first step. ``train`` owns the optimiser state, flat vectors
+over one ``ParamLayout``, and makes one heavy-ball update per batch gated
+at its ``free_index``: masked parameters and momentum stay exactly 0.
 
 Runs are deterministic given (seed, config, dataset); batch order is a
 seeded per-epoch permutation.
@@ -25,6 +25,7 @@ from sparselab import diagnostics, rescale
 from sparselab.checkpoint import atomic_open
 from sparselab.diagnostics import ProbeConfig
 from sparselab.ghost import ConfigError, GhostConfig, SchedulePolicy
+from sparselab.layers import ParamLayout
 from sparselab.rescale import LRsIConfig
 
 DIVERGENCE_LOSS = 1e6
@@ -112,16 +113,11 @@ def lr_at(epoch, lr0, milestones):
     return lr0 * 0.1 ** sum(1 for m in milestones if m <= epoch)
 
 
-def sgd_step(block, grad, lr, momentum=0.9, weight_decay=2e-4):
-    """One heavy-ball step on a parameter block, fully gated by its mask."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if not np.all(np.isfinite(grad)):
-        raise ad.NumericError(f"sgd_step: non-finite gradient for block {block.name}")
-    g = grad + weight_decay * block.value
-    if block.mask is not None:
-        g = g * block.mask
-    block.momentum = momentum * block.momentum + g
-    block.value = block.value - lr * block.momentum
+def sgd_step(theta, grad, velocity, gate, lr, momentum, weight_decay):
+    """One heavy-ball step on flat vectors, the gradient and weight decay
+    gated by the 0/1 ``gate``; returns new (theta, velocity), never in place."""
+    velocity = momentum * velocity + (grad + weight_decay * theta) * gate
+    return theta - lr * velocity, velocity
 
 
 def evaluate(model, x, y, batch_size, *, activation=None, beta=1.0, alpha=0.0):
@@ -183,6 +179,10 @@ def train(model, dataset, config, mask=None):
 
     rng = np.random.default_rng([config.seed, 2])
     masks_by_name = {b.name: b.mask for b in model.maskable_blocks()}
+    layout = ParamLayout(model.blocks.values())
+    theta = layout.flatten({n: b.value for n, b in model.blocks.items()})
+    velocity, gate = np.zeros(layout.size), np.zeros(layout.size)
+    gate[layout.free_index] = 1.0
     history = []
     prev_phase = None
 
@@ -209,11 +209,16 @@ def train(model, dataset, config, mask=None):
                 ad.backward(loss)
                 grads = {name: res.leaves[name].grad for name in masks_by_name}
                 flows.append(diagnostics.avg_gradient_flow(grads, masks_by_name))
-                for name, blk in model.blocks.items():
-                    g = res.leaves[name].grad
-                    if g is None:
-                        g = np.zeros_like(blk.value)
-                    sgd_step(blk, g, lr, config.momentum, config.weight_decay)
+                grad = layout.flatten({n: leaf.grad for n, leaf in res.leaves.items()})
+                if not np.all(np.isfinite(grad)):     # the first bad coordinate's block
+                    bad = np.searchsorted(layout.offsets, np.argmin(np.isfinite(grad)), "right")
+                    error = f"sgd_step: non-finite gradient for block {layout.names[bad - 1]}"
+                    break
+                theta, velocity = sgd_step(theta, grad, velocity, gate, lr,
+                                           config.momentum, config.weight_decay)
+                del grad        # not held through the next forward and backward
+                for name, value in layout.unflatten(theta).items():   # rebind: graphs keep theirs
+                    model.blocks[name].value = value
             except ad.NumericError as exc:
                 error = str(exc)
                 break
@@ -243,7 +248,8 @@ def train(model, dataset, config, mask=None):
         if pc.enabled and epoch % pc.every == 0:
             onehot = smooth_labels_batch(probe_y, k_classes, 0.0)
             _, grad_fn, theta0 = diagnostics.probe_functions(
-                model, probe_x, onehot, activation=act_kind, beta=beta, alpha=alpha)
+                model, probe_x, onehot, activation=act_kind, beta=beta, alpha=alpha,
+                layout=layout)
             record, _ = diagnostics.top_hessian_eigs(
                 grad_fn, theta0, k=pc.eig_count, iters=pc.power_iters,
                 tol=pc.tol, seed=config.seed * 1000 + epoch)

@@ -202,17 +202,31 @@ def test_criterion_02_hvp_and_spectrum_oracles():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_criterion_03_mask_semantics():
+def test_criterion_03_mask_semantics(monkeypatch):
     """60-epoch run at s=0.95: masked weights and momentum exactly 0;
     every generator hits the target sparsity within one weight."""
     ds = _spirals()
     s = 0.95
     model = layers.build_model(MLP_SPEC, seed=0)
     mask = masks.random_mask(model, s, seed=0)
+    real_step, last = training.sgd_step, []
+
+    def step(theta, grad, velocity, gate, *args):    # the momentum lives in train()
+        theta, velocity = real_step(theta, grad, velocity, gate, *args)
+        last[:] = [velocity, gate]
+        return theta, velocity
+
+    monkeypatch.setattr(training, "sgd_step", step)
     history = training.train(model, ds, _toolkit_config(0, True), mask=mask)
+    monkeypatch.undo()
     assert len(history) == 60 and not history[-1].diverged
     max_w = max(float(np.abs(b.value[b.mask == 0]).max()) for b in model.maskable_blocks())
-    max_m = max(float(np.abs(b.momentum[b.mask == 0]).max()) for b in model.maskable_blocks())
+    velocity, gate = last
+    dead = layers.ParamLayout(model.blocks.values()).flatten(
+        {n: b.mask if b.mask is not None else np.ones_like(b.value)
+         for n, b in model.blocks.items()}) == 0
+    assert np.array_equal(gate == 0, dead)
+    max_m = float(np.abs(velocity[dead]).max())
 
     probe = layers.build_model(MLP_SPEC, seed=0)
     total = sum(b.value.size for b in probe.maskable_blocks())

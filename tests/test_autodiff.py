@@ -435,11 +435,18 @@ class TestAllocatorRetention:
         xm = rng.normal(size=(64, 2))
         tm = smooth_labels_batch(rng.integers(0, 2, 64), 2, 0.0)
 
-        def train_step():
+        layout = layers.ParamLayout(mlp.blocks.values())
+        state = [layout.flatten({n: b.value for n, b in mlp.blocks.items()}),
+                 np.zeros(layout.size)]
+        gate = np.ones(layout.size)
+
+        def train_step():       # one step of training.train's loop
             res = mlp.forward(xm, training=True)
             ad.backward(ad.softmax_cross_entropy(res.logits, tm))
-            for n, b in mlp.blocks.items():
-                sgd_step(b, res.leaves[n].grad, lr=0.01)
+            grad = layout.flatten({n: t.grad for n, t in res.leaves.items()})
+            state[:] = sgd_step(state[0], grad, state[1], gate, 0.01, 0.9, 2e-4)
+            for n, value in layout.unflatten(state[0]).items():
+                mlp.blocks[n].value = value
 
         # with multithreaded BLAS, a fresh process's fourth step faults ~100 pages once
         mlp_faults = self._minor_faults(train_step, warmup=5, reps=20)

@@ -131,6 +131,10 @@ class TestEveryTweakValidated:
         {"out_dir": 5},
         {"train": {"epochs": 2, "batch": 16, "milestones": [1], "seed": []}},
         {"train": {"epochs": 2, "batch": 16, "milestones": [1.5], "seed": [0]}},
+        {"dataset": {"name": "teacher", "n": 80, "classes": 2, "noise": 0.7,
+                     "input_shape": [2]}},
+        {"dataset": {"name": "spirals", "n": 80, "classes": 2, "input_shape": [2]}},
+        {"model": {"preset": "mlp", "in_shape": [2], "channels": [4], "classes": 2}},
     ], ids=["ghost-policy", "ghost-second-decay-one-milestone", "lrsi-bounds", "lrsi-enabled",
             "probe-power-iters", "probe-batch", "probe-tol", "algo-repeat", "sparsity-repeat",
             "sparsity-same-dir", "tweak-repeat", "seed-repeat", "mask-scope",
@@ -140,7 +144,8 @@ class TestEveryTweakValidated:
             "inf-landscape-span", "wrong-type", "nested-seed", "nested-sparsity",
             "float-lrsi-iters", "float-eig-count", "string-enabled", "float-epochs",
             "bool-batch", "idx-key-on-spirals", "int-out-dir", "empty-seed-axis",
-            "float-milestone"])
+            "float-milestone", "noise-on-teacher", "input-shape-on-spirals",
+            "channels-on-mlp"])
     def test_exit_2_and_no_cell_written(self, tmp_path, overrides):
         path = _config(tmp_path, **{"tweaks": ["baseline", "toolkit"], **overrides})
         with pytest.raises(ConfigError):

@@ -246,6 +246,38 @@ class TestBuildModel:
                             "in_shape": [4], "classes": 2})
 
 
+    DENSE = [{"kind": "dense", "width": 2}]
+    CONV = [{"kind": "conv3x3", "width": 1}, {"kind": "global_pool"},
+            {"kind": "dense", "width": 2}]
+
+    @pytest.mark.parametrize("spec, match", [
+        ({"preset": "mlp", "layers": DENSE, "in_shape": [2], "classes": 2}, "not both"),
+        ({"preset": "mlp", "channels": [4], "in_shape": [2], "classes": 2}, "channels"),
+        ({"preset": "resnet-tiny", "hidden": [4], "in_shape": [1, 8, 8], "classes": 2},
+         "hidden"),
+        ({"layers": DENSE, "hidden": [4], "in_shape": [2], "classes": 2}, "hidden"),
+        ({"layers": [{"kind": "conv3x3", "width": 1, "stride": True}, *CONV[1:]],
+          "in_shape": [1, 4, 4], "classes": 2}, "stride must be int"),
+        ({"layers": [{"kind": "dense", "width": 2.0}], "in_shape": [2], "classes": 2},
+         "width must be int"),
+        ({"layers": [{"kind": "dense", "width": True}], "in_shape": [2], "classes": 2},
+         "width must be int"),
+        ({"layers": [{"kind": "residual_block", "width": 1, "has_native_skip": 1}, *CONV[1:]],
+          "in_shape": [1, 4, 4], "classes": 2}, "has_native_skip must be bool"),
+    ], ids=["preset-and-layers", "channels-on-mlp", "hidden-on-resnet", "hidden-on-layers",
+            "bool-stride", "float-width", "bool-width", "int-native-skip"])
+    def test_rejects_what_it_would_ignore_or_misread(self, spec, match):
+        with pytest.raises(ly.BuildError, match=match):
+            ly.build_model(spec)
+
+    def test_layer_list_of_exact_types_builds(self):
+        model = ly.build_model({"layers": [{"kind": "conv3x3", "width": 1, "stride": 2},
+                                           {"kind": "residual_block", "width": 1,
+                                            "has_native_skip": False}, *self.CONV[1:]],
+                                "in_shape": [1, 4, 4], "classes": 2})
+        assert model.forward(np.ones((1, 1, 4, 4))).logits.data.shape == (1, 2)
+
+
 class TestScaleAbsorption:
     """Scaling a BN-preceded block's weights+bias leaves train-mode output unchanged."""
 

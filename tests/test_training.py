@@ -9,7 +9,6 @@ import pytest
 from sparselab import autodiff as ad
 from sparselab import datasets, ghost, layers, masks, rescale, training
 from sparselab.ghost import ConfigError, GhostConfig
-from sparselab.layers import ParamBlock
 
 
 class TestSmoothLabels:
@@ -58,42 +57,74 @@ class TestCrossEntropy:
                                    math.log(10.0), atol=1e-12)
 
 
-class TestSgdStep:
-    def _block(self, values, mask=None):
-        blk = ParamBlock("b.w", "weight", np.asarray(values, dtype=np.float64), "b")
-        if mask is not None:
-            blk.mask = np.asarray(mask, dtype=np.float64)
-            blk.value = blk.value * blk.mask
-        return blk
+def _step(theta, grad, velocity=None, gate=None, lr=0.1, momentum=0.9, weight_decay=0.0):
+    theta = np.asarray(theta, dtype=np.float64)
+    velocity = np.zeros_like(theta) if velocity is None else velocity
+    gate = np.ones_like(theta) if gate is None else np.asarray(gate, dtype=np.float64)
+    return training.sgd_step(theta, np.asarray(grad, dtype=np.float64), velocity, gate,
+                             lr, momentum, weight_decay)
 
+
+class TestSgdStep:
     def test_vanilla_first_step(self):
-        blk = self._block([1.0, 2.0])
-        training.sgd_step(blk, np.array([0.5, -0.5]), lr=0.1, momentum=0.9, weight_decay=0.0)
-        np.testing.assert_allclose(blk.value, [0.95, 2.05])
+        theta, grad, velocity = np.array([1.0, 2.0]), np.array([0.5, -0.5]), np.zeros(2)
+        new_theta, new_velocity = _step(theta, grad, velocity)
+        np.testing.assert_allclose(new_theta, [0.95, 2.05])
+        np.testing.assert_array_equal(new_velocity, grad)
+        # a pure function: the inputs are not written
+        np.testing.assert_array_equal(theta, [1.0, 2.0])
+        np.testing.assert_array_equal(velocity, [0.0, 0.0])
 
     def test_two_steps_constant_gradient(self):
-        blk = self._block([0.0])
-        g = np.array([1.0])
-        training.sgd_step(blk, g, lr=0.1, momentum=0.9, weight_decay=0.0)
-        training.sgd_step(blk, g, lr=0.1, momentum=0.9, weight_decay=0.0)
-        np.testing.assert_allclose(blk.value, [-0.1 * (1.0 + 1.9)], atol=1e-15)
+        theta, velocity = _step([0.0], [1.0])
+        theta, velocity = _step(theta, [1.0], velocity)
+        np.testing.assert_allclose(theta, [-0.1 * (1.0 + 1.9)], atol=1e-15)
+        np.testing.assert_allclose(velocity, [1.9], atol=1e-15)
 
     def test_masked_coordinate_pinned_at_zero(self):
-        blk = self._block([1.0, 1.0], mask=[1.0, 0.0])
+        theta, velocity, gate = np.array([1.0, 0.0]), np.zeros(2), np.array([1.0, 0.0])
         for _ in range(50):
-            training.sgd_step(blk, np.array([0.3, 0.7]), lr=0.1)
-        assert blk.value[1] == 0.0 and blk.momentum[1] == 0.0
-        assert blk.value[0] != 1.0
+            theta, velocity = _step(theta, [0.3, 0.7], velocity, gate, weight_decay=2e-4)
+        assert theta[1] == 0.0 and velocity[1] == 0.0
+        assert theta[0] != 1.0
 
     def test_weight_decay_cannot_resurrect_masked(self):
-        blk = self._block([1.0, 1.0], mask=[1.0, 0.0])
-        training.sgd_step(blk, np.zeros(2), lr=0.1, weight_decay=0.5)
-        assert blk.value[1] == 0.0
+        theta, velocity = _step([1.0, 0.0], np.zeros(2), gate=[1.0, 0.0], weight_decay=0.5)
+        assert theta[1] == 0.0 and velocity[1] == 0.0
+        assert theta[0] == 1.0 - 0.1 * 0.5
 
-    def test_nonfinite_gradient_names_block(self):
-        blk = self._block([1.0])
-        with pytest.raises(Exception, match="b.w"):
-            training.sgd_step(blk, np.array([np.nan]), lr=0.1)
+    def test_flat_step_matches_per_block_reference(self):
+        """Bit for bit the per-block heavy-ball step, gated by each block's mask."""
+        model = _small_mlp(seed=1)
+        masks.apply_mask(model, masks.random_mask(model, 0.6, seed=1))
+        layout = layers.ParamLayout(model.blocks.values())
+        gate = np.zeros(layout.size)
+        gate[layout.free_index] = 1.0
+        theta = layout.flatten({n: b.value for n, b in model.blocks.items()})
+        velocity = np.zeros(layout.size)
+        ref = {n: (b.value, np.zeros_like(b.value), b.mask) for n, b in model.blocks.items()}
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            grads = {n: rng.normal(size=b.value.shape) for n, b in model.blocks.items()}
+            theta, velocity = training.sgd_step(theta, layout.flatten(grads), velocity, gate,
+                                                0.1, 0.9, 2e-4)
+            for n, (value, buf, mask) in ref.items():
+                g = grads[n] + 2e-4 * value
+                buf = 0.9 * buf + (g if mask is None else g * mask)
+                ref[n] = (value - 0.1 * buf, buf, mask)
+        for n, arr in layout.unflatten(theta).items():
+            assert arr.tobytes() == ref[n][0].tobytes()
+        for n, arr in layout.unflatten(velocity).items():
+            assert arr.tobytes() == ref[n][1].tobytes()
+
+    def test_nonfinite_gradient_names_block(self, monkeypatch):
+        model, ds = _small_mlp(seed=9), _toy_blobs(seed=9)
+        block = list(model.blocks)[3]
+        _poison_gradient(monkeypatch, model, block, at_call=1)
+        history = training.train(model, ds, training.TrainConfig(
+            epochs=1, batch_size=16, lr0=0.05, milestones=(), seed=9))
+        assert history[-1].error == (f"sgd_step: non-finite gradient for block {block}"
+                                     " at epoch 0, batch 0")
 
 
 class TestLrSchedule:
@@ -141,6 +172,49 @@ def _small_mlp(seed=0):
                                "classes": 2}, seed=seed)
 
 
+def _spy_training_forwards(monkeypatch, model):
+    """Record every training-mode forward of ``model``: (result, copies of
+    its leaves' arrays, i.e. of the block values it ran on)."""
+    seen, real = [], model.forward
+
+    def spy(x, **kw):
+        res = real(x, **kw)
+        if kw.get("training"):
+            seen.append((res, {n: t.data.copy() for n, t in res.leaves.items()}))
+        return res
+
+    monkeypatch.setattr(model, "forward", spy)
+    return seen
+
+
+def _poison_gradient(monkeypatch, model, block, at_call):
+    """Put a NaN into ``block``'s gradient at the ``at_call``-th backward
+    (1-based) of the training loop; returns the forward spy's records."""
+    seen, real, calls = _spy_training_forwards(monkeypatch, model), ad.backward, []
+
+    def poisoned(root, *args):
+        real(root, *args)
+        calls.append(root)
+        if len(calls) == at_call:
+            seen[-1][0].leaves[block].grad.flat[0] = np.nan
+
+    monkeypatch.setattr(ad, "backward", poisoned)
+    return seen
+
+
+def _spy_steps(monkeypatch):
+    """Record (velocity, gate) after every sgd_step the training loop makes."""
+    steps, real = [], training.sgd_step
+
+    def spy(theta, grad, velocity, gate, *args):
+        theta, velocity = real(theta, grad, velocity, gate, *args)
+        steps.append((velocity, gate))
+        return theta, velocity
+
+    monkeypatch.setattr(training, "sgd_step", spy)
+    return steps
+
+
 class TestTrainLoop:
     def test_zero_epochs_is_a_no_op(self):
         model = _small_mlp()
@@ -178,16 +252,35 @@ class TestTrainLoop:
         _, train_acc = training.evaluate(model, ds.x_train, ds.y_train, 64)
         assert train_acc == 1.0
 
-    def test_masked_coordinates_zero_after_200_steps(self):
+    def test_masked_coordinates_zero_after_200_steps(self, monkeypatch):
         model = _small_mlp(seed=2)
         ds = _toy_blobs(n=128, seed=2)
         mask = masks.random_mask(model, 0.5, seed=3)
+        steps = _spy_steps(monkeypatch)
         cfg = training.TrainConfig(epochs=25, batch_size=16, lr0=0.05, milestones=(), seed=2)
         training.train(model, ds, cfg, mask=mask)   # 25 epochs x 8 batches = 200 steps
+        assert len(steps) == 200
         for b in model.maskable_blocks():
             dead = b.mask == 0
             assert np.abs(b.value[dead]).max() == 0.0
-            assert np.abs(b.momentum[dead]).max() == 0.0
+        layout = layers.ParamLayout(model.blocks.values())
+        gate = steps[-1][1]
+        np.testing.assert_array_equal(np.flatnonzero(gate), layout.free_index)
+        assert max(np.abs(v[gate == 0.0]).max() for v, _ in steps) == 0.0
+
+    def test_update_never_writes_a_graphs_arrays(self, monkeypatch):
+        """Each step rebinds the blocks to new arrays: the leaves of every
+        earlier forward still hold exactly what that forward ran on."""
+        model = _small_mlp(seed=3)
+        seen = _spy_training_forwards(monkeypatch, model)
+        cfg = training.TrainConfig(epochs=2, batch_size=16, lr0=0.05, milestones=(), seed=3)
+        training.train(model, _toy_blobs(seed=3), cfg, mask=masks.random_mask(model, 0.5, seed=3))
+        assert len(seen) == 8
+        for res, leaf_data in seen:
+            for n, leaf in res.leaves.items():
+                np.testing.assert_array_equal(leaf.data, leaf_data[n])
+        first = seen[0][0].leaves
+        assert all(not np.shares_memory(b.value, first[n].data) for n, b in model.blocks.items())
 
     def test_history_is_deterministic(self):
         def run():
@@ -231,36 +324,56 @@ class TestTrainLoop:
     def test_numeric_error_in_update_flags_divergence(self, monkeypatch):
         calls = []
 
-        def failing_step(block, grad, *args):
-            calls.append(block.name)
-            raise ad.NumericError(f"sgd_step: non-finite gradient for block {block.name}")
+        def failing_step(*args):
+            calls.append(args)
+            raise ad.NumericError("sgd_step: injected failure")
 
         monkeypatch.setattr(training, "sgd_step", failing_step)
+        model = _small_mlp(seed=9)
+        before = {n: b.value.copy() for n, b in model.blocks.items()}
         cfg = training.TrainConfig(epochs=3, batch_size=16, lr0=0.05, milestones=(), seed=9)
-        history = training.train(_small_mlp(seed=9), _toy_blobs(seed=9), cfg)
+        history = training.train(model, _toy_blobs(seed=9), cfg)
         assert len(calls) == 1
         assert len(history) == 1 and history[0].diverged
         assert math.isnan(history[0].train_loss)
+        for n, b in model.blocks.items():
+            np.testing.assert_array_equal(b.value, before[n])
 
     def test_numeric_error_text_recorded_with_epoch_and_batch(self, monkeypatch):
         real_step, calls = training.sgd_step, []
 
-        def step_failing_late(block, grad, *args):
-            calls.append(block.name)
+        def step_failing_late(*args):
+            calls.append(args)
             if len(calls) == fail_at:
-                raise ad.NumericError(f"sgd_step: non-finite gradient for block {block.name}")
-            real_step(block, grad, *args)
+                raise ad.NumericError("sgd_step: injected failure")
+            return real_step(*args)
 
         model, ds = _small_mlp(seed=9), _toy_blobs(seed=9)
-        n_blocks, n_batches = len(model.blocks), -(-len(ds.x_train) // 16)
-        fail_at = (n_batches + 2) * n_blocks + 1      # first block of epoch 1, batch 2
+        n_batches = -(-len(ds.x_train) // 16)
+        fail_at = n_batches + 3         # one step per batch: epoch 1, batch 2
         monkeypatch.setattr(training, "sgd_step", step_failing_late)
         cfg = training.TrainConfig(epochs=3, batch_size=16, lr0=0.05, milestones=(), seed=9)
         history = training.train(model, ds, cfg)
         assert [r.error for r in history[:-1]] == [None]
         assert history[-1].diverged
-        assert history[-1].error == (f"sgd_step: non-finite gradient for block {calls[-1]}"
+        assert history[-1].error == "sgd_step: injected failure at epoch 1, batch 2"
+
+    def test_divergence_leaves_no_half_applied_step(self, monkeypatch):
+        """A non-finite gradient in a late block stops the run before any
+        block moves: the model keeps its values from the previous batch."""
+        model, ds = _small_mlp(seed=9), _toy_blobs(seed=9)
+        block = list(model.blocks)[4]                   # blocks 0-3 come before it
+        n_batches = -(-len(ds.x_train) // 16)
+        seen = _poison_gradient(monkeypatch, model, block, at_call=n_batches + 3)
+        cfg = training.TrainConfig(epochs=3, batch_size=16, lr0=0.05, milestones=(), seed=9)
+        history = training.train(model, ds, cfg)
+        assert len(seen) == n_batches + 3
+        assert [r.diverged for r in history] == [False, True] and history[-1].epoch == 1
+        assert history[-1].error == (f"sgd_step: non-finite gradient for block {block}"
                                      " at epoch 1, batch 2")
+        values_before_batch = seen[-1][1]
+        for n, b in model.blocks.items():
+            np.testing.assert_array_equal(b.value, values_before_batch[n])
 
     def test_exploding_loss_records_value_epoch_and_batch(self):
         cfg = training.TrainConfig(epochs=10, batch_size=16, lr0=1e9, milestones=(), seed=6)

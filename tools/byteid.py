@@ -5,10 +5,10 @@ Usage, from anywhere inside the repository:
 
     python3 tools/byteid.py <rev> [--expect-diff GLOB ...]
 
-``<rev>`` is checked out with ``git worktree add`` into the ignored
-directory ``.byteid/tree``. One fixed list of ``sparselab`` commands then
-runs in both trees, each with its own ``src/`` on ``PYTHONPATH`` and BLAS
-on one thread:
+The files committed at ``<rev>`` are unpacked with ``git archive`` into
+the ignored directory ``.byteid/tree``. One fixed list of ``sparselab``
+commands then runs in both trees, each with its own ``src/`` on
+``PYTHONPATH`` and BLAS on one thread:
 
 - ``run`` on the three ``perfbench/workloads.py`` configs at seeds 0 and 1;
 - ``probe --spectrum --scan --landscape`` on the resnet-probe seed-0
@@ -137,18 +137,16 @@ def main():
                         help="artifact path or command label allowed to differ")
     args = parser.parse_args()
 
-    shutil.rmtree(WORK, ignore_errors=True)     # and with it any earlier checkout
-    subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=True)
+    shutil.rmtree(WORK, ignore_errors=True)     # and with it any earlier run
     tree = WORK / "tree"
-    subprocess.run(["git", "worktree", "add", "--detach", str(tree), args.rev],
-                   cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-    try:
-        configs = write_configs(WORK / "out" / "configs")
-        cmds = command_list(configs)
-        base = run_tree(tree / "src", WORK / "out" / "base", cmds)
-        head = run_tree(ROOT / "src", WORK / "out" / "head", cmds)
-    finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT)
+    tree.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT, check=True,
+                             stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    configs = write_configs(WORK / "out" / "configs")
+    cmds = command_list(configs)
+    base = run_tree(tree / "src", WORK / "out" / "base", cmds)
+    head = run_tree(ROOT / "src", WORK / "out" / "head", cmds)
 
     rows = compare(base, head, WORK / "out" / "base", WORK / "out" / "head")
     unexpected = expected = 0

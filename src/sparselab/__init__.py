@@ -5,6 +5,7 @@ from sparselab.autodiff import (
     backward,
     finite_diff_grad,
     finite_diff_hessian,
+    hvp_complex_step,
     hvp_finite_diff,
 )
 from sparselab.datasets import Dataset, load_idx_images, make_synthetic
@@ -42,6 +43,7 @@ from sparselab.training import (
 
 __all__ = [
     "Tensor", "backward", "finite_diff_grad", "finite_diff_hessian", "hvp_finite_diff",
+    "hvp_complex_step",
     "Dataset", "make_synthetic", "load_idx_images",
     "ProbeConfig", "activation_sparsity", "avg_gradient_flow", "top_hessian_eigs",
     "eigvec_perturb_scan", "landscape_slice",

@@ -11,7 +11,12 @@ step; tensors in a graph are never mutated in place.
 
 Also hosts the finite-difference oracles (``finite_diff_grad``,
 ``finite_diff_hessian``, ``hvp_finite_diff``) used to verify gradients
-and curvature everywhere else in the package.
+and curvature everywhere else in the package, and ``hvp_complex_step``,
+the exact Hessian-vector product: the gradient evaluated at
+theta + i*h*v, whose imaginary part is h*Hv. complex128 data exists only
+for these complex-step products. Every op keeps a complex128 operand
+(any other dtype becomes float64) and chooses relu's and the sigmoid's
+branch on the real part, so the result is the almost-everywhere Hessian.
 
 Importing this module (and so ``sparselab``) fixes glibc's
 ``M_MMAP_THRESHOLD`` at 32 MiB and ``M_TRIM_THRESHOLD`` at 64 MiB, so the
@@ -63,6 +68,10 @@ class GraphError(RuntimeError):
 
 
 def _sigmoid(x):
+    if np.iscomplexobj(x):      # complex step: the real part picks the branch
+        pos = x.real >= 0
+        e = np.exp(np.where(pos, -x, x))
+        return np.where(pos, 1.0, e) / (1.0 + e)
     # e = exp(-|x|) never overflows and equals exp(-x) for x >= 0 and
     # exp(x) below, so 1/(1+e) and e/(1+e) are bit for bit the two sign
     # branches. The numerator max(e, x >= 0) is 1 or e without a masked
@@ -81,7 +90,8 @@ def _check_finite(data, op, label):
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient slot.
+    """Dense float64 (or, for complex-step products, complex128) array with
+    an optional gradient slot.
 
     Leaves are tensors created directly from data (no parents): parameters
     and user inputs. After :func:`backward` returns, ``grad`` is set on
@@ -91,7 +101,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "op", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, name=""):
-        self.data = np.asarray(data, dtype=np.float64)
+        complex_step = getattr(data, "dtype", None) == np.complex128
+        self.data = np.asarray(data, dtype=np.complex128 if complex_step else np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.op = "leaf"
@@ -199,11 +210,14 @@ def matmul(a, b, label=""):
 
 def relu(x, label=""):
     x = as_tensor(x)
-    data = np.maximum(x.data, 0.0)
+    if np.iscomplexobj(x.data):     # the real part picks the branch
+        data = np.where(x.data.real > 0, x.data, 0.0)
+    else:
+        data = np.maximum(x.data, 0.0)
 
     def bw(g):
         # Subgradient at exactly 0 is 0.
-        _accumulate(x, g * (x.data > 0))
+        _accumulate(x, g * (x.data.real > 0))
 
     return _result(data, "relu", (x,), bw, label)
 
@@ -225,11 +239,19 @@ def pswish(x, beta=1.0, label=""):
     return _result(x.data * s, "pswish", (x,), bw, label)
 
 
+def _softplus(x):
+    """log(1 + exp(x)) without overflow; complex input splits on the real part
+    (``np.logaddexp`` takes real input only)."""
+    if not np.iscomplexobj(x):
+        return np.logaddexp(0.0, x)
+    pos = x.real > 0
+    return np.where(pos, x, 0.0) + np.log1p(np.exp(np.where(pos, -x, x)))
+
+
 def mish(x, label=""):
     """x * tanh(softplus(x)) with overflow-safe softplus."""
     x = as_tensor(x)
-    sp = np.logaddexp(0.0, x.data)
-    t = np.tanh(sp)
+    t = np.tanh(_softplus(x.data))
     data = x.data * t
 
     def bw(g):
@@ -273,9 +295,9 @@ def conv2d(x, w, stride=1, label=""):
     o = w.data.shape[0]
 
     def im2col():
-        xp = np.zeros((c, h + 2, wd + 2, n))
+        xp = np.zeros((c, h + 2, wd + 2, n), dtype=x.data.dtype)
         xp[:, 1:1 + h, 1:1 + wd] = x.data.transpose(1, 2, 3, 0)
-        cols = np.empty((c, 3, 3, ho, wo, n))
+        cols = np.empty((c, 3, 3, ho, wo, n), dtype=x.data.dtype)
         for ki in range(3):
             for kj in range(3):
                 cols[:, ki, kj] = xp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
@@ -290,7 +312,7 @@ def conv2d(x, w, stride=1, label=""):
         if not x.requires_grad:
             return
         dcols = (w2.T @ g2).reshape(c, 3, 3, ho, wo, n)
-        dxp = np.zeros((c, h + 2, wd + 2, n))
+        dxp = np.zeros((c, h + 2, wd + 2, n), dtype=dcols.dtype)
         for ki in range(3):
             for kj in range(3):
                 dxp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += dcols[:, ki, kj]
@@ -401,7 +423,7 @@ def sum_all(x, label=""):
     data = x.data.sum()
 
     def bw(g):
-        _accumulate(x, np.full(x.data.shape, float(g)))
+        _accumulate(x, np.full(x.data.shape, g))
 
     return _result(data, "sum", (x,), bw, label)
 
@@ -420,7 +442,7 @@ def softmax_cross_entropy(logits, targets, label=""):
             f"softmax_cross_entropy[{label}]: logits {logits.data.shape} vs targets {y.shape}"
         )
     z = logits.data
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.real.max(axis=1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     n = z.shape[0]
     data = (lse - (y * z).sum(axis=1)).mean()
@@ -428,7 +450,7 @@ def softmax_cross_entropy(logits, targets, label=""):
     probs /= probs.sum(axis=1, keepdims=True)
 
     def bw(g):
-        _accumulate(logits, (probs - y) * (float(g) / n))
+        _accumulate(logits, (probs - y) * (g / n))
 
     return _result(data, "softmax_cross_entropy", (logits,), bw, label)
 
@@ -546,4 +568,29 @@ def hvp_finite_diff(grad_fn, params, v, h=1e-5):
     out = (gp - gm) / (2.0 * hp)
     if not np.all(np.isfinite(out)):
         raise NumericError("hvp_finite_diff: non-finite gradient evaluation")
+    return out
+
+
+# h*h underflows to 0, so no product of two imaginary parts reaches a real
+# part: the real pass (and with it every relu branch) is the float one.
+COMPLEX_STEP = 1e-190
+
+
+def hvp_complex_step(grad_fn, params, v):
+    """Exact Hessian-vector product by the complex step (Squire & Trapp 1998).
+
+    Returns ||v|| * Im grad(theta + i*h*v/||v||) / h with h = COMPLEX_STEP:
+    one complex gradient evaluation and no subtraction, so the product is
+    exact to rounding (an R-operator without per-op tangent rules).
+    ``grad_fn`` must accept a complex128 vector; H0 = 0 needs no evaluation.
+    """
+    theta = np.asarray(params, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    vnorm = np.linalg.norm(v)
+    if vnorm == 0.0:
+        return np.zeros_like(v)
+    g = np.asarray(grad_fn(theta + 1j * COMPLEX_STEP * (v / vnorm)))
+    out = g.imag / COMPLEX_STEP * vnorm
+    if not np.all(np.isfinite(out)):
+        raise NumericError("hvp_complex_step: non-finite gradient evaluation")
     return out

@@ -91,15 +91,17 @@ def avg_gradient_flow(grads, masks=None):
     return total / count
 
 
-def probe_functions(model, x, targets, *, training=False, activation=None,
-                    beta=1.0, alpha=0.0, layout=None, values=None):
-    """Loss and gradient callables over the free coordinates of ``layout``
-    (default: every block; blocks outside it keep the model's values), and
-    theta0, the free part of ``values`` (default: the model's values).
+def probe_closures(model, x, targets, *, training=False, activation=None,
+                   beta=1.0, alpha=0.0, layout=None, values=None):
+    """``loss_fn`` and ``value_and_grad`` (the loss and its gradient from one
+    forward and backward) over the free coordinates of ``layout`` (default:
+    every block; blocks outside it keep the model's values), and theta0,
+    the free part of ``values`` (default: the model's values).
 
     The one loss-and-gradient closure of the probes, SNIP, GraSP and LRsI.
-    The forward pass never updates running stats and parameter overrides
-    keep the model itself untouched.
+    A complex128 point (see ``autodiff.hvp_complex_step``) gives a complex
+    gradient and the loss's real part. The forward pass never updates
+    running stats and parameter overrides keep the model itself untouched.
     """
     if len(x) == 0:
         raise ValueError("probe_functions: batch must be non-empty")
@@ -113,18 +115,25 @@ def probe_functions(model, x, targets, *, training=False, activation=None,
     def run(vec):
         res = model.forward(x, training=training, update_stats=False,
                             activation=activation, beta=beta, alpha=alpha,
-                            values=layout.from_free(np.asarray(vec, dtype=np.float64)))
+                            values=layout.from_free(vec))
         return res, ad.softmax_cross_entropy(res.logits, y, label="probe_loss")
 
     def loss_fn(vec):
         return float(run(vec)[1].data)
 
-    def grad_fn(vec):
+    def value_and_grad(vec):
         res, loss = run(vec)
         ad.backward(loss)
-        return layout.free({n: res.leaves[n].grad for n in layout.names})
+        return float(loss.data.real), layout.free({n: res.leaves[n].grad for n in layout.names})
 
-    return loss_fn, grad_fn, theta0
+    return loss_fn, value_and_grad, theta0
+
+
+def probe_functions(model, x, targets, **kwargs):
+    """``(loss_fn, grad_fn, theta0)``: :func:`probe_closures` with the
+    gradient alone (same keyword arguments)."""
+    loss_fn, value_and_grad, theta0 = probe_closures(model, x, targets, **kwargs)
+    return loss_fn, lambda vec: value_and_grad(vec)[1], theta0
 
 
 def top_hessian_eigs(grad_fn, theta, k=1, iters=100, tol=1e-3, seed=0):

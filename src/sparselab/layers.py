@@ -104,8 +104,10 @@ class ParamLayout:
         return self.flatten(arrays)[self.free_index]
 
     def from_free(self, vec):
-        """Full per-block arrays from a free vector; masked coordinates are 0.0."""
-        flat = np.zeros(self.size)
+        """Full per-block arrays from a free vector; masked coordinates are 0.0.
+        A complex128 vector (a complex-step point) gives complex arrays."""
+        vec = np.asarray(vec)
+        flat = np.zeros(self.size, dtype=np.result_type(vec.dtype, np.float64))
         flat[self.free_index] = vec
         return self.unflatten(flat)
 

@@ -160,21 +160,18 @@ def snip_mask(model, batch, s, scope="global"):
 
 
 def grasp_saliency(grad_fn, theta0):
-    """theta ⊙ (H g) with g = grad_fn(theta0) and Hg by finite differences."""
+    """theta ⊙ (H g) with g = grad_fn(theta0) and Hg exact by the complex step."""
     g = grad_fn(theta0)
     if not np.any(g):
         raise DegenerateSaliencyError("grasp: zero gradient, Hg is undefined")
-    hg = ad.hvp_finite_diff(grad_fn, theta0, g)
-    if not np.all(np.isfinite(hg)):
-        raise ad.NumericError("grasp: non-finite Hessian-gradient product")
-    return theta0 * hg
+    return theta0 * ad.hvp_complex_step(grad_fn, theta0, g)
 
 
 def grasp_mask(model, batch, s, scope="global"):
     """Gradient-flow preservation pruning.
 
     Computes g = grad L over the free maskable weights (other parameters
-    held fixed), then H g by finite differences of gradients; saliency is
+    held fixed), then H g exactly by the complex step; saliency is
     theta ⊙ (H g) and the largest-saliency fraction s is pruned.
     """
     _check_sparsity(s)

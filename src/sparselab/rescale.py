@@ -3,7 +3,9 @@
 Learns one positive scalar per parameter block (a layer's weight and bias
 share it) so that a single simulated SGD step on a fixed batch lowers the
 training loss as much as possible. The original initialization is only
-rescaled, never redrawn; masked coordinates stay exactly zero.
+rescaled, never redrawn; masked coordinates stay exactly zero. The
+scalars follow the exact gradient of that first-step loss, built from two
+loss gradients and one complex-step Hessian-vector product per iteration.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sparselab import autodiff as ad
-from sparselab.diagnostics import probe_functions
+from sparselab.diagnostics import probe_closures, probe_functions
 from sparselab.ghost import ConfigError
 from sparselab.layers import ParamLayout
-
-FD_STEP = 1e-3                     # central-difference step in log space
 
 
 @dataclass
@@ -79,48 +79,63 @@ def first_step_loss(model, batch, lr, values=None, **forward_kwargs):
 def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):
     """Optimize per-block scalars to lower the first-step loss.
 
-    Coordinate gradients are estimated by central finite differences in
-    log space (positivity needs no projection), followed by a fixed-size
-    gradient step and clamping. The best-seen scalars are kept, so the
-    final objective never exceeds the objective at c=1. ``forward_kwargs``
-    are passed to every forward pass of the objective.
+    The scalars are c = exp(u) (positivity needs no projection), moved by a
+    fixed-size step along the exact gradient of J(u) = L(theta'), with
+    theta_c the scaled values and theta' = theta_c - lr * grad L(theta_c),
+    and clamped. Since H is symmetric and the step moves free coordinates
+    only, dJ/du_g = sum over group g of theta_c ⊙ (g' - lr * H(theta_c) g')
+    with g' = grad L(theta'): two gradients and one complex-step Hessian-
+    vector product per iteration, for every scalar at once. The best-seen
+    scalars are kept, so the final objective never exceeds the objective at
+    c=1; an objective that raises ``NumericError`` counts as infinite.
+    ``forward_kwargs`` are passed to every forward pass of the objective.
     """
     cfg = config or LRsIConfig()
     groups = scale_groups(model)
     if not groups:
         raise ValueError("learn_scales: model has no maskable weight blocks")
     lo, hi = math.log(cfg.bounds[0]), math.log(cfg.bounds[1])
+    x, targets = batch
     # masks and shapes are fixed here, so every objective call shares one layout
-    forward_kwargs = {**forward_kwargs, "layout": ParamLayout(model.blocks.values())}
+    layout = ParamLayout(model.blocks.values())
+    # each free coordinate's scale group, len(groups) where no scalar applies
+    index = {g: i for i, g in enumerate(groups)}
+    owner = layout.free({n: np.full(b.value.shape, index.get(b.group, len(groups))
+                                    if b.kind in ("weight", "bias") else len(groups))
+                         for n, b in model.blocks.items()})
 
-    def objective(u):
+    def objective(u, with_grad):
+        """J(u), and dJ/du when ``with_grad`` (else None)."""
         scales = {g: math.exp(ui) for g, ui in zip(groups, u)}
-        try:
-            return first_step_loss(model, batch, lr_train, values=_scaled_values(model, scales),
-                                   **forward_kwargs)
-        except ad.NumericError:
-            return math.inf
+        loss_fn, value_and_grad, theta = probe_closures(
+            model, x, targets, training=True, layout=layout,
+            values=_scaled_values(model, scales), **forward_kwargs)
+        grad_fn = lambda vec: value_and_grad(vec)[1]
+        stepped = theta - lr_train * grad_fn(theta)
+        if not with_grad:
+            return loss_fn(stepped), None
+        j, g1 = value_and_grad(stepped)
+        dj = theta * (g1 - lr_train * ad.hvp_complex_step(grad_fn, theta, g1))
+        return j, np.bincount(owner, weights=dj, minlength=len(groups) + 1)[:len(groups)]
 
     u = np.zeros(len(groups))
     # c=1; raises on degenerate init
-    j0 = first_step_loss(model, batch, lr_train, **forward_kwargs)
-    if not math.isfinite(j0):
+    j, grad = objective(u, cfg.iters > 0)
+    if not math.isfinite(j):
         raise ad.NumericError("learn_scales: objective non-finite at unit scales")
-    best_u, best_j = u.copy(), j0
-    trace = [j0]
-    for _ in range(cfg.iters):
-        grad = np.zeros_like(u)
-        for i in range(len(u)):
-            step = np.zeros_like(u)
-            step[i] = FD_STEP
-            grad[i] = (objective(u + step) - objective(u - step)) / (2 * FD_STEP)
-        if not np.all(np.isfinite(grad)):
+    best_u, best_j = u, j
+    trace = [j]
+    for it in range(cfg.iters):
+        if grad is None or not np.all(np.isfinite(grad)):
             break
         u = np.clip(u - cfg.step * grad, lo, hi)
-        j = objective(u)
+        try:
+            j, grad = objective(u, it + 1 < cfg.iters)    # the last one needs J only
+        except ad.NumericError:
+            j, grad = math.inf, None
         trace.append(j)
         if j < best_j:
-            best_j, best_u = j, u.copy()
+            best_j, best_u = j, u
     return ScaleSet(scales={g: math.exp(ui) for g, ui in zip(groups, best_u)}, trace=trace)
 
 

@@ -61,6 +61,31 @@ def _check_hvp_vs_dense():
     return np.linalg.norm(got - a @ v) / np.linalg.norm(a @ v) <= 1e-6
 
 
+def _check_complex_step_hvp():
+    """17-parameter relu net: complex-step Hessian columns against central
+    differences of the exact gradient, at a step that flips no relu."""
+    model = layers.build_model({"layers": [{"kind": "dense", "width": 3}, {"kind": "activation"},
+                                           {"kind": "dense", "width": 2}],
+                                "in_shape": [2], "classes": 2}, seed=41)
+    rng = np.random.default_rng(42)
+    x = rng.normal(size=(10, 2))
+    targets = training.smooth_labels_batch(rng.integers(0, 2, 10), 2, 0.0)
+    layout = layers.ParamLayout(model.blocks.values())
+    _, grad_fn, theta = diagnostics.probe_functions(model, x, targets, layout=layout)
+
+    def signs(vec):
+        return np.sign(model.forward(x, record=True, values=layout.from_free(vec)).preacts[0])
+
+    h, base, axes = 1e-5, signs(theta), np.eye(theta.size)
+    if any((signs(theta + h * e) != base).any() or (signs(theta - h * e) != base).any()
+           for e in axes):
+        return False
+    dense = np.column_stack([(grad_fn(theta + h * e) - grad_fn(theta - h * e)) / (2 * h)
+                             for e in axes])
+    exact = np.column_stack([ad.hvp_complex_step(grad_fn, theta, e) for e in axes])
+    return np.linalg.norm(exact - dense) <= 1e-8 * np.linalg.norm(dense)
+
+
 def _check_power_iteration():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(10, 10))
@@ -109,6 +134,7 @@ CHECKS = [
     ("op gradients vs finite differences", _check_op_gradients),
     ("conv2d dx and dw vs finite differences", _check_conv2d_gradients),
     ("hvp vs dense quadratic", _check_hvp_vs_dense),
+    ("complex-step HVP vs dense Hessian (relu)", _check_complex_step_hvp),
     ("power iteration vs eigendecomposition", _check_power_iteration),
     ("lr/beta/alpha schedule closed forms", _check_schedules),
     ("mask survivor counting", _check_mask_counts),

@@ -150,7 +150,8 @@ def train(model, dataset, config, mask=None):
     Divergence (a non-finite value in the forward pass, the gradients or
     the update, or an exploding loss) aborts the run with a final record
     flagged ``diverged`` instead of raising; its ``error`` says what went
-    wrong, at which epoch and batch.
+    wrong, at which epoch and batch. The diverging batch changes neither
+    the parameters nor the batchnorm running statistics.
     """
     if mask is not None:
         from sparselab.masks import apply_mask
@@ -198,6 +199,7 @@ def train(model, dataset, config, mask=None):
             idx = perm[start:start + config.batch_size]
             xb = x_train[idx]
             targets = smooth_labels_batch(y_train[idx], k_classes, config.ls_alpha)
+            bn_before = dict(model.bn_stats)    # put back unless the batch passes its checks
             try:
                 res = model.forward(xb, training=True, activation=act_kind,
                                     beta=beta, alpha=alpha)
@@ -225,6 +227,7 @@ def train(model, dataset, config, mask=None):
             losses.append(val)
 
         if error is not None:
+            model.bn_stats.update(bn_before)
             history.append(RunRecord(epoch=epoch, lr=lr, beta=beta, alpha=alpha,
                                      train_loss=math.nan, test_loss=math.nan,
                                      test_acc=math.nan, grad_flow=math.nan,

@@ -581,3 +581,88 @@ class TestHvp:
             v = np.random.default_rng(30 + k).normal(size=8)
             got = ad.hvp_finite_diff(grad_fn, theta, v)
             assert _rel_err(got, dense @ v) <= 1e-3
+
+
+def _relu_net(seed):
+    """dense 2->3, relu, dense 3->2: 17 parameters, no batchnorm."""
+    return layers.build_model({"layers": [{"kind": "dense", "width": 3}, {"kind": "activation"},
+                                          {"kind": "dense", "width": 2}],
+                               "in_shape": [2], "classes": 2}, seed=seed)
+
+
+class TestComplexStep:
+    def test_real_tensor_stays_float64(self):
+        for data in ([1, 2], np.arange(3, dtype=np.int32), np.ones(2, np.float32), 2.5):
+            assert ad.Tensor(data).data.dtype == np.float64
+        z = np.array([1.0 + 2e-190j])
+        assert ad.Tensor(z).data.dtype == np.complex128
+        assert ad.relu(ad.Tensor(z)).data.dtype == np.complex128
+
+    def test_real_relu_propagates_nan_and_negative_zero(self):
+        """Real input keeps np.maximum: signed zeros come out as it gives them
+        and NaN reaches the output (where the finite check stops it)."""
+        x = np.array([-0.0, 0.0, -1.0, 2.0])
+        assert ad.relu(ad.Tensor(x)).data.tobytes() == np.maximum(x, 0.0).tobytes()
+        assert ad.relu(ad.Tensor(-x)).data.tobytes() == np.maximum(-x, 0.0).tobytes()
+        with pytest.raises(ad.NumericError, match="relu"):
+            ad.relu(ad.Tensor([-1.0, np.nan]))
+
+    @pytest.mark.parametrize("name", ["relu", "pswish", "mish", "sigmoid"])
+    def test_elementwise_derivative_is_the_backward(self, name):
+        """Re f(x + ih) is f(x) and Im f(x + ih)/h the backward pass's f'(x),
+        extremes included (up to 1e-16 in mish's far tail, where numpy's
+        complex log1p drops the last bits of a softplus below 1e-15)."""
+        x = np.array([-800.0, -710.0, -36.0, -1.5, -1e-300, 1e-300, 0.3, 36.0, 710.0, 800.0])
+        op = {"relu": ad.relu, "pswish": lambda t: ad.pswish(t, 2.0), "mish": ad.mish,
+              "sigmoid": lambda t: ad.Tensor(ad._sigmoid(t.data))}[name]
+        y = op(ad.Tensor(x + 1j * ad.COMPLEX_STEP))
+        np.testing.assert_allclose(y.data.real, op(ad.Tensor(x)).data, rtol=1e-15, atol=1e-14)
+        if name == "sigmoid":
+            s = ad._sigmoid(x)
+            want = s * (1.0 - s)
+        else:
+            leaf = ad.Tensor(x, requires_grad=True)
+            ad.backward(ad.sum_all(op(leaf)))
+            want = leaf.grad
+        np.testing.assert_allclose(y.data.imag / ad.COMPLEX_STEP, want, rtol=1e-14, atol=1e-16)
+
+    def test_quadratic_is_exact(self):
+        rng = np.random.default_rng(40)
+        m = rng.normal(size=(5, 5))
+        a = m + m.T
+        theta, v = rng.normal(size=5), rng.normal(size=5)
+        assert _rel_err(ad.hvp_complex_step(lambda t: a @ t, theta, v), a @ v) <= 1e-15
+        assert not np.any(ad.hvp_complex_step(lambda t: a @ t, theta, np.zeros(5)))
+
+    def test_relu_hessian_matches_dense_oracle(self):
+        """On a 17-parameter relu net, the complex-step Hessian equals the dense
+        Hessian from central differences of the exact gradient, taken at a
+        step where no pre-activation changes sign; it is symmetric and
+        linear to 1e-12."""
+        model = _relu_net(seed=41)
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(10, 2))
+        t = smooth_labels_batch(rng.integers(0, 2, 10), 2, 0.0)
+        layout = layers.ParamLayout(model.blocks.values())
+        _, grad_fn, theta = diagnostics.probe_functions(model, x, t, layout=layout)
+        n, h = theta.size, 1e-5
+        assert n <= 20
+
+        def signs(vec):
+            res = model.forward(x, record=True, values=layout.from_free(vec))
+            return np.concatenate([np.sign(z).ravel() for z in res.preacts])
+
+        base = signs(theta)
+        dense = np.empty((n, n))
+        for j in range(n):
+            step = np.zeros(n)
+            step[j] = h
+            assert np.array_equal(signs(theta + step), base)
+            assert np.array_equal(signs(theta - step), base)
+            dense[:, j] = (grad_fn(theta + step) - grad_fn(theta - step)) / (2 * h)
+        hess = np.column_stack([ad.hvp_complex_step(grad_fn, theta, e) for e in np.eye(n)])
+        assert _rel_err(hess, dense) <= 1e-8
+        u, v = rng.normal(size=n), rng.normal(size=n)
+        hu, hv = ad.hvp_complex_step(grad_fn, theta, u), ad.hvp_complex_step(grad_fn, theta, v)
+        assert abs(u @ hv - v @ hu) <= 1e-12 * abs(u @ hv)
+        assert _rel_err(hu + 2.0 * hv, ad.hvp_complex_step(grad_fn, theta, u + 2.0 * v)) <= 1e-12

@@ -222,6 +222,33 @@ class TestGraspMask:
         want = theta0 * (dense @ grad_fn(theta0))
         assert np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12) <= 1e-3
 
+    def test_relu_near_kink_matches_directional_oracle(self):
+        """Relu mlp with one pre-activation 1e-6 above its kink: theta*(Hg)
+        matches, to 1e-8, central differences of the exact gradient along g
+        at a step (1e-7) that flips no pre-activation. A finite-difference
+        Hg whose step crosses that kink is off by orders of magnitude."""
+        model = layers.build_model({"preset": "mlp", "in_shape": [4], "hidden": [8],
+                                    "classes": 3}, seed=0)
+        rng = np.random.default_rng(100)
+        x, y = rng.normal(size=(16, 4)), rng.integers(0, 3, 16)
+        w = model.blocks["L00.dense.w"].value
+        x[0, 0] -= (x[0] @ w[:, 0] - 1e-6) / w[0, 0]
+        layout, grad_fn, theta = masks._loss_closure(model, (x, y))
+        g = grad_fn(theta)
+        step = 1e-7 * g / np.linalg.norm(g)
+
+        def signs(vec):
+            res = model.forward(x, training=True, update_stats=False, record=True,
+                                values=layout.from_free(vec))
+            return np.concatenate([np.sign(z).ravel() for z in res.preacts])
+
+        assert 0 < x[0] @ w[:, 0] < 2e-6
+        assert np.array_equal(signs(theta + step), signs(theta))
+        assert np.array_equal(signs(theta - step), signs(theta))
+        want = theta * (grad_fn(theta + step) - grad_fn(theta - step)) / (2e-7 / np.linalg.norm(g))
+        got = masks.grasp_saliency(grad_fn, theta)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
     def test_premasked_model_uses_free_hessian(self, monkeypatch):
         """On a model that already carries a mask, the saliency is
         theta_f * (H_ff g_f) over the unmasked weights only, with H_ff a

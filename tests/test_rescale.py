@@ -152,8 +152,8 @@ class TestLearnScales:
             assert 0.5 - 1e-12 <= c <= 2.0 + 1e-12
 
     def test_one_layout_per_run(self, monkeypatch):
-        """Masks and shapes do not change during a run, so the 2G+1 objective
-        calls of an iteration share the layout built once up front."""
+        """Masks and shapes do not change during a run, so every objective
+        call of every iteration shares the layout built once up front."""
         built = []
         init = layers.ParamLayout.__init__
 
@@ -168,6 +168,42 @@ class TestLearnScales:
         out = rescale.learn_scales(model, batch, lr_train=0.1, config=rescale.LRsIConfig(iters=1))
         assert len(rescale.scale_groups(model)) == 4 and len(out.trace) == 2
         assert len(built) == 1
+
+
+def _learned_and_fd_gradient(model, batch, **kw):
+    """dJ/du at c=1 twice: read off one learn_scales iteration with a small
+    step (u1 = -step * dJ/du, kept because it lowers J), and by central
+    differences of J with step 1e-6 in log scale."""
+    groups, step, h = rescale.scale_groups(model), 1e-3, 1e-6
+    out = rescale.learn_scales(model, batch, 0.1, rescale.LRsIConfig(iters=1, step=step), **kw)
+    assert out.trace[1] < out.trace[0]
+    learned = -np.log([out.scales[g] for g in groups]) / step
+
+    def J(u):
+        scales = dict(zip(groups, np.exp(u)))
+        return rescale.first_step_loss(model, batch, 0.1,
+                                       values=rescale._scaled_values(model, scales), **kw)
+
+    fd = np.array([(J(h * e) - J(-h * e)) / (2 * h) for e in np.eye(len(groups))])
+    return learned, fd
+
+
+class TestExactScaleGradient:
+    @pytest.mark.parametrize("activation", [None, "pswish", "mish"])
+    def test_mlp_matches_central_difference(self, activation):
+        model = _mlp(seed=1)
+        batch = _batch(model, seed=2)
+        kw = {} if activation is None else {"activation": activation}
+        learned, fd = _learned_and_fd_gradient(model, batch, **kw)
+        assert np.linalg.norm(learned - fd) <= 1e-7 * np.linalg.norm(fd)
+
+    def test_resnet_train_mode_batchnorm_matches_central_difference(self):
+        model = layers.build_model({"preset": "resnet-tiny", "in_shape": [1, 6, 6],
+                                    "channels": [4, 8], "classes": 2}, seed=2)
+        masks.apply_mask(model, masks.random_mask(model, 0.5, seed=3))
+        learned, fd = _learned_and_fd_gradient(model, _batch(model, n=8, seed=4))
+        assert len(fd) == 7
+        assert np.linalg.norm(learned - fd) <= 1e-7 * np.linalg.norm(fd)
 
 
 class TestApplyScales:

@@ -375,6 +375,31 @@ class TestTrainLoop:
         for n, b in model.blocks.items():
             np.testing.assert_array_equal(b.value, values_before_batch[n])
 
+    def test_divergence_leaves_batchnorm_statistics_unchanged(self, monkeypatch):
+        """A NaN gradient at batch 1 of a resnet-tiny run: every running mean
+        and variance keeps its value from before that batch, as the weights do."""
+        model = layers.build_model({"preset": "resnet-tiny", "in_shape": [1, 8, 8],
+                                    "classes": 2}, seed=0)
+        ds = datasets.make_synthetic("teacher", 128, seed=0, input_shape=(1, 8, 8))
+        stats = []
+        real_forward = model.forward
+
+        def forward(x, **kw):
+            if kw.get("training"):
+                stats.append({n: (m.copy(), v.copy()) for n, (m, v) in model.bn_stats.items()})
+            return real_forward(x, **kw)
+
+        monkeypatch.setattr(model, "forward", forward)
+        seen = _poison_gradient(monkeypatch, model, "L00.conv3x3.w", at_call=2)
+        cfg = training.TrainConfig(epochs=2, batch_size=32, lr0=0.05, milestones=(), seed=0)
+        history = training.train(model, ds, cfg)
+        assert history[-1].diverged and history[-1].error.endswith("at epoch 0, batch 1")
+        assert len(seen) == 2 and len(model.bn_stats) == 9
+        for n, (m, v) in model.bn_stats.items():
+            assert m.tobytes() == stats[1][n][0].tobytes()
+            assert v.tobytes() == stats[1][n][1].tobytes()
+            assert m.tobytes() != stats[0][n][0].tobytes()    # batch 0's update stands
+
     def test_exploding_loss_records_value_epoch_and_batch(self):
         cfg = training.TrainConfig(epochs=10, batch_size=16, lr0=1e9, milestones=(), seed=6)
         history = training.train(_small_mlp(seed=6), _toy_blobs(seed=6), cfg)

@@ -1,7 +1,10 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Tape style: every op eagerly computes its output and records the parent
-tensors plus a gradient closure on the result. The tape keeps only what
+Tape style: every op eagerly computes its output. When a parent requires
+grad, the result records the parent tensors plus a gradient closure;
+otherwise no gradient can reach it and it records neither, so a forward
+whose leaves are all constants builds no tape and keeps only the arrays
+its caller holds. Backward on such a root raises. The tape keeps only what
 backward cannot cheaply rebuild: ``conv2d`` recomputes its im2col matrix
 in backward instead of storing it. ``backward`` walks the implicit DAG in
 reverse topological order, accumulates gradients on every tensor that
@@ -122,11 +125,12 @@ class Tensor:
 def _result(data, op, parents, backward_fn, label=""):
     _check_finite(data, op, label)
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
     out.op = op
     out.name = label
-    out._parents = tuple(parents)
-    out._backward = backward_fn if out.requires_grad else None
+    if any(p.requires_grad for p in parents):   # else no gradient reaches it: no tape
+        out.requires_grad = True
+        out._parents = tuple(parents)
+        out._backward = backward_fn
     return out
 
 
@@ -245,7 +249,10 @@ def _softplus(x):
     if not np.iscomplexobj(x):
         return np.logaddexp(0.0, x)
     pos = x.real > 0
-    return np.where(pos, x, 0.0) + np.log1p(np.exp(np.where(pos, -x, x)))
+    e = np.exp(np.where(pos, -x, x))
+    # log(1 + e) without numpy's complex log1p, whose real part loses e.real
+    # below 1e-15; exact when (Im e)^2 underflows, as at a complex step
+    return np.where(pos, x, 0.0) + np.log1p(e.real) + 1j * np.arctan2(e.imag, 1.0 + e.real)
 
 
 def mish(x, label=""):
@@ -486,7 +493,10 @@ def backward(root, seed=None):
     and every other op result read None. ``seed`` defaults to ones of the
     root's shape.
     """
-    if root._backward is None and not root._parents:
+    if not root.requires_grad:
+        raise GraphError("backward called on a root that requires no gradient: "
+                         "no parameter or input of it requires grad, so no tape was recorded")
+    if not root._parents:
         raise GraphError("backward called on a leaf: no recorded forward computation")
     if seed is None:
         seed = np.ones_like(root.data)
@@ -499,10 +509,9 @@ def backward(root, seed=None):
         t.grad = None
     root.grad = seed.copy()
     for t in reversed(order):
-        if t._backward is not None and t.grad is not None:
+        if t._parents:        # an op result: every child has run, its gradient is whole
             t._backward(t.grad)
-        if t._parents:
-            t.grad = None     # every child has run: nothing reads it again
+            t.grad = None     # nothing reads it again
 
 
 # ---------------------------------------------------------------------------

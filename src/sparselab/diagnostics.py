@@ -66,7 +66,7 @@ def activation_sparsity(model, x, eps=1e-6, **forward_kwargs):
         raise ValueError("activation_sparsity: batch must be non-empty")
     if not eps > 0:
         raise ValueError("activation_sparsity: eps must be positive")
-    res = model.forward(x, record=True, update_stats=False, **forward_kwargs)
+    res = model.forward(x, record=True, update_stats=False, grad=False, **forward_kwargs)
     return np.array([float((np.abs(a) < eps).mean()) for a in res.activations])
 
 
@@ -100,8 +100,9 @@ def probe_closures(model, x, targets, *, training=False, activation=None,
 
     The one loss-and-gradient closure of the probes, SNIP, GraSP and LRsI.
     A complex128 point (see ``autodiff.hvp_complex_step``) gives a complex
-    gradient and the loss's real part. The forward pass never updates
-    running stats and parameter overrides keep the model itself untouched.
+    gradient and the loss's real part. ``loss_fn``'s forward builds no
+    tape. The forward pass never updates running stats and parameter
+    overrides keep the model itself untouched.
     """
     if len(x) == 0:
         raise ValueError("probe_functions: batch must be non-empty")
@@ -112,17 +113,17 @@ def probe_closures(model, x, targets, *, training=False, activation=None,
     theta0 = layout.free(values)
     y = np.asarray(targets, dtype=np.float64)
 
-    def run(vec):
+    def run(vec, grad):
         res = model.forward(x, training=training, update_stats=False,
                             activation=activation, beta=beta, alpha=alpha,
-                            values=layout.from_free(vec))
+                            values=layout.from_free(vec), grad=grad)
         return res, ad.softmax_cross_entropy(res.logits, y, label="probe_loss")
 
     def loss_fn(vec):
-        return float(run(vec)[1].data)
+        return float(run(vec, grad=False)[1].data)
 
     def value_and_grad(vec):
-        res, loss = run(vec)
+        res, loss = run(vec, grad=True)
         ad.backward(loss)
         return float(loss.data.real), layout.free({n: res.leaves[n].grad for n in layout.names})
 

@@ -137,8 +137,8 @@ class ForwardResult:
 def _apply_activation(t, kind, ctx, label):
     if kind == "relu" and ctx.activation is not None:
         kind = ctx.activation
-    if ctx.record:
-        ctx.preacts.append(t.data.copy())
+    if ctx.record:      # the forward's own arrays: graphs are never mutated in place
+        ctx.preacts.append(t.data)
     if kind == "relu":
         out = ad.relu(t, label=label)
     elif kind == "pswish":
@@ -148,7 +148,7 @@ def _apply_activation(t, kind, ctx, label):
     else:
         raise BuildError(f"unknown activation kind {kind!r}")
     if ctx.record:
-        ctx.activations.append(out.data.copy())
+        ctx.activations.append(out.data)
     return out
 
 
@@ -265,19 +265,23 @@ class Model:
     # -- forward ------------------------------------------------------------
 
     def forward(self, x, *, training=False, activation=None, beta=1.0, alpha=0.0,
-                update_stats=None, record=False, bn_passthrough=False, values=None):
+                update_stats=None, record=False, bn_passthrough=False, values=None,
+                grad=True):
         """Run the network on a batch.
 
         ``activation`` replaces every relu site at runtime ("ghost soft
         neurons"); ``alpha`` gates the ghost skip additions; ``values``
         optionally overrides parameter arrays without touching the model.
+        ``grad=False`` makes the parameter leaves constants, so the forward
+        records no tape and ``backward`` on its loss raises. ``record``
+        keeps each activation site's own input and output arrays, not copies.
         """
         if update_stats is None:
             update_stats = training
         ctx = ForwardContext(training=training, activation=activation, beta=beta,
                              alpha=alpha, update_stats=update_stats, record=record,
                              bn_passthrough=bn_passthrough, stats=self.bn_stats)
-        P = {n: ad.Tensor((values or {}).get(n, b.value), requires_grad=True, name=n)
+        P = {n: ad.Tensor((values or {}).get(n, b.value), requires_grad=grad, name=n)
              for n, b in self.blocks.items()}
         t = ad.Tensor(x)
         for layer in self.layers:

@@ -74,7 +74,8 @@ def _check_complex_step_hvp():
     _, grad_fn, theta = diagnostics.probe_functions(model, x, targets, layout=layout)
 
     def signs(vec):
-        return np.sign(model.forward(x, record=True, values=layout.from_free(vec)).preacts[0])
+        res = model.forward(x, record=True, values=layout.from_free(vec), grad=False)
+        return np.sign(res.preacts[0])
 
     h, base, axes = 1e-5, signs(theta), np.eye(theta.size)
     if any((signs(theta + h * e) != base).any() or (signs(theta - h * e) != base).any()
@@ -122,11 +123,11 @@ def _check_bn_scale_absorption():
     model = layers.build_model({"preset": "resnet-tiny", "in_shape": [1, 8, 8],
                                 "classes": 2}, seed=6)
     x = np.random.default_rng(7).normal(size=(4, 1, 8, 8))
-    base = model.forward(x, training=True, update_stats=False).logits.data
+    base = model.forward(x, training=True, update_stats=False, grad=False).logits.data
     scaled = model.clone()
     scaled.blocks["L00.conv3x3.w"].value *= 3.0
     scaled.blocks["L00.conv3x3.b"].value *= 3.0
-    got = scaled.forward(x, training=True, update_stats=False).logits.data
+    got = scaled.forward(x, training=True, update_stats=False, grad=False).logits.data
     return float(np.abs(got - base).max()) <= 1e-9
 
 

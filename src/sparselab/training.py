@@ -126,7 +126,8 @@ def evaluate(model, x, y, batch_size, *, activation=None, beta=1.0, alpha=0.0):
     total_loss, correct = 0.0, 0
     for start in range(0, n, batch_size):
         xb, yb = x[start:start + batch_size], y[start:start + batch_size]
-        res = model.forward(xb, training=False, activation=activation, beta=beta, alpha=alpha)
+        res = model.forward(xb, training=False, activation=activation, beta=beta, alpha=alpha,
+                            grad=False)
         onehot = smooth_labels_batch(yb, model.n_classes, 0.0)
         total_loss += cross_entropy(res.logits, onehot) * len(xb)
         correct += int((res.logits.data.argmax(axis=1) == yb).sum())
@@ -272,7 +273,7 @@ def train(model, dataset, config, mask=None):
 def _swap_deviation(model, x, beta_max):
     """Max |pswish(z, beta_max) - relu(z)| over the pre-activation values
     observed at the swap epoch."""
-    res = model.forward(x, training=False, record=True)
+    res = model.forward(x, training=False, record=True, grad=False)
     dev = 0.0
     for z in res.preacts:
         soft = ad.pswish(z, beta_max, label="swap_deviation").data

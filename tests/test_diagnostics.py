@@ -7,7 +7,7 @@ import pytest
 
 from sparselab import autodiff as ad
 from sparselab import diagnostics as dg
-from sparselab import layers, masks
+from sparselab import layers, masks, training
 from sparselab.ghost import ConfigError
 from sparselab.training import smooth_labels_batch
 
@@ -198,6 +198,60 @@ class TestProbeFunctions:
         grad_fn(theta0)
         for n, b in model.blocks.items():
             np.testing.assert_array_equal(b.value, before[n])
+
+
+_NETS = {"mlp": {"preset": "mlp", "in_shape": [3], "hidden": [16, 16, 16], "classes": 3},
+         "resnet-tiny": {"preset": "resnet-tiny", "in_shape": [1, 8, 8], "classes": 3}}
+_GHOST = {"activation": "pswish", "beta": 3.0, "alpha": 0.4}
+
+
+class TestTapeFreeForwards:
+    """The forwards that never call backward run with ``grad=False``; they
+    give the same bytes as the taped forward, and ``record`` keeps the
+    forward's own arrays."""
+
+    @pytest.fixture(params=[("mlp", {}), ("mlp", _GHOST), ("resnet-tiny", {}),
+                            ("resnet-tiny", _GHOST)], ids=["mlp", "mlp-ghost", "resnet",
+                                                           "resnet-ghost"])
+    def cell(self, request):
+        preset, knobs = request.param
+        model = layers.build_model(_NETS[preset], seed=20)
+        masks.apply_mask(model, masks.random_mask(model, 0.5, seed=21))
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(24, *model.in_shape))
+        return model, x, rng.integers(0, 3, 24), knobs
+
+    @staticmethod
+    def _outputs(model, x, y, knobs):
+        t = smooth_labels_batch(y, 3, 0.1)
+        out = [np.array(training.evaluate(model, x, y, 10, **knobs)),
+               dg.activation_sparsity(model, x, 1e-3, **knobs),
+               np.array([training._swap_deviation(model, x, 8.0)])]
+        for mode in (False, True):
+            loss_fn, _, theta0 = dg.probe_closures(model, x, t, training=mode, **knobs)
+            d = np.random.default_rng(23).normal(size=theta0.size)
+            out.append(np.array([loss_fn(theta0), loss_fn(theta0 + 0.1 * d)]))
+        return [a.tobytes() for a in out]
+
+    def test_same_bytes_with_and_without_tape(self, cell, monkeypatch):
+        model, x, y, knobs = cell
+        plain = self._outputs(model, x, y, knobs)
+        forward = layers.Model.forward
+        monkeypatch.setattr(layers.Model, "forward",
+                            lambda self, x, grad=True, **kw: forward(self, x, **kw))
+        assert self._outputs(model, x, y, knobs) == plain
+
+    def test_record_keeps_the_forward_arrays(self, cell):
+        model, x, y, knobs = cell
+        res = model.forward(x, record=True, update_stats=False, **knobs)
+        nodes = [t for t in ad.topo_order(res.logits) if t.op in ("relu", "pswish")]
+        assert len(nodes) == len(res.activations) == len(res.preacts)
+        assert {id(a) for a in res.activations} == {id(t.data) for t in nodes}
+        assert {id(p) for p in res.preacts} == {id(t._parents[0].data) for t in nodes}
+        kept = [a.tobytes() for a in res.activations + res.preacts]
+        ad.backward(ad.softmax_cross_entropy(res.logits, smooth_labels_batch(y, 3, 0.0)))
+        model.forward(x, record=True, update_stats=False, grad=False, **knobs)
+        assert [a.tobytes() for a in res.activations + res.preacts] == kept
 
 
 class TestPerturbScan:

@@ -4,13 +4,17 @@ Tape style: every op eagerly computes its output. When a parent requires
 grad, the result records the parent tensors plus a gradient closure;
 otherwise no gradient can reach it and it records neither, so a forward
 whose leaves are all constants builds no tape and keeps only the arrays
-its caller holds. Backward on such a root raises. The tape keeps only what
-backward cannot cheaply rebuild: ``conv2d`` recomputes its im2col matrix
-in backward instead of storing it. ``backward`` walks the implicit DAG in
-reverse topological order, accumulates gradients on every tensor that
-requires them, and drops each intermediate gradient once its node has
-run, so afterwards only leaves hold ``.grad``. Graphs are rebuilt per
-step; tensors in a graph are never mutated in place.
+its caller holds. Backward on such a root raises. Each op keeps only what
+its backward reads and cannot cheaply rebuild: ``conv2d`` recomputes its
+im2col matrix in backward and adds its bias inside the op, and the
+batchnorms rebuild the normalised input from x, the mean and 1/std.
+``backward`` walks the implicit DAG in reverse topological order,
+accumulates gradients on every tensor that requires them, and consumes
+the graph as it goes: a node that has run drops its gradient, its
+parents and its closure, so each forward array is freed as soon as
+backward has passed it, and afterwards only leaves hold ``.grad``. A
+consumed graph cannot be differentiated again: graphs are rebuilt per
+step, and tensors in a graph are never mutated in place.
 
 Also hosts the finite-difference oracles (``finite_diff_grad``,
 ``finite_diff_hessian``, ``hvp_finite_diff``) used to verify gradients
@@ -267,10 +271,11 @@ def mish(x, label=""):
     return _result(data, "mish", (x,), bw, label)
 
 
-def conv2d(x, w, stride=1, label=""):
-    """3x3 convolution, zero padding 1, stride 1 or 2.
+def conv2d(x, w, b=None, stride=1, label=""):
+    """3x3 convolution, zero padding 1, stride 1 or 2, plus an optional bias.
 
-    x: (N, C_in, H, W), w: (C_out, C_in, 3, 3), output (N, C_out, Ho, Wo).
+    x: (N, C_in, H, W), w: (C_out, C_in, 3, 3), b: (C_out,) or None,
+    output (N, C_out, Ho, Wo).
     Implemented as im2col + GEMM. Inside the op the zero-padded input is
     held as (C_in, H+2, W+2, N), batch innermost, so every window copy and
     every col2im ``+=`` moves contiguous runs of N values. The nine strided
@@ -279,12 +284,14 @@ def conv2d(x, w, stride=1, label=""):
     for dw and, only when x needs a gradient, one GEMM for dcols followed
     by a nine-step col2im scatter. The output is an (N, C_out, Ho, Wo) view
     of the GEMM result, whose memory order stays (C_out, Ho, Wo, N).
-    The tape keeps only x and w: the padded input and ``cols`` (9x the
+    The tape keeps only x, w and b: the padded input and ``cols`` (9x the
     input) are dropped after the forward GEMM, and backward rebuilds them
     from ``x.data`` with the same window copies, so dw sees bit-identical
-    operands.
+    operands. The bias is added inside the op, so no pre-bias output
+    outlives the forward either.
     """
     x, w = as_tensor(x), as_tensor(w)
+    b = None if b is None else as_tensor(b)
     if stride not in (1, 2):
         raise ShapeError(f"conv2d[{label}]: stride must be 1 or 2, got {stride}")
     if x.data.ndim != 4 or w.data.ndim != 4 or w.data.shape[2:] != (3, 3):
@@ -300,6 +307,8 @@ def conv2d(x, w, stride=1, label=""):
     ho = (h + 2 - 3) // stride + 1
     wo = (wd + 2 - 3) // stride + 1
     o = w.data.shape[0]
+    if b is not None and b.data.shape != (o,):
+        raise ShapeError(f"conv2d[{label}]: bias shape {b.data.shape} != ({o},)")
 
     def im2col():
         xp = np.zeros((c, h + 2, wd + 2, n), dtype=x.data.dtype)
@@ -312,8 +321,12 @@ def conv2d(x, w, stride=1, label=""):
 
     w2 = w.data.reshape(o, c * 9)
     data = (w2 @ im2col()).reshape(o, ho, wo, n).transpose(3, 0, 1, 2)
+    if b is not None:
+        data = data + b.data.reshape(1, o, 1, 1)
 
     def bw(g):
+        if b is not None:
+            _accumulate(b, _unbroadcast(g, (1, o, 1, 1)).reshape(o))
         g2 = g.transpose(1, 2, 3, 0).reshape(o, ho * wo * n)
         _accumulate(w, (g2 @ im2col().T).reshape(w.data.shape))
         if not x.requires_grad:
@@ -325,7 +338,7 @@ def conv2d(x, w, stride=1, label=""):
                 dxp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += dcols[:, ki, kj]
         _accumulate(x, dxp[:, 1:1 + h, 1:1 + wd].transpose(3, 0, 1, 2))
 
-    return _result(data, "conv2d", (x, w), bw, label)
+    return _result(data, "conv2d", (x, w) if b is None else (x, w, b), bw, label)
 
 
 def _bn_axes(shape):
@@ -367,6 +380,10 @@ def batchnorm_train(x, gamma, beta, eps=1e-12, label=""):
     data = gamma.data.reshape(pshape) * xhat + beta.data.reshape(pshape)
 
     def bw(g):
+        # xhat is rebuilt, not kept. It stays a named array: inlined into
+        # g * xhat, numpy may compute the product in place with its operands
+        # swapped, which changes the bits of a complex product.
+        xhat = (x.data - mean) * inv_std
         _accumulate(beta, g.sum(axis=axes))
         _accumulate(gamma, (g * xhat).sum(axis=axes))
         dxhat = g * gamma.data.reshape(pshape)
@@ -390,6 +407,7 @@ def batchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-12, label="
 
     def bw(g):
         axes = _bn_axes(x.data.shape)
+        xhat = (x.data - mean) * inv_std     # rebuilt and named, as in batchnorm_train
         _accumulate(beta, g.sum(axis=axes))
         _accumulate(gamma, (g * xhat).sum(axis=axes))
         _accumulate(x, g * gamma.data.reshape(pshape) * inv_std)
@@ -484,18 +502,29 @@ def topo_order(root):
     return order
 
 
+_CONSUMED = object()    # the closure of an op result whose backward has run
+
+
 def backward(root, seed=None):
     """Populate ``.grad`` on every requires-grad leaf reachable from ``root``.
 
-    Gradients accumulate additively across fan-out. Each intermediate
-    gradient is dropped as soon as its node's closure has run, so after
-    the call only leaves (parameters and inputs) hold ``.grad``; the root
-    and every other op result read None. ``seed`` defaults to ones of the
-    root's shape.
+    Gradients accumulate additively across fan-out. Backward consumes the
+    graph: once a node's closure has run, the node drops its gradient, its
+    parents and the closure (which becomes ``_CONSUMED``), so each forward
+    array and each capture is freed as soon as backward has passed it.
+    Afterwards only leaves (parameters and inputs) hold ``.grad``; the root
+    and every other op result read None and keep only their ``.data``. A
+    second backward on the root, or on a new graph that reaches a consumed
+    node, raises :class:`GraphError`; rebuild the forward instead.
+    ``seed`` defaults to ones of the root's shape.
     """
     if not root.requires_grad:
         raise GraphError("backward called on a root that requires no gradient: "
                          "no parameter or input of it requires grad, so no tape was recorded")
+    order = topo_order(root)
+    if any(t._backward is _CONSUMED for t in order):     # not leaves: their parents are gone
+        raise GraphError("backward reached a graph that an earlier backward already "
+                         "consumed: rebuild the forward")
     if not root._parents:
         raise GraphError("backward called on a leaf: no recorded forward computation")
     if seed is None:
@@ -504,14 +533,14 @@ def backward(root, seed=None):
         seed = np.asarray(seed, dtype=np.float64)
         if seed.shape != root.data.shape:
             raise ShapeError(f"backward: seed shape {seed.shape} != root shape {root.data.shape}")
-    order = topo_order(root)
     for t in order:
         t.grad = None
     root.grad = seed.copy()
-    for t in reversed(order):
+    while order:
+        t = order.pop()
         if t._parents:        # an op result: every child has run, its gradient is whole
             t._backward(t.grad)
-            t.grad = None     # nothing reads it again
+            t.grad, t._parents, t._backward = None, (), _CONSUMED
 
 
 # ---------------------------------------------------------------------------

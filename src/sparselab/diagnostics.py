@@ -66,7 +66,7 @@ def activation_sparsity(model, x, eps=1e-6, **forward_kwargs):
         raise ValueError("activation_sparsity: batch must be non-empty")
     if not eps > 0:
         raise ValueError("activation_sparsity: eps must be positive")
-    res = model.forward(x, record=True, update_stats=False, grad=False, **forward_kwargs)
+    res = model.forward(x, record="activations", update_stats=False, grad=False, **forward_kwargs)
     return np.array([float((np.abs(a) < eps).mean()) for a in res.activations])
 
 

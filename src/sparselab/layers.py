@@ -119,11 +119,10 @@ class ForwardContext:
     beta: float = 1.0
     alpha: float = 0.0
     update_stats: bool = False
-    record: bool = False
+    record: str | None = None       # "activations", "preacts" or None
     bn_passthrough: bool = False    # skip batchnorm entirely (synflow scoring)
     stats: dict = field(default_factory=dict)   # bn name -> (running_mean, running_var)
-    activations: list = field(default_factory=list)
-    preacts: list = field(default_factory=list)
+    recorded: list = field(default_factory=list)
 
 
 @dataclass
@@ -137,8 +136,8 @@ class ForwardResult:
 def _apply_activation(t, kind, ctx, label):
     if kind == "relu" and ctx.activation is not None:
         kind = ctx.activation
-    if ctx.record:      # the forward's own arrays: graphs are never mutated in place
-        ctx.preacts.append(t.data)
+    if ctx.record == "preacts":     # the forward's own arrays: graphs are never mutated in place
+        ctx.recorded.append(t.data)
     if kind == "relu":
         out = ad.relu(t, label=label)
     elif kind == "pswish":
@@ -147,8 +146,8 @@ def _apply_activation(t, kind, ctx, label):
         out = ad.mish(t, label=label)
     else:
         raise BuildError(f"unknown activation kind {kind!r}")
-    if ctx.record:
-        ctx.activations.append(out.data)
+    if ctx.record == "activations":
+        ctx.recorded.append(out.data)
     return out
 
 
@@ -178,8 +177,7 @@ class _Conv:
         self.ghost_site = ghost_site
 
     def forward(self, x, ctx, P):
-        z = ad.conv2d(x, P[self.w], stride=self.stride, label=self.name)
-        z = ad.add(z, ad.reshape(P[self.b], (1, -1, 1, 1)), label=self.name)
+        z = ad.conv2d(x, P[self.w], P[self.b], stride=self.stride, label=self.name)
         if self.ghost_site and ctx.alpha != 0.0:
             z = ad.add(z, ad.scale(x, ctx.alpha, label=self.name), label=self.name)
         return z
@@ -265,7 +263,7 @@ class Model:
     # -- forward ------------------------------------------------------------
 
     def forward(self, x, *, training=False, activation=None, beta=1.0, alpha=0.0,
-                update_stats=None, record=False, bn_passthrough=False, values=None,
+                update_stats=None, record=None, bn_passthrough=False, values=None,
                 grad=True):
         """Run the network on a batch.
 
@@ -274,8 +272,12 @@ class Model:
         optionally overrides parameter arrays without touching the model.
         ``grad=False`` makes the parameter leaves constants, so the forward
         records no tape and ``backward`` on its loss raises. ``record``
-        keeps each activation site's own input and output arrays, not copies.
+        names the list to keep, each activation site's own arrays, not
+        copies: ``"activations"`` (outputs) or ``"preacts"`` (inputs).
         """
+        if record not in (None, "activations", "preacts"):
+            raise ValueError(f"forward: record must be 'activations', 'preacts' or None, "
+                             f"got {record!r}")
         if update_stats is None:
             update_stats = training
         ctx = ForwardContext(training=training, activation=activation, beta=beta,
@@ -287,8 +289,8 @@ class Model:
         for layer in self.layers:
             t = layer.forward(t, ctx, P)
         return ForwardResult(logits=t, leaves=P,
-                             activations=ctx.activations if record else None,
-                             preacts=ctx.preacts if record else None)
+                             activations=ctx.recorded if record == "activations" else None,
+                             preacts=ctx.recorded if record == "preacts" else None)
 
     # -- bookkeeping ----------------------------------------------------------
 

@@ -74,7 +74,7 @@ def _check_complex_step_hvp():
     _, grad_fn, theta = diagnostics.probe_functions(model, x, targets, layout=layout)
 
     def signs(vec):
-        res = model.forward(x, record=True, values=layout.from_free(vec), grad=False)
+        res = model.forward(x, record="preacts", values=layout.from_free(vec), grad=False)
         return np.sign(res.preacts[0])
 
     h, base, axes = 1e-5, signs(theta), np.eye(theta.size)

@@ -273,7 +273,7 @@ def train(model, dataset, config, mask=None):
 def _swap_deviation(model, x, beta_max):
     """Max |pswish(z, beta_max) - relu(z)| over the pre-activation values
     observed at the swap epoch."""
-    res = model.forward(x, training=False, record=True, grad=False)
+    res = model.forward(x, training=False, record="preacts", grad=False)
     dev = 0.0
     for z in res.preacts:
         soft = ad.pswish(z, beta_max, label="swap_deviation").data

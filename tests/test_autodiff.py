@@ -8,6 +8,7 @@ double-finite-difference Hessian.
 import ctypes
 import resource
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -78,10 +79,11 @@ class TestForwardBasics:
         w = np.random.default_rng(2).normal(size=(3, 3))
 
         def run():
-            t = ad.mish(ad.matmul(ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True)))
+            leaf = ad.Tensor(x, requires_grad=True)
+            t = ad.mish(ad.matmul(leaf, ad.Tensor(w, requires_grad=True)))
             loss = ad.sum_all(ad.mul(t, t))
             ad.backward(loss)
-            return loss.data.copy(), t._parents[0]._parents[0].grad.copy()
+            return loss.data.copy(), leaf.grad.copy()
 
         l1, g1 = run()
         l2, g2 = run()
@@ -377,6 +379,111 @@ class TestConv2dTape:
         assert held <= 1.25 * out_bytes
 
 
+def _bn_train_captured(x, gamma, beta, g, eps=1e-12):
+    """batchnorm_train and its gradient as written when the tape captured
+    xhat: (out, mean, var, dx, dgamma, dbeta)."""
+    axes, pshape = (0, 2, 3), (1, -1, 1, 1)
+    mean = x.mean(axis=axes, keepdims=True)
+    var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    out = gamma.reshape(pshape) * xhat + beta.reshape(pshape)
+    dbeta = g.sum(axis=axes)
+    dgamma = (g * xhat).sum(axis=axes)
+    dxhat = g * gamma.reshape(pshape)
+    m1 = dxhat.mean(axis=axes, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
+    return out, mean, var, inv_std * (dxhat - m1 - xhat * m2), dgamma, dbeta
+
+
+def _bn_eval_captured(x, gamma, beta, rmean, rvar, g, eps=1e-12):
+    """batchnorm_eval and its gradient as written when the tape captured
+    xhat: (out, dx, dgamma, dbeta)."""
+    axes, pshape = (0, 2, 3), (1, -1, 1, 1)
+    inv_std = 1.0 / np.sqrt(np.asarray(rvar).reshape(pshape) + eps)
+    mean = np.asarray(rmean).reshape(pshape)
+    xhat = (x - mean) * inv_std
+    out = gamma.reshape(pshape) * xhat + beta.reshape(pshape)
+    dbeta = g.sum(axis=axes)
+    dgamma = (g * xhat).sum(axis=axes)
+    return out, g * gamma.reshape(pshape) * inv_std, dgamma, dbeta
+
+
+class TestRecomputedOpsAreBitIdentical:
+    """batchnorm rebuilds xhat in backward and conv2d adds its bias inside
+    the op; outputs and gradients keep every bit of the formulas that
+    captured xhat and of conv2d followed by a separate bias ``add``.
+
+    complex128 is checked too, because the complex-step products run these
+    ops on complex data, and there operand order matters: numpy's complex
+    ``a * b`` and ``b * a`` differ in the last bit at about a third of the
+    elements, and numpy may evaluate an expression into a temporary in
+    place (only for arrays of 256 KiB or more, so the batch here is that
+    large), which can swap a product's operands."""
+
+    SHAPE = (32, 8, 16, 16)
+
+    @staticmethod
+    def _draw(rng, shape, dtype):
+        a = rng.normal(size=shape)
+        return a + 1j * rng.normal(scale=0.1, size=shape) if dtype == "complex128" else a
+
+    def _leaves(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        c = self.SHAPE[1]
+        x, g = self._draw(rng, self.SHAPE, dtype), self._draw(rng, self.SHAPE, dtype)
+        gamma, beta = 1.0 + self._draw(rng, c, dtype), self._draw(rng, c, dtype)
+        return rng, x, g, gamma, beta
+
+    @staticmethod
+    def _same(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float64", "complex128"])
+    def test_batchnorm_train(self, dtype):
+        _, x, g, gamma, beta = self._leaves(dtype, 30)
+        leaves = [ad.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        out, mean, var = ad.batchnorm_train(*leaves)
+        out._backward(g)
+        want = _bn_train_captured(x, gamma, beta, g)
+        got = (out.data, mean, var, *(t.grad for t in leaves))
+        for a, b in zip(got, (want[0], want[1].reshape(-1), want[2].reshape(-1), *want[3:])):
+            self._same(a, b)
+
+    @pytest.mark.parametrize("dtype", ["float64", "complex128"])
+    def test_batchnorm_eval(self, dtype):
+        rng, x, g, gamma, beta = self._leaves(dtype, 31)
+        rmean, rvar = rng.normal(size=self.SHAPE[1]), rng.uniform(0.5, 2.0, self.SHAPE[1])
+        leaves = [ad.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        out = ad.batchnorm_eval(*leaves, rmean, rvar)
+        out._backward(g)
+        want = _bn_eval_captured(x, gamma, beta, rmean, rvar, g)
+        for a, b in zip((out.data, *(t.grad for t in leaves)), want):
+            self._same(a, b)
+
+    @pytest.mark.parametrize("dtype", ["float64", "complex128"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_bias(self, dtype, stride):
+        rng, x, _, b, _ = self._leaves(dtype, 32 + stride)
+        w = self._draw(rng, (self.SHAPE[1], self.SHAPE[1], 3, 3), dtype)
+        g = self._draw(rng, (self.SHAPE[0], self.SHAPE[1], *(np.array(self.SHAPE[2:]) // stride)),
+                       dtype)
+        runs = []
+        for fused in (True, False):
+            leaves = [ad.Tensor(a, requires_grad=True) for a in (x, w, b)]
+            if fused:
+                y = ad.conv2d(*leaves, stride=stride)
+            else:
+                y = ad.add(ad.conv2d(*leaves[:2], stride=stride),
+                           ad.reshape(leaves[2], (1, -1, 1, 1)))
+            # a product with g makes the gradient reaching y complex as well
+            ad.backward(ad.sum_all(ad.mul(y, g)))
+            runs.append((y.data, *(t.grad for t in leaves)))
+        for a, b in zip(*runs):
+            self._same(a, b)
+
+
 class TestTapeFreeForward:
     """A ``grad=False`` forward builds no tape: what outlives it is the result."""
 
@@ -400,13 +507,15 @@ class TestTapeFreeForward:
         assert res.logits._parents == () and res.logits._backward is None
 
     def test_activation_sparsity_peak(self):
-        """At batch 256 the probe peaks below its recorded arrays plus one
-        im2col matrix of the widest conv (8 channels x 9 taps x 8x8)."""
+        """At batch 256 the probe peaks below the activations it reads (it
+        records no pre-activations) plus one im2col matrix of the widest
+        conv (8 channels x 9 taps x 8x8)."""
         model = self._resnet()
         n = 256
         x = np.random.default_rng(17).normal(size=(n, 1, 8, 8))
-        res = model.forward(x, record=True, update_stats=False)
-        recorded = sum(a.nbytes for a in res.activations + res.preacts)
+        res = model.forward(x, record="activations", update_stats=False)
+        assert res.preacts is None
+        recorded = sum(a.nbytes for a in res.activations)
         del res
         cols = 8 * 9 * 8 * 8 * n * 8
         tracemalloc.start()
@@ -419,19 +528,25 @@ class TestTapeFreeForward:
 
 
 class TestBackwardFreesIntermediates:
-    """After backward only leaves keep ``.grad``; leaf gradients are
-    unchanged and a second backward reproduces them bit for bit."""
+    """After backward only leaves keep ``.grad`` and every op result is
+    consumed; a second backward on the same graph raises and leaves the
+    gradients alone, and a rebuilt graph reproduces them bit for bit."""
 
     def _check(self, build, flat0, tol):
         def loss_fn(flat):
             return float(build(flat)[0].data)
 
         loss, leaves = build(flat0)
+        results = [t for t in ad.topo_order(loss) if t._parents]
         ad.backward(loss)
-        assert all(t.grad is None for t in ad.topo_order(loss) if t._parents)
+        assert all(t.grad is None and t._parents == () for t in results)
         first = np.concatenate([t.grad.ravel() for t in leaves])
         want = ad.finite_diff_grad(loss_fn, flat0)
         assert _rel_err(first, want) <= tol, _rel_err(first, want)
+        with pytest.raises(ad.GraphError, match="already consumed"):
+            ad.backward(loss)
+        assert np.concatenate([t.grad.ravel() for t in leaves]).tobytes() == first.tobytes()
+        loss, leaves = build(flat0)
         ad.backward(loss)
         again = np.concatenate([t.grad.ravel() for t in leaves])
         assert first.tobytes() == again.tobytes()
@@ -460,6 +575,68 @@ class TestBackwardFreesIntermediates:
 
         flat0 = layout.flatten({n: b.value for n, b in model.blocks.items()})
         self._check(build, flat0, tol=1e-6)
+
+
+class TestBackwardConsumesTheGraph:
+    """``backward`` frees each node's arrays and captures as soon as it has
+    run, so a taped gradient's working set shrinks while backward runs."""
+
+    @staticmethod
+    def _resnet_probe(n):
+        """resnet-tiny with a random mask at s = 0.9, a batch of n and its
+        targets: the Hessian probe's setting."""
+        model = layers.build_model({"preset": "resnet-tiny", "in_shape": [1, 8, 8],
+                                    "classes": 2}, seed=0)
+        masks.apply_mask(model, masks.random_mask(model, 0.9, seed=0))
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, 1, 8, 8))
+        return model, x, smooth_labels_batch(rng.integers(0, 2, n), 2, 0.0)
+
+    def test_new_graph_through_a_consumed_node_raises(self):
+        x = ad.Tensor([1.5, -0.5], requires_grad=True)
+        y = ad.mul(x, x)
+        ad.backward(ad.sum_all(y))
+        grad = x.grad.copy()
+        z = ad.sum_all(ad.add(y, x))     # y is no leaf: its parents are gone
+        with pytest.raises(ad.GraphError, match="already consumed"):
+            ad.backward(z)
+        assert x.grad.tobytes() == grad.tobytes()
+
+    def test_probe_gradient_peak(self):
+        """One eval-mode gradient at batch 128 peaks at 11.4 MB traced; a
+        backward that holds the whole tape until it returns peaks at 22.4 MB."""
+        model, x, t = self._resnet_probe(128)
+        _, value_and_grad, theta = diagnostics.probe_closures(model, x, t)
+        value_and_grad(theta)
+        tracemalloc.start()
+        try:
+            value_and_grad(theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14e6, peak
+
+    def test_intermediates_freed_during_backward(self):
+        """The last batchnorm's output is freed before the first conv's
+        closure runs, not when backward returns."""
+        model, x, t = self._resnet_probe(16)
+        res = model.forward(x, update_stats=False)
+        loss = ad.softmax_cross_entropy(res.logits, t)
+        nodes = ad.topo_order(loss)
+        first_conv = next(n for n in nodes if n.op == "conv2d")
+        last_bn = [n for n in nodes if n.op == "batchnorm"][-1]
+        ref = weakref.ref(last_bn.data)
+        del nodes, last_bn
+        closure, freed = first_conv._backward, []
+
+        def spy(g):
+            freed.append(ref() is None)
+            closure(g)
+
+        first_conv._backward = spy
+        ad.backward(loss)
+        assert freed == [True]
+        assert first_conv._backward is not spy and first_conv._parents == ()
 
 
 class TestAllocatorRetention:
@@ -698,7 +875,7 @@ class TestComplexStep:
         assert n <= 20
 
         def signs(vec):
-            res = model.forward(x, record=True, values=layout.from_free(vec))
+            res = model.forward(x, record="preacts", values=layout.from_free(vec))
             return np.concatenate([np.sign(z).ravel() for z in res.preacts])
 
         base = signs(theta)

@@ -241,17 +241,30 @@ class TestTapeFreeForwards:
                             lambda self, x, grad=True, **kw: forward(self, x, **kw))
         assert self._outputs(model, x, y, knobs) == plain
 
-    def test_record_keeps_the_forward_arrays(self, cell):
+    @staticmethod
+    def _check_record(cell, kind, arrays_of):
+        """``record=kind`` keeps exactly ``arrays_of(node)`` for every
+        activation node (the same objects, not copies) and no other list,
+        and neither a backward nor a later forward changes them."""
         model, x, y, knobs = cell
-        res = model.forward(x, record=True, update_stats=False, **knobs)
+        res = model.forward(x, record=kind, update_stats=False, **knobs)
+        kept = getattr(res, kind)
+        assert getattr(res, "preacts" if kind == "activations" else "activations") is None
         nodes = [t for t in ad.topo_order(res.logits) if t.op in ("relu", "pswish")]
-        assert len(nodes) == len(res.activations) == len(res.preacts)
-        assert {id(a) for a in res.activations} == {id(t.data) for t in nodes}
-        assert {id(p) for p in res.preacts} == {id(t._parents[0].data) for t in nodes}
-        kept = [a.tobytes() for a in res.activations + res.preacts]
+        assert len(nodes) == len(kept) == len(model.activation_site_names())
+        assert {id(a) for a in kept} == {id(arrays_of(t)) for t in nodes}
+        before = [a.tobytes() for a in kept]
         ad.backward(ad.softmax_cross_entropy(res.logits, smooth_labels_batch(y, 3, 0.0)))
-        model.forward(x, record=True, update_stats=False, grad=False, **knobs)
-        assert [a.tobytes() for a in res.activations + res.preacts] == kept
+        model.forward(x, record=kind, update_stats=False, grad=False, **knobs)
+        assert [a.tobytes() for a in kept] == before
+
+    def test_record_keeps_the_forward_arrays(self, cell):
+        """``record="activations"``: each activation node's own output."""
+        self._check_record(cell, "activations", lambda t: t.data)
+
+    def test_record_keeps_the_preactivations(self, cell):
+        """``record="preacts"``: each activation node's own input."""
+        self._check_record(cell, "preacts", lambda t: t._parents[0].data)
 
 
 class TestPerturbScan:

@@ -309,11 +309,19 @@ class TestScaleAbsorption:
 
 class TestForwardPlumbing:
     def test_record_activations(self):
+        """``record`` names the one list to keep; any other value is refused."""
         model = _tiny_resnet()
         x = np.random.default_rng(13).normal(size=(2, 1, 8, 8))
-        res = model.forward(x, record=True)
+        res = model.forward(x, record="activations")
         assert len(res.activations) == len(model.activation_site_names()) == 9
-        assert len(res.preacts) == len(res.activations)
+        assert res.preacts is None
+        res = model.forward(x, record="preacts")
+        assert len(res.preacts) == 9 and res.activations is None
+        res = model.forward(x)
+        assert res.activations is None and res.preacts is None
+        for bad in (True, "both", "preact"):
+            with pytest.raises(ValueError, match="record"):
+                model.forward(x, record=bad)
 
     def test_values_override_leaves_model_untouched(self):
         model = _tiny_resnet()

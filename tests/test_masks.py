@@ -238,7 +238,7 @@ class TestGraspMask:
         step = 1e-7 * g / np.linalg.norm(g)
 
         def signs(vec):
-            res = model.forward(x, training=True, update_stats=False, record=True,
+            res = model.forward(x, training=True, update_stats=False, record="preacts",
                                 values=layout.from_free(vec))
             return np.concatenate([np.sign(z).ravel() for z in res.preacts])
 

@@ -27,6 +27,10 @@ the ``--expect-diff`` globs, which match artifact paths and the command
 labels ``exit:<label>`` and ``stdout:<label>``. No digest is stored: other
 CPUs' BLAS kernels may move the last bits, so the check is between two
 trees on one machine.
+
+For information only, a second table gives each command's peak resident
+set size in both trees (``ru_maxrss`` from ``os.wait4`` on the child);
+it never changes the exit status.
 """
 
 import argparse
@@ -37,6 +41,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,20 +99,31 @@ def command_list(configs):
     return cmds
 
 
+def run_command(argv, cwd, env):
+    """(exit code, stdout bytes, stderr bytes, peak RSS in MB) of one child."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)     # reaped here, not by Popen
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read(), err.read(), usage.ru_maxrss / 1024   # KiB on Linux
+
+
 def run_tree(src, out, cmds):
     """Run ``cmds`` with ``src`` on the path and ``out`` as working directory;
-    returns label -> (exit code, stdout bytes)."""
+    returns label -> (exit code, stdout bytes, peak RSS in MB)."""
     for sub in ("run", "probe", "mask", "compare"):
         (out / sub).mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     results = {}
     for label, argv in cmds:
-        proc = subprocess.run([sys.executable, "-m", "sparselab", *argv], cwd=out, env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        if proc.returncode:
-            sys.stderr.write(f"{label}: exit {proc.returncode}\n{proc.stderr.decode()}")
-        results[label] = (proc.returncode, proc.stdout)
+        code, stdout, stderr, rss = run_command([sys.executable, "-m", "sparselab", *argv],
+                                                out, env)
+        if code:
+            sys.stderr.write(f"{label}: exit {code}\n{stderr.decode()}")
+        results[label] = (code, stdout, rss)
     return results
 
 
@@ -123,7 +139,7 @@ def compare(base, head, base_out, head_out):
     for path in sorted(set(a) | set(b)):
         rows.append((path, a.get(path, "missing"), b.get(path, "missing")))
     for label in base:
-        (code_a, out_a), (code_b, out_b) = base[label], head[label]
+        (code_a, out_a, _), (code_b, out_b, _) = base[label], head[label]
         rows.append((f"exit:{label}", str(code_a), str(code_b)))
         rows.append((f"stdout:{label}", hashlib.sha256(out_a).hexdigest(),
                      hashlib.sha256(out_b).hexdigest()))
@@ -160,6 +176,10 @@ def main():
         print(f"{name}  {a}  {b}  {status}")
     print(f"byteid: {len(rows)} rows against {args.rev}: {len(rows) - expected - unexpected} "
           f"equal, {expected} expected differences, {unexpected} unexpected")
+    print(f"peak RSS in MB per command, {args.rev} -> working tree (information only):")
+    for label in base:
+        a, b = base[label][2], head[label][2]
+        print(f"rss:{label}  {a:.1f}  {b:.1f}  {100 * (b - a) / a:+.1f}%")
     return 1 if unexpected else 0
 
 

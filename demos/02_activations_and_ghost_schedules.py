@@ -10,7 +10,7 @@ values at the first learning-rate milestone.
 import numpy as np
 
 from sparselab import autodiff as ad
-from sparselab.ghost import GhostConfig, alpha_at, beta_at, ghost_mode
+from sparselab.ghost import GhostConfig, SchedulePolicy, alpha_at, beta_at
 
 xs = np.linspace(-4, 4, 9)
 print("x:          ", np.round(xs, 2))
@@ -34,7 +34,7 @@ for epoch in (0, 10, 15, 20, 29, 30, 45):
 
 print("\nremoval policies at milestones (30, 45):")
 for policy in ("ghost", "keep_forever", "ghost_at_second_decay", "abrupt_removal"):
-    pol = ghost_mode(GhostConfig(policy=policy), (30, 45))
+    pol = SchedulePolicy(GhostConfig(policy=policy), (30, 45))
     marks = [pol.state_at(e) for e in (0, 29, 30, 44, 45)]
     desc = "  ".join(f"e{e}:a={st.alpha:.2f}" for e, st in zip((0, 29, 30, 44, 45), marks))
     print(f"{policy:22s} {desc}")

@@ -17,7 +17,7 @@ from sparselab.diagnostics import (
     landscape_slice,
     top_hessian_eigs,
 )
-from sparselab.ghost import GhostConfig, GhostState, alpha_at, beta_at, ghost_mode
+from sparselab.ghost import GhostConfig, GhostState, alpha_at, beta_at
 from sparselab.layers import Model, build_model
 from sparselab.masks import (
     Mask,
@@ -47,7 +47,7 @@ __all__ = [
     "Dataset", "make_synthetic", "load_idx_images",
     "ProbeConfig", "activation_sparsity", "avg_gradient_flow", "top_hessian_eigs",
     "eigvec_perturb_scan", "landscape_slice",
-    "GhostConfig", "GhostState", "beta_at", "alpha_at", "ghost_mode",
+    "GhostConfig", "GhostState", "beta_at", "alpha_at",
     "Model", "build_model",
     "Mask", "random_mask", "magnitude_mask", "snip_mask", "grasp_mask", "synflow_mask",
     "imp_lth", "apply_mask", "layer_collapse_check",

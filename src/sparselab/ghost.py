@@ -119,5 +119,3 @@ class SchedulePolicy:
             self.t_end,
         )
 
-
-ghost_mode = SchedulePolicy     # the schedule generator's older name

@@ -258,8 +258,8 @@ def imp_lth(model, dataset, rounds, per_round_rate, train_config):
 # ---------------------------------------------------------------------------
 
 def apply_mask(model, mask):
-    """Zero the masked weights and store the mask; the trainer's update is
-    gated by ``ParamLayout.free_index``, so they stay exactly 0 forever after."""
+    """Zero the masked weights and store the mask; the trainer steps only the
+    ``ParamLayout.free_index`` coordinates, so these bytes never change after."""
     blocks = model.maskable_blocks()
     if set(mask.arrays) != {b.name for b in blocks}:
         raise ValueError("apply_mask: mask blocks do not match the model's maskable blocks")

@@ -67,8 +67,7 @@ def first_step_loss(model, batch, lr, values=None, **forward_kwargs):
     Returns L(theta - lr * (m ⊙ grad L(theta))) at theta = ``values`` (default:
     the model's) without mutating the model. ``forward_kwargs`` go to
     :func:`probe_functions`: activation, beta and alpha select the network
-    variant, and ``layout`` lets a caller that evaluates many scalings reuse
-    one ``ParamLayout`` of the model's blocks.
+    variant.
     """
     x, targets = batch
     loss_fn, grad_fn, theta = probe_functions(model, x, targets, training=True,

@@ -4,9 +4,9 @@ Protocol: SGD with momentum and weight decay, learning rate divided by 10
 at each milestone epoch, optional label smoothing, optional ghost
 schedules (soft neurons swapped back to exact relu and skip gates cut to
 0 at the scheduled epoch), optional learned initialization rescaling
-before the first step. ``train`` owns the optimiser state, flat vectors
-over one ``ParamLayout``, and makes one heavy-ball update per batch gated
-at its ``free_index``: masked parameters and momentum stay exactly 0.
+before the first step. ``train`` owns the optimiser state, a velocity over
+the ``ParamLayout.free_index`` coordinates only, and makes one heavy-ball
+update of them per batch: no step reads or writes a masked parameter.
 
 Runs are deterministic given (seed, config, dataset); batch order is a
 seeded per-epoch permutation.
@@ -113,10 +113,10 @@ def lr_at(epoch, lr0, milestones):
     return lr0 * 0.1 ** sum(1 for m in milestones if m <= epoch)
 
 
-def sgd_step(theta, grad, velocity, gate, lr, momentum, weight_decay):
-    """One heavy-ball step on flat vectors, the gradient and weight decay
-    gated by the 0/1 ``gate``; returns new (theta, velocity), never in place."""
-    velocity = momentum * velocity + (grad + weight_decay * theta) * gate
+def sgd_step(theta, grad, velocity, lr, momentum, weight_decay):
+    """One heavy-ball step with weight decay on flat vectors; returns new
+    (theta, velocity), never in place."""
+    velocity = momentum * velocity + (grad + weight_decay * theta)
     return theta - lr * velocity, velocity
 
 
@@ -182,9 +182,9 @@ def train(model, dataset, config, mask=None):
     rng = np.random.default_rng([config.seed, 2])
     masks_by_name = {b.name: b.mask for b in model.maskable_blocks()}
     layout = ParamLayout(model.blocks.values())
+    free = layout.free_index
     theta = layout.flatten({n: b.value for n, b in model.blocks.items()})
-    velocity, gate = np.zeros(layout.size), np.zeros(layout.size)
-    gate[layout.free_index] = 1.0
+    velocity = np.zeros(free.size)
     history = []
     prev_phase = None
 
@@ -217,9 +217,12 @@ def train(model, dataset, config, mask=None):
                     bad = np.searchsorted(layout.offsets, np.argmin(np.isfinite(grad)), "right")
                     error = f"sgd_step: non-finite gradient for block {layout.names[bad - 1]}"
                     break
-                theta, velocity = sgd_step(theta, grad, velocity, gate, lr,
-                                           config.momentum, config.weight_decay)
+                grad = grad[free]   # the finite check read it all; drop the full copy now
+                stepped, velocity = sgd_step(theta[free], grad, velocity, lr,
+                                             config.momentum, config.weight_decay)
                 del grad        # not held through the next forward and backward
+                theta = theta.copy()    # masked bytes kept as apply_mask left them (-0.0 too)
+                theta[free] = stepped
                 for name, value in layout.unflatten(theta).items():   # rebind: graphs keep theirs
                     model.blocks[name].value = value
             except ad.NumericError as exc:

@@ -662,15 +662,17 @@ class TestAllocatorRetention:
         tm = smooth_labels_batch(rng.integers(0, 2, 64), 2, 0.0)
 
         layout = layers.ParamLayout(mlp.blocks.values())
+        free = layout.free_index
         state = [layout.flatten({n: b.value for n, b in mlp.blocks.items()}),
-                 np.zeros(layout.size)]
-        gate = np.ones(layout.size)
+                 np.zeros(free.size)]
 
         def train_step():       # one step of training.train's loop
             res = mlp.forward(xm, training=True)
             ad.backward(ad.softmax_cross_entropy(res.logits, tm))
             grad = layout.flatten({n: t.grad for n, t in res.leaves.items()})
-            state[:] = sgd_step(state[0], grad, state[1], gate, 0.01, 0.9, 2e-4)
+            stepped, state[1] = sgd_step(state[0][free], grad[free], state[1], 0.01, 0.9, 2e-4)
+            state[0] = state[0].copy()
+            state[0][free] = stepped
             for n, value in layout.unflatten(state[0]).items():
                 mlp.blocks[n].value = value
 

@@ -57,30 +57,30 @@ class TestAlphaSchedule:
 
 class TestPolicies:
     def test_default_policy_anneals_to_first_milestone(self):
-        pol = ghost.ghost_mode(ghost.GhostConfig(), (30, 45))
+        pol = ghost.SchedulePolicy(ghost.GhostConfig(), (30, 45))
         assert pol.state_at(0) == ghost.GhostState(1.0, 1.0, "ghost", 30)
         st = pol.state_at(30)
         assert st.phase == "post_ghost" and st.alpha == 0.0 and st.beta == math.inf
 
     def test_keep_forever(self):
-        pol = ghost.ghost_mode(ghost.GhostConfig(policy="keep_forever"), (30, 45))
+        pol = ghost.SchedulePolicy(ghost.GhostConfig(policy="keep_forever"), (30, 45))
         for e in (0, 29, 30, 59, 500):
             st = pol.state_at(e)
             assert st.alpha == 1.0 and st.beta == 1.0 and st.phase == "ghost"
 
     def test_abrupt_removal_step_function(self):
-        pol = ghost.ghost_mode(ghost.GhostConfig(policy="abrupt_removal"), (30, 45))
+        pol = ghost.SchedulePolicy(ghost.GhostConfig(policy="abrupt_removal"), (30, 45))
         assert pol.state_at(29).alpha == 1.0
         assert pol.state_at(29).beta == 1.0
         assert pol.state_at(30).alpha == 0.0
         assert pol.state_at(30).beta == math.inf
 
     def test_ghost_at_second_decay(self):
-        pol = ghost.ghost_mode(ghost.GhostConfig(policy="ghost_at_second_decay"), (30, 45))
+        pol = ghost.SchedulePolicy(ghost.GhostConfig(policy="ghost_at_second_decay"), (30, 45))
         assert pol.state_at(44).alpha > 0.0
         assert pol.state_at(45).alpha == 0.0
         with pytest.raises(ghost.ConfigError):
-            ghost.ghost_mode(ghost.GhostConfig(policy="ghost_at_second_decay"), (30,))
+            ghost.SchedulePolicy(ghost.GhostConfig(policy="ghost_at_second_decay"), (30,))
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ghost.ConfigError):
@@ -88,7 +88,7 @@ class TestPolicies:
 
     def test_post_ghost_invariant(self):
         for policy in ("ghost", "abrupt_removal", "ghost_at_second_decay"):
-            pol = ghost.ghost_mode(ghost.GhostConfig(policy=policy), (10, 20))
+            pol = ghost.SchedulePolicy(ghost.GhostConfig(policy=policy), (10, 20))
             for e in range(60):
                 st = pol.state_at(e)
                 if st.phase == "post_ghost":

@@ -57,11 +57,10 @@ class TestCrossEntropy:
                                    math.log(10.0), atol=1e-12)
 
 
-def _step(theta, grad, velocity=None, gate=None, lr=0.1, momentum=0.9, weight_decay=0.0):
+def _step(theta, grad, velocity=None, lr=0.1, momentum=0.9, weight_decay=0.0):
     theta = np.asarray(theta, dtype=np.float64)
     velocity = np.zeros_like(theta) if velocity is None else velocity
-    gate = np.ones_like(theta) if gate is None else np.asarray(gate, dtype=np.float64)
-    return training.sgd_step(theta, np.asarray(grad, dtype=np.float64), velocity, gate,
+    return training.sgd_step(theta, np.asarray(grad, dtype=np.float64), velocity,
                              lr, momentum, weight_decay)
 
 
@@ -81,41 +80,85 @@ class TestSgdStep:
         np.testing.assert_allclose(theta, [-0.1 * (1.0 + 1.9)], atol=1e-15)
         np.testing.assert_allclose(velocity, [1.9], atol=1e-15)
 
-    def test_masked_coordinate_pinned_at_zero(self):
-        theta, velocity, gate = np.array([1.0, 0.0]), np.zeros(2), np.array([1.0, 0.0])
-        for _ in range(50):
-            theta, velocity = _step(theta, [0.3, 0.7], velocity, gate, weight_decay=2e-4)
-        assert theta[1] == 0.0 and velocity[1] == 0.0
-        assert theta[0] != 1.0
+    def test_masked_coordinate_pinned_at_zero(self, monkeypatch):
+        """50 masked steps: every forward runs on masked weights of exactly 0,
+        though their gradients are not 0, and the velocity holds one entry
+        per free coordinate only, so no masked momentum exists."""
+        model, ds = _small_mlp(seed=1), _toy_blobs(n=80, seed=1)
+        mask = masks.random_mask(model, 0.5, seed=1)
+        seen = _spy_training_forwards(monkeypatch, model)
+        steps = _spy_steps(monkeypatch)
+        cfg = training.TrainConfig(epochs=10, batch_size=16, lr0=0.05, milestones=(), seed=1)
+        training.train(model, ds, cfg, mask=mask)   # 10 epochs x 5 batches = 50 steps
+        layout = layers.ParamLayout(model.blocks.values())
+        dead = _masked(layout)
+        assert len(steps) == len(seen) == 50 and dead.any()
+        assert {a.size for step in steps for a in step} == {layout.free_index.size}
+        masked_grads = [np.abs(layout.flatten({n: t.grad for n, t in res.leaves.items()})[dead])
+                        for res, _ in seen]
+        assert min(g.max() for g in masked_grads) > 0.0
+        for _, values in seen:
+            assert not layout.flatten(values)[dead].any()
+        final = layout.flatten({n: b.value for n, b in model.blocks.items()})
+        assert not final[dead].any()
+        first = layout.flatten(seen[0][1])      # weight decay moves every nonzero free weight
+        assert np.all((final != first)[~dead & (first != 0)])
 
-    def test_weight_decay_cannot_resurrect_masked(self):
-        theta, velocity = _step([1.0, 0.0], np.zeros(2), gate=[1.0, 0.0], weight_decay=0.5)
-        assert theta[1] == 0.0 and velocity[1] == 0.0
-        assert theta[0] == 1.0 - 0.1 * 0.5
+    def test_weight_decay_cannot_resurrect_masked(self, monkeypatch):
+        """At weight decay 0.5 every step reads exactly the free coordinates of
+        the current weights, and the new weights are the old ones with only
+        those coordinates replaced by the step's result, bit for bit."""
+        model, ds = _small_mlp(seed=2), _toy_blobs(n=48, seed=2)
+        mask = masks.random_mask(model, 0.5, seed=2)
+        layout = layers.ParamLayout(masks.apply_mask(model.clone(), mask).blocks.values())
+        free = layout.free_index
+        real, calls = training.sgd_step, []
 
-    def test_flat_step_matches_per_block_reference(self):
-        """Bit for bit the per-block heavy-ball step, gated by each block's mask."""
-        model = _small_mlp(seed=1)
+        def spy(theta, grad, velocity, *args):
+            stepped, velocity = real(theta, grad, velocity, *args)
+            calls.append((layout.flatten({n: b.value for n, b in model.blocks.items()}),
+                          theta, stepped))
+            return stepped, velocity
+
+        monkeypatch.setattr(training, "sgd_step", spy)
+        cfg = training.TrainConfig(epochs=4, batch_size=16, lr0=0.1, weight_decay=0.5,
+                                   milestones=(), seed=2)
+        training.train(model, ds, cfg, mask=mask)
+        after = [old for old, _, _ in calls[1:]]
+        after.append(layout.flatten({n: b.value for n, b in model.blocks.items()}))
+        assert len(calls) == 12
+        for (old, theta, stepped), new in zip(calls, after):
+            assert theta.tobytes() == old[free].tobytes()
+            want = old.copy()
+            want[free] = stepped
+            assert new.tobytes() == want.tobytes() and new.tobytes() != old.tobytes()
+
+    def test_flat_step_matches_per_block_reference(self, monkeypatch):
+        """train's free-coordinate steps reproduce, bit for bit, a per-block
+        heavy-ball step that multiplies gradient and weight decay by each
+        block's mask and keeps a full-size momentum buffer, fed the same
+        gradients; that buffer's masked entries stay 0, so dropping them
+        loses nothing."""
+        model, ds = _small_mlp(seed=1), _toy_blobs(n=80, seed=1)
         masks.apply_mask(model, masks.random_mask(model, 0.6, seed=1))
         layout = layers.ParamLayout(model.blocks.values())
-        gate = np.zeros(layout.size)
-        gate[layout.free_index] = 1.0
-        theta = layout.flatten({n: b.value for n, b in model.blocks.items()})
-        velocity = np.zeros(layout.size)
         ref = {n: (b.value, np.zeros_like(b.value), b.mask) for n, b in model.blocks.items()}
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            grads = {n: rng.normal(size=b.value.shape) for n, b in model.blocks.items()}
-            theta, velocity = training.sgd_step(theta, layout.flatten(grads), velocity, gate,
-                                                0.1, 0.9, 2e-4)
+        seen = _spy_training_forwards(monkeypatch, model)
+        steps = _spy_steps(monkeypatch)
+        cfg = training.TrainConfig(epochs=1, batch_size=16, lr0=0.1, milestones=(), seed=1)
+        training.train(model, ds, cfg)
+        assert len(seen) == len(steps) == 5
+        for res, _ in seen:
             for n, (value, buf, mask) in ref.items():
-                g = grads[n] + 2e-4 * value
+                g = res.leaves[n].grad + 2e-4 * value
                 buf = 0.9 * buf + (g if mask is None else g * mask)
                 ref[n] = (value - 0.1 * buf, buf, mask)
-        for n, arr in layout.unflatten(theta).items():
-            assert arr.tobytes() == ref[n][0].tobytes()
-        for n, arr in layout.unflatten(velocity).items():
-            assert arr.tobytes() == ref[n][1].tobytes()
+        for n, b in model.blocks.items():
+            assert b.value.tobytes() == ref[n][0].tobytes()
+        buf = layout.flatten({n: r[1] for n, r in ref.items()})
+        assert steps[-1][2].tobytes() == buf[layout.free_index].tobytes()
+        dead = _masked(layout)
+        assert dead.any() and not buf[dead].any()
 
     def test_nonfinite_gradient_names_block(self, monkeypatch):
         model, ds = _small_mlp(seed=9), _toy_blobs(seed=9)
@@ -187,29 +230,38 @@ def _spy_training_forwards(monkeypatch, model):
     return seen
 
 
-def _poison_gradient(monkeypatch, model, block, at_call):
-    """Put a NaN into ``block``'s gradient at the ``at_call``-th backward
-    (1-based) of the training loop; returns the forward spy's records."""
+def _poison_gradient(monkeypatch, model, block, at_call, index=0):
+    """Put a NaN into ``block``'s gradient at flat ``index`` at the
+    ``at_call``-th backward (1-based) of the training loop; returns the
+    forward spy's records."""
     seen, real, calls = _spy_training_forwards(monkeypatch, model), ad.backward, []
 
     def poisoned(root, *args):
         real(root, *args)
         calls.append(root)
         if len(calls) == at_call:
-            seen[-1][0].leaves[block].grad.flat[0] = np.nan
+            seen[-1][0].leaves[block].grad.flat[index] = np.nan
 
     monkeypatch.setattr(ad, "backward", poisoned)
     return seen
 
 
+def _masked(layout):
+    """True at the layout's masked coordinates, the complement of free_index."""
+    dead = np.ones(layout.size, dtype=bool)
+    dead[layout.free_index] = False
+    return dead
+
+
 def _spy_steps(monkeypatch):
-    """Record (velocity, gate) after every sgd_step the training loop makes."""
+    """Record (theta, grad, new velocity) of every sgd_step the training
+    loop makes: the step's free-coordinate inputs and its velocity."""
     steps, real = [], training.sgd_step
 
-    def spy(theta, grad, velocity, gate, *args):
-        theta, velocity = real(theta, grad, velocity, gate, *args)
-        steps.append((velocity, gate))
-        return theta, velocity
+    def spy(theta, grad, velocity, *args):
+        theta_new, velocity = real(theta, grad, velocity, *args)
+        steps.append((theta, grad, velocity))
+        return theta_new, velocity
 
     monkeypatch.setattr(training, "sgd_step", spy)
     return steps
@@ -253,20 +305,60 @@ class TestTrainLoop:
         assert train_acc == 1.0
 
     def test_masked_coordinates_zero_after_200_steps(self, monkeypatch):
+        """Every one of 200 steps runs on exactly the free coordinates, and
+        every forward sees the masked bytes that apply_mask left."""
         model = _small_mlp(seed=2)
         ds = _toy_blobs(n=128, seed=2)
         mask = masks.random_mask(model, 0.5, seed=3)
+        masked = masks.apply_mask(model.clone(), mask)
+        layout = layers.ParamLayout(masked.blocks.values())
+        dead = _masked(layout)
+        dead_bytes = layout.flatten({n: b.value for n, b in masked.blocks.items()})[dead].tobytes()
+        seen = _spy_training_forwards(monkeypatch, model)
         steps = _spy_steps(monkeypatch)
         cfg = training.TrainConfig(epochs=25, batch_size=16, lr0=0.05, milestones=(), seed=2)
         training.train(model, ds, cfg, mask=mask)   # 25 epochs x 8 batches = 200 steps
-        assert len(steps) == 200
+        assert len(steps) == len(seen) == 200
+        for b in model.maskable_blocks():
+            dead_block = b.mask == 0
+            assert np.abs(b.value[dead_block]).max() == 0.0
+        assert {a.size for step in steps for a in step} == {layout.free_index.size}
+        for _, values in seen:
+            assert layout.flatten(values)[dead].tobytes() == dead_bytes
+
+    def test_masked_bytes_keep_the_sign_apply_mask_left(self):
+        """apply_mask leaves -0.0 under negative weights; a masked run with
+        weight decay keeps every masked coordinate's bytes, sign included."""
+        model, ds = _small_mlp(seed=5), _toy_blobs(seed=5)
+        mask = masks.random_mask(model, 0.5, seed=5)
+        want = {b.name: b.value * np.asarray(mask.arrays[b.name], dtype=np.float64)
+                for b in model.maskable_blocks()}
+        cfg = training.TrainConfig(epochs=3, batch_size=16, lr0=0.1, weight_decay=0.1,
+                                   milestones=(), seed=5)
+        history = training.train(model, ds, cfg, mask=mask)
+        assert len(history) == 3 and not history[-1].diverged
+        signs = set()
         for b in model.maskable_blocks():
             dead = b.mask == 0
-            assert np.abs(b.value[dead]).max() == 0.0
-        layout = layers.ParamLayout(model.blocks.values())
-        gate = steps[-1][1]
-        np.testing.assert_array_equal(np.flatnonzero(gate), layout.free_index)
-        assert max(np.abs(v[gate == 0.0]).max() for v, _ in steps) == 0.0
+            assert b.value[dead].tobytes() == want[b.name][dead].tobytes()
+            signs |= set(np.signbit(want[b.name][dead]).tolist())
+        assert signs == {False, True}
+
+    def test_nonfinite_gradient_at_a_masked_coordinate_stops_the_run(self, monkeypatch):
+        """The finite check reads the full gradient: a NaN where the mask is 0
+        still stops the run before any block moves, and names its block."""
+        model, ds = _small_mlp(seed=9), _toy_blobs(seed=9)
+        mask = masks.random_mask(model, 0.5, seed=9)
+        block = "L02.dense.w"
+        index = int(np.flatnonzero(mask.arrays[block] == 0)[0])
+        seen = _poison_gradient(monkeypatch, model, block, at_call=3, index=index)
+        cfg = training.TrainConfig(epochs=2, batch_size=16, lr0=0.05, milestones=(), seed=9)
+        history = training.train(model, ds, cfg, mask=mask)
+        assert len(seen) == 3 and len(history) == 1 and history[0].diverged
+        assert history[0].error == (f"sgd_step: non-finite gradient for block {block}"
+                                    " at epoch 0, batch 2")
+        for n, b in model.blocks.items():
+            np.testing.assert_array_equal(b.value, seen[-1][1][n])
 
     def test_update_never_writes_a_graphs_arrays(self, monkeypatch):
         """Each step rebinds the blocks to new arrays: the leaves of every

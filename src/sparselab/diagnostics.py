@@ -66,8 +66,10 @@ def activation_sparsity(model, x, eps=1e-6, **forward_kwargs):
         raise ValueError("activation_sparsity: batch must be non-empty")
     if not eps > 0:
         raise ValueError("activation_sparsity: eps must be positive")
-    res = model.forward(x, record="activations", update_stats=False, grad=False, **forward_kwargs)
-    return np.array([float((np.abs(a) < eps).mean()) for a in res.activations])
+    sparsity = []
+    model.forward(x, update_stats=False, grad=False, **forward_kwargs,
+                  observe=lambda z, a: sparsity.append(float((np.abs(a) < eps).mean())))
+    return np.array(sparsity)
 
 
 def avg_gradient_flow(grads, masks=None):
@@ -105,7 +107,7 @@ def probe_closures(model, x, targets, *, training=False, activation=None,
     overrides keep the model itself untouched.
     """
     if len(x) == 0:
-        raise ValueError("probe_functions: batch must be non-empty")
+        raise ValueError("probe_closures: batch must be non-empty")
     if layout is None:
         layout = ParamLayout(model.blocks.values())
     if values is None:

@@ -82,6 +82,8 @@ class GhostConfig:
             raise ConfigError(f"unknown ghost activation {self.activation!r}")
         if not self.beta0 > 0:
             raise ConfigError(f"ghost beta0 must be positive, got {self.beta0}")
+        if not self.beta_max >= 0:
+            raise ConfigError(f"ghost beta_max must be >= 0, got {self.beta_max}")
         if not 0.0 <= self.alpha0 <= 1.0:
             raise ConfigError(f"ghost alpha0 must be in [0,1], got {self.alpha0}")
 

@@ -119,25 +119,20 @@ class ForwardContext:
     beta: float = 1.0
     alpha: float = 0.0
     update_stats: bool = False
-    record: str | None = None       # "activations", "preacts" or None
     bn_passthrough: bool = False    # skip batchnorm entirely (synflow scoring)
     stats: dict = field(default_factory=dict)   # bn name -> (running_mean, running_var)
-    recorded: list = field(default_factory=list)
+    observe: object = None          # observe(input, output) at each activation site
 
 
 @dataclass
 class ForwardResult:
     logits: ad.Tensor
     leaves: dict
-    activations: list | None = None
-    preacts: list | None = None
 
 
 def _apply_activation(t, kind, ctx, label):
     if kind == "relu" and ctx.activation is not None:
         kind = ctx.activation
-    if ctx.record == "preacts":     # the forward's own arrays: graphs are never mutated in place
-        ctx.recorded.append(t.data)
     if kind == "relu":
         out = ad.relu(t, label=label)
     elif kind == "pswish":
@@ -146,8 +141,8 @@ def _apply_activation(t, kind, ctx, label):
         out = ad.mish(t, label=label)
     else:
         raise BuildError(f"unknown activation kind {kind!r}")
-    if ctx.record == "activations":
-        ctx.recorded.append(out.data)
+    if ctx.observe is not None:     # the forward's own arrays: graphs are never mutated in place
+        ctx.observe(t.data, out.data)
     return out
 
 
@@ -263,7 +258,7 @@ class Model:
     # -- forward ------------------------------------------------------------
 
     def forward(self, x, *, training=False, activation=None, beta=1.0, alpha=0.0,
-                update_stats=None, record=None, bn_passthrough=False, values=None,
+                update_stats=None, observe=None, bn_passthrough=False, values=None,
                 grad=True):
         """Run the network on a batch.
 
@@ -271,26 +266,21 @@ class Model:
         neurons"); ``alpha`` gates the ghost skip additions; ``values``
         optionally overrides parameter arrays without touching the model.
         ``grad=False`` makes the parameter leaves constants, so the forward
-        records no tape and ``backward`` on its loss raises. ``record``
-        names the list to keep, each activation site's own arrays, not
-        copies: ``"activations"`` (outputs) or ``"preacts"`` (inputs).
+        records no tape and ``backward`` on its loss raises. ``observe(z, a)``
+        is called at each activation site in order with its input and output:
+        the forward's own arrays, not copies, which it must not write to.
         """
-        if record not in (None, "activations", "preacts"):
-            raise ValueError(f"forward: record must be 'activations', 'preacts' or None, "
-                             f"got {record!r}")
         if update_stats is None:
             update_stats = training
         ctx = ForwardContext(training=training, activation=activation, beta=beta,
-                             alpha=alpha, update_stats=update_stats, record=record,
+                             alpha=alpha, update_stats=update_stats, observe=observe,
                              bn_passthrough=bn_passthrough, stats=self.bn_stats)
         P = {n: ad.Tensor((values or {}).get(n, b.value), requires_grad=grad, name=n)
              for n, b in self.blocks.items()}
         t = ad.Tensor(x)
         for layer in self.layers:
             t = layer.forward(t, ctx, P)
-        return ForwardResult(logits=t, leaves=P,
-                             activations=ctx.recorded if record == "activations" else None,
-                             preacts=ctx.recorded if record == "preacts" else None)
+        return ForwardResult(logits=t, leaves=P)
 
     # -- bookkeeping ----------------------------------------------------------
 

@@ -275,12 +275,15 @@ def train(model, dataset, config, mask=None):
 
 def _swap_deviation(model, x, beta_max):
     """Max |pswish(z, beta_max) - relu(z)| over the pre-activation values
-    observed at the swap epoch."""
-    res = model.forward(x, training=False, record="preacts", grad=False)
+    observed at the swap epoch, reduced site by site."""
     dev = 0.0
-    for z in res.preacts:
+
+    def observe(z, _):
+        nonlocal dev
         soft = ad.pswish(z, beta_max, label="swap_deviation").data
         dev = max(dev, float(np.abs(soft - np.maximum(z, 0.0)).max()))
+
+    model.forward(x, training=False, observe=observe, grad=False)
     return dev
 
 

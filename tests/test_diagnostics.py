@@ -155,6 +155,11 @@ class TestProbeFunctions:
         got = grad_fn(theta0)
         assert np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-12) <= 1e-6
 
+    def test_empty_batch_names_probe_closures(self):
+        model = _mlp(seed=5)
+        with pytest.raises(ValueError, match="probe_closures: batch must be non-empty"):
+            dg.probe_closures(model, np.zeros((0, 3)), np.zeros((0, 2)))
+
     def test_masked_coordinates_excluded(self):
         model = _mlp(seed=6)
         full = _free(model).size
@@ -207,7 +212,7 @@ _GHOST = {"activation": "pswish", "beta": 3.0, "alpha": 0.4}
 
 class TestTapeFreeForwards:
     """The forwards that never call backward run with ``grad=False``; they
-    give the same bytes as the taped forward, and ``record`` keeps the
+    give the same bytes as the taped forward, and an observer is handed the
     forward's own arrays."""
 
     @pytest.fixture(params=[("mlp", {}), ("mlp", _GHOST), ("resnet-tiny", {}),
@@ -242,29 +247,29 @@ class TestTapeFreeForwards:
         assert self._outputs(model, x, y, knobs) == plain
 
     @staticmethod
-    def _check_record(cell, kind, arrays_of):
-        """``record=kind`` keeps exactly ``arrays_of(node)`` for every
-        activation node (the same objects, not copies) and no other list,
-        and neither a backward nor a later forward changes them."""
+    def _check_record(cell, pick, arrays_of):
+        """An observer that records ``pick(z, a)`` at each site keeps exactly
+        ``arrays_of(node)`` for every activation node (the same objects, not
+        copies), and neither a backward nor a later forward changes them."""
         model, x, y, knobs = cell
-        res = model.forward(x, record=kind, update_stats=False, **knobs)
-        kept = getattr(res, kind)
-        assert getattr(res, "preacts" if kind == "activations" else "activations") is None
+        kept = []
+        res = model.forward(x, update_stats=False, observe=lambda z, a: kept.append(pick(z, a)),
+                            **knobs)
         nodes = [t for t in ad.topo_order(res.logits) if t.op in ("relu", "pswish")]
         assert len(nodes) == len(kept) == len(model.activation_site_names())
         assert {id(a) for a in kept} == {id(arrays_of(t)) for t in nodes}
         before = [a.tobytes() for a in kept]
         ad.backward(ad.softmax_cross_entropy(res.logits, smooth_labels_batch(y, 3, 0.0)))
-        model.forward(x, record=kind, update_stats=False, grad=False, **knobs)
+        model.forward(x, update_stats=False, grad=False, **knobs)
         assert [a.tobytes() for a in kept] == before
 
     def test_record_keeps_the_forward_arrays(self, cell):
-        """``record="activations"``: each activation node's own output."""
-        self._check_record(cell, "activations", lambda t: t.data)
+        """``observe``'s second argument: each activation node's own output."""
+        self._check_record(cell, lambda z, a: a, lambda t: t.data)
 
     def test_record_keeps_the_preactivations(self, cell):
-        """``record="preacts"``: each activation node's own input."""
-        self._check_record(cell, "preacts", lambda t: t._parents[0].data)
+        """``observe``'s first argument: each activation node's own input."""
+        self._check_record(cell, lambda z, a: z, lambda t: t._parents[0].data)
 
 
 class TestPerturbScan:

@@ -115,6 +115,7 @@ class TestEveryTweakValidated:
         {"train": {"epochs": 2, "batch": 16, "lr0": math.nan, "milestones": [1], "seed": [0]}},
         {"ghost": {"beta0": math.nan}},
         {"ghost": {"beta_max": math.nan}},
+        {"ghost": {"beta_max": -5.0}},
         {"lrsi": {"step": math.nan}},
         {"lrsi": {"iters": -2}},
         {"probes": {"landscape_span": math.nan}},
@@ -140,8 +141,8 @@ class TestEveryTweakValidated:
             "sparsity-same-dir", "tweak-repeat", "seed-repeat", "mask-scope",
             "synflow-iterations", "imp-rounds", "model-preset", "in-shape-mismatch",
             "fewer-model-classes", "dataset-name", "nan-act-eps", "nan-lr0", "nan-beta0",
-            "nan-beta-max", "nan-lrsi-step", "lrsi-iters-negative", "nan-landscape-span",
-            "inf-landscape-span", "wrong-type", "nested-seed", "nested-sparsity",
+            "nan-beta-max", "negative-beta-max", "nan-lrsi-step", "lrsi-iters-negative",
+            "nan-landscape-span", "inf-landscape-span", "wrong-type", "nested-seed", "nested-sparsity",
             "float-lrsi-iters", "float-eig-count", "string-enabled", "float-epochs",
             "bool-batch", "idx-key-on-spirals", "int-out-dir", "empty-seed-axis",
             "float-milestone", "noise-on-teacher", "input-shape-on-spirals",

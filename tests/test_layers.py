@@ -309,19 +309,18 @@ class TestScaleAbsorption:
 
 class TestForwardPlumbing:
     def test_record_activations(self):
-        """``record`` names the one list to keep; any other value is refused."""
+        """``observe`` is called once per activation site with the site's
+        input and output; a soft-neuron forward hands it the pswish pair."""
         model = _tiny_resnet()
         x = np.random.default_rng(13).normal(size=(2, 1, 8, 8))
-        res = model.forward(x, record="activations")
-        assert len(res.activations) == len(model.activation_site_names()) == 9
-        assert res.preacts is None
-        res = model.forward(x, record="preacts")
-        assert len(res.preacts) == 9 and res.activations is None
-        res = model.forward(x)
-        assert res.activations is None and res.preacts is None
-        for bad in (True, "both", "preact"):
-            with pytest.raises(ValueError, match="record"):
-                model.forward(x, record=bad)
+        for knobs, act in (({}, lambda z: np.maximum(z, 0.0)),
+                           ({"activation": "pswish", "beta": 2.0},
+                            lambda z: ad.pswish(z, 2.0).data)):
+            seen = []
+            model.forward(x, observe=lambda z, a: seen.append((z, a)), **knobs)
+            assert len(seen) == len(model.activation_site_names()) == 9
+            for z, a in seen:
+                np.testing.assert_array_equal(a, act(z))
 
     def test_values_override_leaves_model_untouched(self):
         model = _tiny_resnet()

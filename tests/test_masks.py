@@ -238,9 +238,10 @@ class TestGraspMask:
         step = 1e-7 * g / np.linalg.norm(g)
 
         def signs(vec):
-            res = model.forward(x, training=True, update_stats=False, record="preacts",
-                                values=layout.from_free(vec))
-            return np.concatenate([np.sign(z).ravel() for z in res.preacts])
+            seen = []
+            model.forward(x, training=True, update_stats=False, values=layout.from_free(vec),
+                          observe=lambda z, _: seen.append(np.sign(z).ravel()))
+            return np.concatenate(seen)
 
         assert 0 < x[0] @ w[:, 0] < 2e-6
         assert np.array_equal(signs(theta + step), signs(theta))

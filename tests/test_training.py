@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -534,6 +535,36 @@ class TestGhostIntegration:
         devs = [r.swap_deviation for r in history if r.swap_deviation is not None]
         assert len(devs) == 1
         assert devs[0] <= 0.05
+
+    def test_swap_deviation_is_reduced_site_by_site(self):
+        """The deviation equals, bit for bit, the max over sites computed from
+        every observed pre-activation at once. On the mlp at batch 256 it
+        peaks below six arrays of one site's size (the site's input and
+        output, and the temporaries of pswish and of the difference), where
+        keeping every site's pre-activation until the forward ends does not."""
+        rng = np.random.default_rng(30)
+        mlp = layers.build_model({"preset": "mlp", "in_shape": [2], "classes": 2}, seed=30)
+        resnet = layers.build_model({"preset": "resnet-tiny", "in_shape": [1, 8, 8],
+                                     "classes": 2}, seed=30)
+        for model, x in ((resnet, rng.normal(size=(16, 1, 8, 8))),
+                         (mlp, rng.normal(size=(256, 2)))):
+            preacts = []
+            model.forward(x, grad=False, observe=lambda z, _: preacts.append(z))
+            want = 0.0
+            for z in preacts:
+                soft = ad.pswish(z, 10.0).data
+                want = max(want, float(np.abs(soft - np.maximum(z, 0.0)).max()))
+            got = training._swap_deviation(model, x, 10.0)
+            assert want > 0 and np.float64(got).tobytes() == np.float64(want).tobytes()
+        site = max(z.nbytes for z in preacts)     # the mlp's, its widest site
+        del preacts, z, soft
+        tracemalloc.start()
+        try:
+            training._swap_deviation(mlp, x, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * site, (peak, site)
 
     def test_schedule_columns_follow_policy(self):
         ds = _toy_blobs(seed=10)

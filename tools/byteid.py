@@ -29,8 +29,9 @@ CPUs' BLAS kernels may move the last bits, so the check is between two
 trees on one machine.
 
 For information only, a second table gives each command's peak resident
-set size in both trees (``ru_maxrss`` from ``os.wait4`` on the child);
-it never changes the exit status.
+set size in both trees (``ru_maxrss`` from ``os.wait4`` on the child),
+and a last line the line count of the ``*.py`` files under each tree's
+``src/`` and their difference; neither changes the exit status.
 """
 
 import argparse
@@ -132,6 +133,11 @@ def digests(out):
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def src_lines(src):
+    """Lines (newlines, as ``wc -l`` counts them) of every ``*.py`` file under ``src``."""
+    return sum(p.read_bytes().count(b"\n") for p in src.rglob("*.py"))
+
+
 def compare(base, head, base_out, head_out):
     """Rows (name, base value, head value) for every artifact and command."""
     rows = []
@@ -180,6 +186,8 @@ def main():
     for label in base:
         a, b = base[label][2], head[label][2]
         print(f"rss:{label}  {a:.1f}  {b:.1f}  {100 * (b - a) / a:+.1f}%")
+    a, b = src_lines(tree / "src"), src_lines(ROOT / "src")
+    print(f"src/ lines, {args.rev} -> working tree (information only): {a} -> {b} ({b - a:+d})")
     return 1 if unexpected else 0
 
 

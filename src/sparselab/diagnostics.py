@@ -93,12 +93,13 @@ def avg_gradient_flow(grads, masks=None):
     return total / count
 
 
-def probe_closures(model, x, targets, *, training=False, activation=None,
-                   beta=1.0, alpha=0.0, layout=None, values=None):
+def probe_closures(model, x, targets, *, layout=None, values=None, **forward_kwargs):
     """``loss_fn`` and ``value_and_grad`` (the loss and its gradient from one
     forward and backward) over the free coordinates of ``layout`` (default:
     every block; blocks outside it keep the model's values), and theta0,
     the free part of ``values`` (default: the model's values).
+    ``forward_kwargs`` (training, activation, beta, alpha) go to every
+    ``Model.forward``.
 
     The one loss-and-gradient closure of the probes, SNIP, GraSP and LRsI.
     A complex128 point (see ``autodiff.hvp_complex_step``) gives a complex
@@ -116,9 +117,8 @@ def probe_closures(model, x, targets, *, training=False, activation=None,
     y = np.asarray(targets, dtype=np.float64)
 
     def run(vec, grad):
-        res = model.forward(x, training=training, update_stats=False,
-                            activation=activation, beta=beta, alpha=alpha,
-                            values=layout.from_free(vec), grad=grad)
+        res = model.forward(x, update_stats=False, values=layout.from_free(vec), grad=grad,
+                            **forward_kwargs)
         return res, ad.softmax_cross_entropy(res.logits, y, label="probe_loss")
 
     def loss_fn(vec):

@@ -89,35 +89,48 @@ class GhostConfig:
 
 
 class SchedulePolicy:
-    """Maps an epoch to the GhostState dictated by the configured policy."""
+    """The network of each epoch under a ghost config (``None``: no ghosts).
 
-    def __init__(self, config: GhostConfig, milestones):
+    ``knobs(epoch)`` is the one source of ``Model.forward``'s activation,
+    beta and alpha; ``swap_epoch`` is the epoch at which pswish soft
+    neurons give way to exact relu (None when that never happens).
+    """
+
+    def __init__(self, config: GhostConfig | None, milestones):
         self.config = config
+        self.t_end = self.swap_epoch = None
+        if config is None:
+            return
         milestones = tuple(int(m) for m in milestones)
-        if config.policy == "ghost_at_second_decay":
-            if len(milestones) < 2:
-                raise ConfigError("ghost_at_second_decay needs at least two lr milestones")
-            self.t_end = milestones[1]
-        else:
-            if not milestones:
-                raise ConfigError(f"policy {config.policy!r} needs at least one lr milestone")
-            self.t_end = milestones[0]
+        index = 1 if config.policy == "ghost_at_second_decay" else 0   # the removal milestone
+        if len(milestones) <= index:
+            raise ConfigError(f"policy {config.policy!r} needs {index + 1} lr milestone(s)")
+        self.t_end = milestones[index]
+        if self.t_end < 1:
+            raise ConfigError(f"policy {config.policy!r} would remove its ghosts at epoch "
+                              f"{self.t_end}, before the first epoch trains with them")
+        if (config.soft_neurons and config.activation == "pswish"
+                and config.policy != "keep_forever"):
+            self.swap_epoch = self.t_end
 
     def state_at(self, epoch):
         c = self.config
-        if c.policy == "keep_forever":
+        if c.policy == "keep_forever" or (c.policy == "abrupt_removal" and epoch < self.t_end):
             return GhostState(c.beta0, c.alpha0, "ghost", self.t_end)
-        if c.policy == "abrupt_removal":
-            if epoch < self.t_end:
-                return GhostState(c.beta0, c.alpha0, "ghost", self.t_end)
-            return GhostState(math.inf, 0.0, "post_ghost", self.t_end)
-        # "ghost" and "ghost_at_second_decay": annealed removal
         if epoch >= self.t_end:
             return GhostState(math.inf, 0.0, "post_ghost", self.t_end)
-        return GhostState(
-            beta_at(epoch, self.t_end, c.beta0, c.beta_max, c.schedule),
-            alpha_at(epoch, self.t_end, c.alpha0, c.schedule),
-            "ghost",
-            self.t_end,
-        )
+        # "ghost" and "ghost_at_second_decay": annealed removal
+        return GhostState(beta_at(epoch, self.t_end, c.beta0, c.beta_max, c.schedule),
+                          alpha_at(epoch, self.t_end, c.alpha0, c.schedule), "ghost", self.t_end)
 
+    def knobs(self, epoch):
+        """``Model.forward``'s activation, beta and alpha at ``epoch``: soft
+        neurons only where configured and still in the ghost phase, and
+        skip gates only where configured."""
+        c = self.config
+        if c is None:
+            return {"activation": None, "beta": math.inf, "alpha": 0.0}
+        state = self.state_at(epoch)
+        return {"activation": c.activation if c.soft_neurons and state.phase == "ghost" else None,
+                "beta": state.beta if c.soft_neurons else math.inf,
+                "alpha": state.alpha if c.skip_gates else 0.0}

@@ -47,6 +47,8 @@ class TrainConfig:
 
     def __post_init__(self):
         ms = tuple(int(m) for m in self.milestones)
+        if any(m < 0 for m in ms):
+            raise ConfigError(f"milestones must be >= 0, got {ms}")
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ConfigError(f"milestones must be strictly increasing, got {ms}")
         if self.epochs and ms and ms[-1] >= self.epochs:
@@ -55,8 +57,7 @@ class TrainConfig:
             raise ConfigError(f"ls_alpha must be in [0,1), got {self.ls_alpha}")
         if not self.batch_size >= 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.ghost is not None:
-            SchedulePolicy(self.ghost, ms)   # the schedule needs its milestones
+        SchedulePolicy(self.ghost, ms)   # the schedule needs its milestones
         self.milestones = ms
         if self.probes is None:
             self.probes = ProbeConfig()
@@ -120,34 +121,26 @@ def sgd_step(theta, grad, velocity, lr, momentum, weight_decay):
     return theta - lr * velocity, velocity
 
 
-def evaluate(model, x, y, batch_size, *, activation=None, beta=1.0, alpha=0.0):
-    """Test loss (one-hot) and accuracy under eval-mode batchnorm."""
+def evaluate(model, x, y, batch_size, **forward_kwargs):
+    """Test loss (one-hot) and accuracy of ``model.forward(x, **forward_kwargs)``,
+    eval-mode batchnorm unless ``forward_kwargs`` say otherwise."""
     n = len(x)
     total_loss, correct = 0.0, 0
     for start in range(0, n, batch_size):
         xb, yb = x[start:start + batch_size], y[start:start + batch_size]
-        res = model.forward(xb, training=False, activation=activation, beta=beta, alpha=alpha,
-                            grad=False)
+        res = model.forward(xb, grad=False, **forward_kwargs)
         onehot = smooth_labels_batch(yb, model.n_classes, 0.0)
         total_loss += cross_entropy(res.logits, onehot) * len(xb)
         correct += int((res.logits.data.argmax(axis=1) == yb).sum())
     return total_loss / n, correct / n
 
 
-def _ghost_knobs(config, state):
-    """Effective (activation, beta, alpha) for an epoch's ghost state."""
-    if state is None or config.ghost is None:
-        return None, math.inf, 0.0
-    g = config.ghost
-    act = g.activation if (g.soft_neurons and state.phase == "ghost") else None
-    beta = state.beta if g.soft_neurons else math.inf
-    alpha = state.alpha if g.skip_gates else 0.0
-    return act, beta, alpha
-
-
 def train(model, dataset, config, mask=None):
     """Run the full protocol; returns one RunRecord per completed epoch.
 
+    ``SchedulePolicy(config.ghost, config.milestones).knobs(epoch)`` gives
+    each epoch's activation, beta and alpha, which the training forward,
+    ``evaluate`` and the probes receive unchanged (LRsI those of epoch 0).
     Divergence (a non-finite value in the forward pass, the gradients or
     the update, or an exploding loss) aborts the run with a final record
     flagged ``diverged`` instead of raising; its ``error`` says what went
@@ -166,16 +159,14 @@ def train(model, dataset, config, mask=None):
     pc = config.probes
     probe_x, probe_y = x_train[:pc.probe_batch], y_train[:pc.probe_batch]
 
-    policy = SchedulePolicy(config.ghost, config.milestones) if config.ghost else None
+    policy = SchedulePolicy(config.ghost, config.milestones)
 
     if config.lrsi is not None:
         bx = x_train[:min(config.batch_size, n)]
         bt = smooth_labels_batch(y_train[:len(bx)], k_classes, config.ls_alpha)
-        state0 = policy.state_at(0) if policy else None
-        act0, beta0, alpha0 = _ghost_knobs(config, state0)
         # the first-step objective sees the exact epoch-0 network, ghosts included
         scales = rescale.learn_scales(model, (bx, bt), config.lr0, config.lrsi,
-                                      activation=act0, beta=beta0, alpha=alpha0)
+                                      **policy.knobs(0))
         rescale.apply_scales(model, scales)
         model.applied_scales = scales
 
@@ -186,12 +177,10 @@ def train(model, dataset, config, mask=None):
     theta = layout.flatten({n: b.value for n, b in model.blocks.items()})
     velocity = np.zeros(free.size)
     history = []
-    prev_phase = None
 
     for epoch in range(config.epochs):
         lr = lr_at(epoch, config.lr0, config.milestones)
-        state = policy.state_at(epoch) if policy else None
-        act_kind, beta, alpha = _ghost_knobs(config, state)
+        knobs = policy.knobs(epoch)
 
         perm = rng.permutation(n)
         losses, flows = [], []
@@ -202,8 +191,7 @@ def train(model, dataset, config, mask=None):
             targets = smooth_labels_batch(y_train[idx], k_classes, config.ls_alpha)
             bn_before = dict(model.bn_stats)    # put back unless the batch passes its checks
             try:
-                res = model.forward(xb, training=True, activation=act_kind,
-                                    beta=beta, alpha=alpha)
+                res = model.forward(xb, training=True, **knobs)
                 loss = ad.softmax_cross_entropy(res.logits, targets, label="train_loss")
                 val = float(loss.data)
                 if not math.isfinite(val) or val > DIVERGENCE_LOSS:
@@ -232,38 +220,31 @@ def train(model, dataset, config, mask=None):
 
         if error is not None:
             model.bn_stats.update(bn_before)
-            history.append(RunRecord(epoch=epoch, lr=lr, beta=beta, alpha=alpha,
-                                     train_loss=math.nan, test_loss=math.nan,
+            history.append(RunRecord(epoch=epoch, lr=lr, beta=knobs["beta"],
+                                     alpha=knobs["alpha"], train_loss=math.nan, test_loss=math.nan,
                                      test_acc=math.nan, grad_flow=math.nan,
                                      diverged=True,
                                      error=f"{error} at epoch {epoch}, batch {batch}"))
             return history
 
         test_loss, test_acc = evaluate(model, dataset.x_test, dataset.y_test,
-                                       config.batch_size, activation=act_kind,
-                                       beta=beta, alpha=alpha)
-        act_sp = diagnostics.activation_sparsity(model, probe_x, pc.act_eps,
-                                                 activation=act_kind, beta=beta, alpha=alpha)
-
-        swap_dev = None
-        if (state is not None and state.phase == "post_ghost" and prev_phase == "ghost"
-                and config.ghost.soft_neurons and config.ghost.activation == "pswish"):
-            swap_dev = _swap_deviation(model, probe_x, config.ghost.beta_max)
-        prev_phase = state.phase if state else None
+                                       config.batch_size, **knobs)
+        act_sp = diagnostics.activation_sparsity(model, probe_x, pc.act_eps, **knobs)
+        swap_dev = (_swap_deviation(model, probe_x, config.ghost.beta_max)
+                    if epoch == policy.swap_epoch else None)
 
         top_eigs = resids = converged = None
         if pc.enabled and epoch % pc.every == 0:
             onehot = smooth_labels_batch(probe_y, k_classes, 0.0)
-            _, grad_fn, theta0 = diagnostics.probe_functions(
-                model, probe_x, onehot, activation=act_kind, beta=beta, alpha=alpha,
-                layout=layout)
+            _, grad_fn, theta0 = diagnostics.probe_functions(model, probe_x, onehot,
+                                                             layout=layout, **knobs)
             record, _ = diagnostics.top_hessian_eigs(
                 grad_fn, theta0, k=pc.eig_count, iters=pc.power_iters,
                 tol=pc.tol, seed=config.seed * 1000 + epoch)
             top_eigs, resids, converged = record.eigenvalues, record.residuals, record.converged
 
         history.append(RunRecord(
-            epoch=epoch, lr=lr, beta=beta, alpha=alpha,
+            epoch=epoch, lr=lr, beta=knobs["beta"], alpha=knobs["alpha"],
             train_loss=float(np.mean(losses)) if losses else math.nan,
             test_loss=test_loss, test_acc=test_acc,
             grad_flow=float(np.mean(flows)) if flows else math.nan,

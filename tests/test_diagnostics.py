@@ -247,7 +247,7 @@ class TestTapeFreeForwards:
         assert self._outputs(model, x, y, knobs) == plain
 
     @staticmethod
-    def _check_record(cell, pick, arrays_of):
+    def _check_observe(cell, pick, arrays_of):
         """An observer that records ``pick(z, a)`` at each site keeps exactly
         ``arrays_of(node)`` for every activation node (the same objects, not
         copies), and neither a backward nor a later forward changes them."""
@@ -263,13 +263,13 @@ class TestTapeFreeForwards:
         model.forward(x, update_stats=False, grad=False, **knobs)
         assert [a.tobytes() for a in kept] == before
 
-    def test_record_keeps_the_forward_arrays(self, cell):
+    def test_observe_keeps_the_forward_arrays(self, cell):
         """``observe``'s second argument: each activation node's own output."""
-        self._check_record(cell, lambda z, a: a, lambda t: t.data)
+        self._check_observe(cell, lambda z, a: a, lambda t: t.data)
 
-    def test_record_keeps_the_preactivations(self, cell):
+    def test_observe_keeps_the_preactivations(self, cell):
         """``observe``'s first argument: each activation node's own input."""
-        self._check_record(cell, lambda z, a: z, lambda t: t._parents[0].data)
+        self._check_observe(cell, lambda z, a: z, lambda t: t._parents[0].data)
 
 
 class TestPerturbScan:

@@ -136,6 +136,8 @@ class TestEveryTweakValidated:
                      "input_shape": [2]}},
         {"dataset": {"name": "spirals", "n": 80, "classes": 2, "input_shape": [2]}},
         {"model": {"preset": "mlp", "in_shape": [2], "channels": [4], "classes": 2}},
+        {"train": {"epochs": 4, "batch": 16, "milestones": [0, 2], "seed": [0]}},
+        {"train": {"epochs": 4, "batch": 16, "milestones": [-3, 2], "seed": [0]}},
     ], ids=["ghost-policy", "ghost-second-decay-one-milestone", "lrsi-bounds", "lrsi-enabled",
             "probe-power-iters", "probe-batch", "probe-tol", "algo-repeat", "sparsity-repeat",
             "sparsity-same-dir", "tweak-repeat", "seed-repeat", "mask-scope",
@@ -146,7 +148,7 @@ class TestEveryTweakValidated:
             "float-lrsi-iters", "float-eig-count", "string-enabled", "float-epochs",
             "bool-batch", "idx-key-on-spirals", "int-out-dir", "empty-seed-axis",
             "float-milestone", "noise-on-teacher", "input-shape-on-spirals",
-            "channels-on-mlp"])
+            "channels-on-mlp", "ghost-removed-at-epoch-0", "negative-milestone"])
     def test_exit_2_and_no_cell_written(self, tmp_path, overrides):
         path = _config(tmp_path, **{"tweaks": ["baseline", "toolkit"], **overrides})
         with pytest.raises(ConfigError):

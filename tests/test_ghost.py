@@ -95,6 +95,65 @@ class TestPolicies:
                     assert st.alpha == 0.0 and st.beta == math.inf
 
 
+def _reference_knobs(config, state):
+    """The forward's (activation, beta, alpha) from a policy's state, written
+    out apart from ``SchedulePolicy.knobs`` as the reference it must match."""
+    if state is None or config is None:
+        return None, math.inf, 0.0
+    act = config.activation if (config.soft_neurons and state.phase == "ghost") else None
+    beta = state.beta if config.soft_neurons else math.inf
+    alpha = state.alpha if config.skip_gates else 0.0
+    return act, beta, alpha
+
+
+class TestKnobs:
+    """``SchedulePolicy.knobs`` is the one source of the forward's activation,
+    beta and alpha, and ``swap_epoch`` the one rule for the swap probe."""
+
+    @pytest.mark.parametrize("activation", ["pswish", "mish"])
+    @pytest.mark.parametrize("soft,skips", [(True, True), (True, False), (False, True)],
+                             ids=["soft+skips", "soft", "skips"])
+    @pytest.mark.parametrize("policy", ghost.POLICIES)
+    def test_knobs_match_the_state_derivation(self, policy, soft, skips, activation):
+        cfg = ghost.GhostConfig(policy=policy, activation=activation, soft_neurons=soft,
+                                skip_gates=skips, beta0=1.5, beta_max=8.0, alpha0=0.75)
+        milestones = (4, 7)
+        pol = ghost.SchedulePolicy(cfg, milestones)
+        for e in range(milestones[1] + 2):
+            act, beta, alpha = _reference_knobs(cfg, pol.state_at(e))
+            assert pol.knobs(e) == {"activation": act, "beta": beta, "alpha": alpha}, e
+
+    def test_no_ghost_config(self):
+        for milestones in ((), (0,), (3, 5)):
+            pol = ghost.SchedulePolicy(None, milestones)
+            assert pol.swap_epoch is None
+            for e in range(7):
+                assert pol.knobs(e) == {"activation": None, "beta": math.inf, "alpha": 0.0}
+
+    @pytest.mark.parametrize("policy,kw,want", [
+        ("ghost", {}, 3),
+        ("ghost", {"skip_gates": False}, 3),
+        ("abrupt_removal", {}, 3),
+        ("ghost_at_second_decay", {}, 5),
+        ("keep_forever", {}, None),
+        ("ghost", {"activation": "mish"}, None),
+        ("ghost", {"soft_neurons": False}, None),
+    ])
+    def test_swap_epoch(self, policy, kw, want):
+        pol = ghost.SchedulePolicy(ghost.GhostConfig(policy=policy, **kw), (3, 5))
+        assert pol.swap_epoch == want
+
+    @pytest.mark.parametrize("policy", ghost.POLICIES)
+    def test_removal_before_the_first_epoch_rejected(self, policy):
+        """A removal milestone below 1 would leave no epoch with ghosts."""
+        second = policy == "ghost_at_second_decay"
+        for t_end in (0, -3):
+            milestones = (t_end - 1, t_end) if second else (t_end, 4)
+            with pytest.raises(ghost.ConfigError, match=f"remove its ghosts at epoch {t_end},"):
+                ghost.SchedulePolicy(ghost.GhostConfig(policy=policy), milestones)
+        assert ghost.SchedulePolicy(ghost.GhostConfig(policy=policy), (1, 2)).t_end == 1 + second
+
+
 class TestSwapContinuity:
     def test_pswish_to_relu_deviation_bound(self):
         """At beta_max=10 the worst-case gap to relu is ~0.0279 < 0.05."""

@@ -308,7 +308,7 @@ class TestScaleAbsorption:
 
 
 class TestForwardPlumbing:
-    def test_record_activations(self):
+    def test_observe_activations(self):
         """``observe`` is called once per activation site with the site's
         input and output; a soft-neuron forward hands it the pswish pair."""
         model = _tiny_resnet()

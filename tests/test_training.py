@@ -197,6 +197,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             training.TrainConfig(milestones=(), ls_alpha=1.0)
 
+    def test_milestones_not_negative(self):
+        with pytest.raises(ConfigError, match="milestones must be >= 0"):
+            training.TrainConfig(epochs=10, milestones=(-3, 2))
+        training.TrainConfig(epochs=10, milestones=(0, 2))     # no ghosts: lr decays at once
+
 
 def _toy_blobs(n=64, seed=0):
     """Two linearly separable clusters."""
@@ -565,6 +570,23 @@ class TestGhostIntegration:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * site, (peak, site)
+
+    @pytest.mark.parametrize("policy,kw,swap", [
+        ("ghost", {}, 3),
+        ("abrupt_removal", {}, 3),
+        ("ghost_at_second_decay", {}, 5),
+        ("keep_forever", {}, None),
+        ("ghost", {"activation": "mish"}, None),
+        ("ghost", {"soft_neurons": False}, None),
+    ], ids=["ghost", "abrupt", "second-decay", "keep-forever", "mish", "skips-only"])
+    def test_swap_deviation_only_at_the_swap_epoch(self, policy, kw, swap):
+        """The swap probe runs once, at the epoch pswish soft neurons give
+        way to relu, and in no run where that never happens."""
+        history = training.train(_small_mlp(seed=9), _toy_blobs(seed=9),
+                                 self._cfg(policy=policy, **kw))
+        assert len(history) == 6 and not history[-1].diverged
+        assert [r.epoch for r in history if r.swap_deviation is not None] == \
+            ([] if swap is None else [swap])
 
     def test_schedule_columns_follow_policy(self):
         ds = _toy_blobs(seed=10)

@@ -11,6 +11,10 @@ commands then runs in both trees, each with its own ``src/`` on
 ``PYTHONPATH`` and BLAS on one thread:
 
 - ``run`` on the three ``perfbench/workloads.py`` configs at seeds 0 and 1;
+- ``run`` of the ``soft``, ``skips`` and ``soft+skips`` tweaks on mlp/spirals
+  under two more ghost schedules: ``abrupt_removal`` with mish soft neurons,
+  and ``ghost_at_second_decay`` with pswish (whose swap probe runs at the
+  second milestone), each with the spectrum probe on every epoch;
 - ``probe --spectrum --scan --landscape`` on the resnet-probe seed-0
   checkpoint;
 - ``mask`` with all six generators at s in {0.5, 0.9, 0.98} on mlp/spirals
@@ -49,7 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".byteid"
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import RESNET_MODEL, WORKLOADS, make_config  # noqa: E402
+from workloads import MLP_MODEL, RESNET_MODEL, WORKLOADS, make_config  # noqa: E402
 
 SEEDS = (0, 1)
 ALGOS = ("random", "magnitude", "snip", "grasp", "synflow", "lth")
@@ -65,12 +69,24 @@ MASK_CONFIGS = {
                            "input_shape": [1, 8, 8]},
                "mask": {"synflow_iterations": 20, "imp_rounds": 2}, "train": TRAIN},
 }
+GHOST_CONFIGS = {
+    f"ghost-{name}": {"model": MLP_MODEL,
+                      "dataset": {"name": "spirals", "n": 256, "classes": 2, "seed": 0},
+                      "mask": {"algo": "random", "sparsity": 0.9},
+                      "train": {"epochs": 3, "batch": 64, "milestones": [1, 2]},
+                      "probes": {"enabled": True, "every": 1, "power_iters": 5,
+                                 "probe_batch": 64},
+                      "ghost": ghost, "tweaks": ["soft", "skips", "soft+skips"]}
+    for name, ghost in (("abrupt-mish", {"policy": "abrupt_removal", "activation": "mish"}),
+                        ("second-decay", {"policy": "ghost_at_second_decay"}))
+}
 
 
 def write_configs(config_dir):
     """Every config the commands read, as JSON files both trees share."""
     config_dir.mkdir(parents=True)
     configs = {f"{w}-s{s}": make_config(w, s)[0] for w in WORKLOADS for s in SEEDS}
+    configs.update(GHOST_CONFIGS)
     configs.update({f"mask-{name}": cfg for name, cfg in MASK_CONFIGS.items()})
     for name, cfg in configs.items():
         (config_dir / f"{name}.json").write_text(json.dumps(cfg, indent=1))

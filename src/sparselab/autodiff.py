@@ -210,8 +210,10 @@ def matmul(a, b, label=""):
     data = a.data @ b.data
 
     def bw(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _result(data, "matmul", (a, b), bw, label)
 

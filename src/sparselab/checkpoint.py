@@ -64,10 +64,11 @@ def save_blocks(path, blocks):
                 fh.write(arr.astype("<f8").tobytes())
 
 
-def _read_exact(fh, count, what, path):
+def _read_exact(fh, count, what, path, error=CheckpointError):
+    """``count`` bytes of ``fh``, or ``error`` naming ``what`` and where it ends."""
     data = fh.read(count)
     if len(data) != count:
-        raise CheckpointError(f"{path}: truncated {what} at byte offset {fh.tell() - len(data)}")
+        raise error(f"{path}: truncated {what} at byte offset {fh.tell() - len(data)}")
     return data
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sparselab.checkpoint import _read_exact
+
 
 class FormatError(ValueError):
     """Malformed IDX payload."""
@@ -107,30 +109,23 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
-def _read_exact(fh, count, what, path):
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(f"{path}: truncated {what} at byte offset {fh.tell() - len(data)}")
-    return data
-
-
 def _read_idx_images(path):
     with open(path, "rb") as fh:
-        magic, = struct.unpack(">I", _read_exact(fh, 4, "magic", path))
+        magic, = struct.unpack(">I", _read_exact(fh, 4, "magic", path, FormatError))
         if magic != IDX_IMAGES_MAGIC:
             raise FormatError(f"{path}: bad image magic 0x{magic:08x} at byte offset 0")
-        count, rows, cols = struct.unpack(">III", _read_exact(fh, 12, "header", path))
-        raw = _read_exact(fh, count * rows * cols, "pixel payload", path)
+        count, rows, cols = struct.unpack(">III", _read_exact(fh, 12, "header", path, FormatError))
+        raw = _read_exact(fh, count * rows * cols, "pixel payload", path, FormatError)
     return np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, rows, cols)
 
 
 def _read_idx_labels(path):
     with open(path, "rb") as fh:
-        magic, = struct.unpack(">I", _read_exact(fh, 4, "magic", path))
+        magic, = struct.unpack(">I", _read_exact(fh, 4, "magic", path, FormatError))
         if magic != IDX_LABELS_MAGIC:
             raise FormatError(f"{path}: bad label magic 0x{magic:08x} at byte offset 0")
-        count, = struct.unpack(">I", _read_exact(fh, 4, "header", path))
-        raw = _read_exact(fh, count, "label payload", path)
+        count, = struct.unpack(">I", _read_exact(fh, 4, "header", path, FormatError))
+        raw = _read_exact(fh, count, "label payload", path, FormatError)
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 

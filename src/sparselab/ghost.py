@@ -26,7 +26,6 @@ class GhostState:
     beta: float
     alpha: float
     phase: str      # "ghost" | "post_ghost"
-    t_end: int
 
 
 def _fraction(epoch, t_end, shape):
@@ -116,12 +115,12 @@ class SchedulePolicy:
     def state_at(self, epoch):
         c = self.config
         if c.policy == "keep_forever" or (c.policy == "abrupt_removal" and epoch < self.t_end):
-            return GhostState(c.beta0, c.alpha0, "ghost", self.t_end)
+            return GhostState(c.beta0, c.alpha0, "ghost")
         if epoch >= self.t_end:
-            return GhostState(math.inf, 0.0, "post_ghost", self.t_end)
+            return GhostState(math.inf, 0.0, "post_ghost")
         # "ghost" and "ghost_at_second_decay": annealed removal
         return GhostState(beta_at(epoch, self.t_end, c.beta0, c.beta_max, c.schedule),
-                          alpha_at(epoch, self.t_end, c.alpha0, c.schedule), "ghost", self.t_end)
+                          alpha_at(epoch, self.t_end, c.alpha0, c.schedule), "ghost")
 
     def knobs(self, epoch):
         """``Model.forward``'s activation, beta and alpha at ``epoch``: soft

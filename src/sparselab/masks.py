@@ -93,6 +93,13 @@ def _topk_keep(scores, keep_n):
     return flat
 
 
+def _live_arrays(layout, live):
+    """Per-block 0/1 arrays with ones at the flat indices ``live``."""
+    flat = np.zeros(layout.size)
+    flat[live] = 1.0
+    return layout.unflatten(flat)
+
+
 def _scoped_mask(layout, s, scope, keep):
     """The one scope split: "global" ranks all of ``layout`` as one group,
     "layerwise" each block in order; ``keep(lo, hi, keep_n)`` gives the 0/1
@@ -188,6 +195,8 @@ def synflow_mask(model, s, iterations=100):
     replaced by their absolute values and batchnorm bypassed, scores the
     surviving weights by theta ⊙ dR/dtheta (R = sum of outputs), and
     prunes to the exponential density schedule (1-s)^(k/iterations).
+    Only survivors are ranked: every live score is >= 0, so this keeps what
+    ranking all weights with the pruned ones last would, ties in index order.
     The model is never mutated; signs are untouched.
     """
     _check_sparsity(s)
@@ -200,23 +209,26 @@ def synflow_mask(model, s, iterations=100):
     ones = np.ones((1,) + model.in_shape)
     base_abs = {n: np.abs(b.value) for n, b in model.blocks.items()}
     base = layout.flatten(base_abs)
-    live = np.ones(layout.size)
+    values = base.copy()                # |theta| on the survivors, 0.0 on the pruned
+    live = np.arange(layout.size)       # ascending flat indices of the survivors
     density = 1.0 - s
     notes = []
     emptied = set()
     for k in range(1, iterations + 1):
         res = model.forward(ones, training=False, update_stats=False, bn_passthrough=True,
-                            values={**base_abs, **layout.unflatten(base * live)})
+                            values={**base_abs, **layout.unflatten(values)})
         ad.backward(ad.sum_all(res.logits, label="synflow_R"))
-        saliency = base * layout.flatten({n: res.leaves[n].grad for n in layout.names})
-        saliency[live == 0.0] = -1.0     # pruned weights never resurrect
+        grad = layout.flatten({n: res.leaves[n].grad for n in layout.names})
         keep_k = max(_keep_count(layout.size, 1.0 - density ** (k / iterations)), 1)
-        live = _topk_keep(saliency, keep_k)
-        for n, lv in layout.unflatten(live).items():
-            if n not in emptied and not lv.any():
+        kept = _topk_keep(base[live] * grad[live], keep_k) == 1.0
+        values[live[~kept]] = 0.0
+        live = live[kept]
+        counts = np.diff(np.searchsorted(live, layout.offsets))
+        for n, c in zip(layout.names, counts):
+            if c == 0 and n not in emptied:
                 emptied.add(n)
                 notes.append(f"layer {n} fully pruned at iteration {k}")
-    return Mask(layout.unflatten(live), s, notes=tuple(notes))
+    return Mask(_live_arrays(layout, live), s, notes=tuple(notes))
 
 
 def imp_lth(model, dataset, rounds, per_round_rate, train_config):
@@ -238,16 +250,15 @@ def imp_lth(model, dataset, rounds, per_round_rate, train_config):
         raise ValueError("imp_lth: requested rounds prune every weight (sparsity >= 1)")
 
     train_config = replace(train_config, probes=replace(train_config.probes, enabled=False))
-    mask = Mask(layout.unflatten(np.ones(total)), 0.0)
+    live = np.arange(total)             # ascending flat indices of the survivors
     for r in range(1, rounds + 1):
         work = model.clone()
-        apply_mask(work, mask)
+        apply_mask(work, Mask(_live_arrays(layout, live), 1.0 - live.size / total))
         train(work, dataset, train_config)
+        trained = layout.flatten({n: b.value for n, b in work.blocks.items()})
         survivors_r = int(round(total * (1.0 - per_round_rate) ** r))
-        scores = np.abs(layout.flatten({n: b.value for n, b in work.blocks.items()}))
-        scores[layout.flatten(mask.arrays) == 0.0] = -1.0
-        mask = Mask(layout.unflatten(_topk_keep(scores, survivors_r)),
-                    1.0 - survivors_r / total)
+        live = live[np.flatnonzero(_topk_keep(np.abs(trained[live]), survivors_r))]
+    mask = Mask(_live_arrays(layout, live), 1.0 - live.size / total)
     rewound = model.clone()
     apply_mask(rewound, mask)
     return mask, rewound

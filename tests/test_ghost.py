@@ -58,7 +58,7 @@ class TestAlphaSchedule:
 class TestPolicies:
     def test_default_policy_anneals_to_first_milestone(self):
         pol = ghost.SchedulePolicy(ghost.GhostConfig(), (30, 45))
-        assert pol.state_at(0) == ghost.GhostState(1.0, 1.0, "ghost", 30)
+        assert pol.state_at(0) == ghost.GhostState(1.0, 1.0, "ghost")
         st = pol.state_at(30)
         assert st.phase == "post_ghost" and st.alpha == 0.0 and st.beta == math.inf
 

@@ -5,7 +5,7 @@ import pytest
 
 from sparselab import autodiff as ad
 from sparselab import datasets, diagnostics, layers, masks
-from sparselab.training import TrainConfig
+from sparselab.training import TrainConfig, train
 
 
 def _square_net(seed=0):
@@ -302,6 +302,28 @@ class TestSynflowMask:
         mask = masks.synflow_mask(model, 0.5, iterations=1)
         counts = mask.per_layer_survivors()
         assert counts["L00.dense.w"] == 1 and counts["L01.dense.w"] == 0
+        assert mask.notes == ("layer L01.dense.w fully pruned at iteration 1",)
+
+    def test_each_round_keeps_a_subset_of_the_last(self):
+        """The weights a round runs with (the nonzero ``values`` handed to the
+        forward) shrink round by round, and the final mask lies inside the
+        last round's set: a pruned weight never comes back."""
+        model = _mlp(seed=3, hidden=(16, 16))
+        layout = layers.ParamLayout(model.maskable_blocks())
+        rounds = []
+        forward = model.forward
+
+        def spy(x, **kwargs):
+            rounds.append(layout.flatten(kwargs["values"]) != 0.0)
+            return forward(x, **kwargs)
+
+        model.forward = spy
+        mask = masks.synflow_mask(model, 0.95, iterations=12)
+        assert len(rounds) == 12 and rounds[0].all()
+        kept = rounds[1:] + [layout.flatten(mask.arrays) == 1.0]
+        for k, (before, after) in enumerate(zip(rounds, kept), start=1):
+            assert not np.any(after & ~before), k
+            assert after.sum() < before.sum(), k
 
     def test_thin_net_keeps_every_layer_alive(self):
         """4-layer thin linear net at s=0.99: iterative flow keeps >=1 weight
@@ -326,6 +348,106 @@ class TestSynflowMask:
                                        seed=1)
             mask = masks.synflow_mask(model, 0.99)
             assert all(c >= 1 for c in mask.per_layer_survivors().values())
+
+
+def _synflow_reference(model, s, iterations):
+    """The full-vector synflow loop: every round scores all maskable weights,
+    pins the pruned ones at -1 and ranks the whole vector."""
+    layout = layers.ParamLayout(model.maskable_blocks())
+    ones = np.ones((1,) + model.in_shape)
+    base_abs = {n: np.abs(b.value) for n, b in model.blocks.items()}
+    base = layout.flatten(base_abs)
+    live = np.ones(layout.size)
+    density = 1.0 - s
+    notes = []
+    emptied = set()
+    for k in range(1, iterations + 1):
+        res = model.forward(ones, training=False, update_stats=False, bn_passthrough=True,
+                            values={**base_abs, **layout.unflatten(base * live)})
+        ad.backward(ad.sum_all(res.logits, label="synflow_R"))
+        saliency = base * layout.flatten({n: res.leaves[n].grad for n in layout.names})
+        saliency[live == 0.0] = -1.0
+        keep_k = max(masks._keep_count(layout.size, 1.0 - density ** (k / iterations)), 1)
+        live = masks._topk_keep(saliency, keep_k)
+        for n, lv in layout.unflatten(live).items():
+            if n not in emptied and not lv.any():
+                emptied.add(n)
+                notes.append(f"layer {n} fully pruned at iteration {k}")
+    return layout.unflatten(live), tuple(notes)
+
+
+def _imp_reference(model, dataset, rounds, per_round_rate, train_config):
+    """The full-vector lottery-ticket ranking: every round ranks all trained
+    magnitudes with the pruned weights pinned at -1."""
+    layout = layers.ParamLayout(model.maskable_blocks())
+    total = layout.size
+    mask = masks.Mask(layout.unflatten(np.ones(total)), 0.0)
+    for r in range(1, rounds + 1):
+        work = model.clone()
+        masks.apply_mask(work, mask)
+        train(work, dataset, train_config)
+        survivors_r = int(round(total * (1.0 - per_round_rate) ** r))
+        scores = np.abs(layout.flatten({n: b.value for n, b in work.blocks.items()}))
+        scores[layout.flatten(mask.arrays) == 0.0] = -1.0
+        mask = masks.Mask(layout.unflatten(masks._topk_keep(scores, survivors_r)),
+                          1.0 - survivors_r / total)
+    return mask
+
+
+def _assert_same_arrays(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype and got[name].shape == want[name].shape
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestSurvivorRankingOracle:
+    """The pruners rank only their survivors; the masks and notes must match
+    the full-vector rankings byte for byte."""
+
+    @pytest.mark.parametrize("iterations", [1, 7, 100])
+    @pytest.mark.parametrize("s", [0.5, 0.9, 0.98])
+    @pytest.mark.parametrize("spec", [
+        {"preset": "mlp", "in_shape": [2], "hidden": [16, 16, 16], "classes": 2},
+        {"preset": "resnet-tiny", "in_shape": [1, 8, 8], "classes": 2},
+    ], ids=["mlp", "resnet-tiny"])
+    def test_synflow_matches_full_vector(self, spec, s, iterations):
+        model = layers.build_model(spec, seed=5)
+        mask = masks.synflow_mask(model, s, iterations=iterations)
+        arrays, notes = _synflow_reference(model, s, iterations)
+        _assert_same_arrays(mask.arrays, arrays)
+        assert mask.notes == notes
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_synflow_thin_net_matches_full_vector(self, seed):
+        """Criterion 10's thin 6-layer mlp, where 11 of 1,088 weights survive."""
+        spec = {"layers": [{"kind": "dense", "width": 16}] * 5 + [{"kind": "dense", "width": 2}],
+                "in_shape": [2], "classes": 2}
+        model = layers.build_model(spec, seed=seed)
+        mask = masks.synflow_mask(model, 0.99)
+        arrays, notes = _synflow_reference(model, 0.99, 100)
+        _assert_same_arrays(mask.arrays, arrays)
+        assert mask.notes == notes
+
+    def test_synflow_notes_match_when_a_layer_empties(self):
+        """A case whose notes are not empty: one weight kept of a chain."""
+        model = layers.build_model({"layers": [{"kind": "dense", "width": 1}] * 3,
+                                    "in_shape": [1], "classes": 1}, seed=0)
+        mask = masks.synflow_mask(model, 0.6, iterations=3)
+        arrays, notes = _synflow_reference(model, 0.6, 3)
+        _assert_same_arrays(mask.arrays, arrays)
+        assert mask.notes == notes and notes
+
+    @pytest.mark.parametrize("rounds", [2, 3])
+    def test_imp_lth_matches_full_vector(self, rounds):
+        model = layers.build_model({"preset": "mlp", "in_shape": [2], "hidden": [8, 8],
+                                    "classes": 3}, seed=8)
+        ds = datasets.make_synthetic("spirals", 60, 3, noise=0.2, seed=9)
+        cfg = TrainConfig(epochs=2, batch_size=16, lr0=0.05, milestones=(), seed=0)
+        mask, _ = masks.imp_lth(model, ds, rounds, 0.4, cfg)
+        want = _imp_reference(model, ds, rounds, 0.4, cfg)
+        _assert_same_arrays(mask.arrays, want.arrays)
+        assert mask.sparsity == want.sparsity and mask.notes == want.notes
 
 
 class TestImpLth:

@@ -17,9 +17,10 @@ commands then runs in both trees, each with its own ``src/`` on
   second milestone), each with the spectrum probe on every epoch;
 - ``probe --spectrum --scan --landscape`` on the resnet-probe seed-0
   checkpoint;
-- ``mask`` with all six generators at s in {0.5, 0.9, 0.98} on mlp/spirals
-  and resnet-tiny/teacher (the mlp config enables the spectrum probe, which
-  must not change an lth mask);
+- ``mask`` with all six generators at s in {0.5, 0.9, 0.98} on mlp/spirals,
+  resnet-tiny/teacher and the thin 6-layer mlp of acceptance criterion 10 on
+  spirals (the mlp config enables the spectrum probe, which must not change
+  an lth mask; at s = 0.98 the thin net keeps 22 of its 1,088 weights);
 - ``compare --out`` of each workload's seed-0 and seed-1 summaries.
 
 Both trees read the same config files and write to ``.byteid/out/base``
@@ -68,6 +69,11 @@ MASK_CONFIGS = {
                "dataset": {"name": "teacher", "n": 256, "classes": 2, "seed": 0,
                            "input_shape": [1, 8, 8]},
                "mask": {"synflow_iterations": 20, "imp_rounds": 2}, "train": TRAIN},
+    "thin": {"model": {"layers": [{"kind": "dense", "width": 16}] * 5
+                                 + [{"kind": "dense", "width": 2}],
+                       "in_shape": [2], "classes": 2},
+             "dataset": {"name": "spirals", "n": 256, "classes": 2, "seed": 0},
+             "mask": {"synflow_iterations": 20, "imp_rounds": 2}, "train": TRAIN},
 }
 GHOST_CONFIGS = {
     f"ghost-{name}": {"model": MLP_MODEL,

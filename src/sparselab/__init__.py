@@ -4,7 +4,6 @@ from sparselab.autodiff import (
     Tensor,
     backward,
     finite_diff_grad,
-    finite_diff_hessian,
     hvp_complex_step,
     hvp_finite_diff,
 )
@@ -42,7 +41,7 @@ from sparselab.training import (
 )
 
 __all__ = [
-    "Tensor", "backward", "finite_diff_grad", "finite_diff_hessian", "hvp_finite_diff",
+    "Tensor", "backward", "finite_diff_grad", "hvp_finite_diff",
     "hvp_complex_step",
     "Dataset", "make_synthetic", "load_idx_images",
     "ProbeConfig", "activation_sparsity", "avg_gradient_flow", "top_hessian_eigs",

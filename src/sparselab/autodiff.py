@@ -17,13 +17,13 @@ consumed graph cannot be differentiated again: graphs are rebuilt per
 step, and tensors in a graph are never mutated in place.
 
 Also hosts the finite-difference oracles (``finite_diff_grad``,
-``finite_diff_hessian``, ``hvp_finite_diff``) used to verify gradients
-and curvature everywhere else in the package, and ``hvp_complex_step``,
-the exact Hessian-vector product: the gradient evaluated at
-theta + i*h*v, whose imaginary part is h*Hv. complex128 data exists only
-for these complex-step products. Every op keeps a complex128 operand
-(any other dtype becomes float64) and chooses relu's and the sigmoid's
-branch on the real part, so the result is the almost-everywhere Hessian.
+``hvp_finite_diff``) used to verify gradients and curvature everywhere
+else in the package, and ``hvp_complex_step``, the exact Hessian-vector
+product: the gradient evaluated at theta + i*h*v, whose imaginary part is
+h*Hv. complex128 data exists only for these complex-step products. Every
+op keeps a complex128 operand (any other dtype becomes float64) and
+chooses relu's and the sigmoid's branch on the real part, so the result is
+the almost-everywhere Hessian.
 
 Importing this module (and so ``sparselab``) fixes glibc's
 ``M_MMAP_THRESHOLD`` at 32 MiB and ``M_TRIM_THRESHOLD`` at 64 MiB, so the
@@ -158,6 +158,17 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _reuse(buf, op, a, b):
+    """``op(a, b)``, written into ``buf`` when buf's dtype holds the result.
+
+    ``buf`` is an array the caller made and nobody else holds, laid out in
+    memory as a fresh ``op(a, b)`` would be, so each element and each later
+    reduction's reading order keep the bits of the fresh expression. a and
+    b keep their order: numpy's complex products are not bit-commutative.
+    """
+    return op(a, b, out=buf if np.result_type(a, b) == buf.dtype else None)
+
+
 # ---------------------------------------------------------------------------
 # ops
 # ---------------------------------------------------------------------------
@@ -273,6 +284,14 @@ def mish(x, label=""):
     return _result(data, "mish", (x,), bw, label)
 
 
+def _tap_span(k, size, out, stride):
+    """(output slice, input slice) of kernel tap k along one axis: the
+    output positions i whose input k - 1 + stride*i lies inside [0, size)."""
+    lo = 1 if k == 0 else 0
+    hi = min(out, (size - k) // stride + 1)
+    return slice(lo, hi), slice(k - 1 + stride * lo, k - 1 + stride * hi, stride)
+
+
 def conv2d(x, w, b=None, stride=1, label=""):
     """3x3 convolution, zero padding 1, stride 1 or 2, plus an optional bias.
 
@@ -284,13 +303,15 @@ def conv2d(x, w, b=None, stride=1, label=""):
     windows fill one (C_in*9, Ho*Wo*N) ``cols`` matrix; the forward pass is
     one GEMM with w viewed as (C_out, C_in*9), the backward pass one GEMM
     for dw and, only when x needs a gradient, one GEMM for dcols followed
-    by a nine-step col2im scatter. The output is an (N, C_out, Ho, Wo) view
-    of the GEMM result, whose memory order stays (C_out, Ho, Wo, N).
-    The tape keeps only x, w and b: the padded input and ``cols`` (9x the
-    input) are dropped after the forward GEMM, and backward rebuilds them
-    from ``x.data`` with the same window copies, so dw sees bit-identical
-    operands. The bias is added inside the op, so no pre-bias output
-    outlives the forward either.
+    by a nine-step col2im scatter. The scatter adds each tap only at the
+    output positions whose input lies inside the image, straight into an
+    unpadded (C_in, H, W, N) gradient, which x.grad views as (N, C_in, H, W).
+    The output is an (N, C_out, Ho, Wo) view of the GEMM result, whose
+    memory order stays (C_out, Ho, Wo, N), and the bias is added to it in
+    place. The tape keeps only x, w and b: the padded input and ``cols``
+    (9x the input) are dropped after the forward GEMM, and backward rebuilds
+    them from ``x.data`` with the same window copies, so dw sees
+    bit-identical operands.
     """
     x, w = as_tensor(x), as_tensor(w)
     b = None if b is None else as_tensor(b)
@@ -324,7 +345,7 @@ def conv2d(x, w, b=None, stride=1, label=""):
     w2 = w.data.reshape(o, c * 9)
     data = (w2 @ im2col()).reshape(o, ho, wo, n).transpose(3, 0, 1, 2)
     if b is not None:
-        data = data + b.data.reshape(1, o, 1, 1)
+        data = _reuse(data, np.add, data, b.data.reshape(1, o, 1, 1))
 
     def bw(g):
         if b is not None:
@@ -334,11 +355,13 @@ def conv2d(x, w, b=None, stride=1, label=""):
         if not x.requires_grad:
             return
         dcols = (w2.T @ g2).reshape(c, 3, 3, ho, wo, n)
-        dxp = np.zeros((c, h + 2, wd + 2, n), dtype=dcols.dtype)
+        dx = np.zeros((c, h, wd, n), dtype=dcols.dtype)
         for ki in range(3):
+            rows_out, rows_in = _tap_span(ki, h, ho, stride)
             for kj in range(3):
-                dxp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += dcols[:, ki, kj]
-        _accumulate(x, dxp[:, 1:1 + h, 1:1 + wd].transpose(3, 0, 1, 2))
+                cols_out, cols_in = _tap_span(kj, wd, wo, stride)
+                dx[:, rows_in, cols_in] += dcols[:, ki, kj, rows_out, cols_out]
+        _accumulate(x, dx.transpose(3, 0, 1, 2))
 
     return _result(data, "conv2d", (x, w) if b is None else (x, w, b), bw, label)
 
@@ -356,6 +379,18 @@ def _bn_param_shape(x_shape, p, name, label):
     if p.data.shape != (c,):
         raise ShapeError(f"batchnorm[{label}]: {name} shape {p.data.shape} != ({c},)")
     return (1, c) if len(x_shape) == 2 else (1, c, 1, 1)
+
+
+def _bn_xhat(x, mean, inv_std):
+    """(x - mean) * inv_std in one buffer, laid out as x."""
+    centred = x - mean
+    return _reuse(centred, np.multiply, centred, inv_std)
+
+
+def _bn_affine(xhat, gamma, beta, pshape):
+    """gamma * xhat + beta, in xhat's buffer when its dtype holds the result."""
+    out = _reuse(xhat, np.multiply, gamma.data.reshape(pshape), xhat)
+    return _reuse(out, np.add, out, beta.data.reshape(pshape))
 
 
 def batchnorm_train(x, gamma, beta, eps=1e-12, label=""):
@@ -376,16 +411,17 @@ def batchnorm_train(x, gamma, beta, eps=1e-12, label=""):
     pshape = _bn_param_shape(x.data.shape, gamma, "gamma", label)
     _bn_param_shape(x.data.shape, beta, "beta", label)
     mean = x.data.mean(axis=axes, keepdims=True)
-    var = ((x.data - mean) ** 2).mean(axis=axes, keepdims=True)
+    centred = x.data - mean
+    var = (centred ** 2).mean(axis=axes, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    data = gamma.data.reshape(pshape) * xhat + beta.data.reshape(pshape)
+    data = _bn_affine(_reuse(centred, np.multiply, centred, inv_std), gamma, beta, pshape)
 
     def bw(g):
-        # xhat is rebuilt, not kept. It stays a named array: inlined into
-        # g * xhat, numpy may compute the product in place with its operands
-        # swapped, which changes the bits of a complex product.
-        xhat = (x.data - mean) * inv_std
+        # xhat is rebuilt, not kept. g may arrive in (N, C, H, W) order while
+        # x, a conv output, is in (C, H, W, N) order: the products of the
+        # two, g * xhat and dxhat * xhat, stay fresh arrays, laid out by both
+        # operands, so each sum reads them in the order it always has.
+        xhat = _bn_xhat(x.data, mean, inv_std)
         _accumulate(beta, g.sum(axis=axes))
         _accumulate(gamma, (g * xhat).sum(axis=axes))
         dxhat = g * gamma.data.reshape(pshape)
@@ -404,15 +440,16 @@ def batchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-12, label="
     _bn_param_shape(x.data.shape, beta, "beta", label)
     inv_std = 1.0 / np.sqrt(np.asarray(running_var).reshape(pshape) + eps)
     mean = np.asarray(running_mean).reshape(pshape)
-    xhat = (x.data - mean) * inv_std
-    data = gamma.data.reshape(pshape) * xhat + beta.data.reshape(pshape)
+    data = _bn_affine(_bn_xhat(x.data, mean, inv_std), gamma, beta, pshape)
 
     def bw(g):
         axes = _bn_axes(x.data.shape)
-        xhat = (x.data - mean) * inv_std     # rebuilt and named, as in batchnorm_train
+        xhat = _bn_xhat(x.data, mean, inv_std)     # rebuilt, as in batchnorm_train
         _accumulate(beta, g.sum(axis=axes))
         _accumulate(gamma, (g * xhat).sum(axis=axes))
-        _accumulate(x, g * gamma.data.reshape(pshape) * inv_std)
+        del xhat
+        dx = g * gamma.data.reshape(pshape)
+        _accumulate(x, _reuse(dx, np.multiply, dx, inv_std))
 
     return _result(data, "batchnorm", (x, gamma, beta), bw, label)
 
@@ -564,29 +601,6 @@ def finite_diff_grad(scalar_fn, params, h=1e-5):
             raise NumericError(f"finite_diff_grad: non-finite evaluation at coordinate {i}")
         grad[i] = (fp - fm) / (2.0 * h)
     return grad
-
-
-def finite_diff_hessian(scalar_fn, params, h=1e-4):
-    """Dense Hessian by double central differences (independent curvature oracle)."""
-    theta = np.asarray(params, dtype=np.float64).ravel()
-    n = theta.size
-    hess = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        for j in range(i, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            val = (
-                float(scalar_fn(theta + ei + ej))
-                - float(scalar_fn(theta + ei - ej))
-                - float(scalar_fn(theta - ei + ej))
-                + float(scalar_fn(theta - ei - ej))
-            ) / (4.0 * h * h)
-            hess[i, j] = hess[j, i] = val
-    if not np.all(np.isfinite(hess)):
-        raise NumericError("finite_diff_hessian: non-finite evaluation")
-    return hess
 
 
 def hvp_finite_diff(grad_fn, params, v, h=1e-5):

@@ -284,9 +284,6 @@ class Model:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def param_count(self):
-        return sum(b.value.size for b in self.blocks.values())
-
     def maskable_blocks(self):
         return [b for b in self.blocks.values() if b.maskable]
 
@@ -295,17 +292,6 @@ class Model:
                     self.in_shape, self.n_classes)
         out.applied_scales = self.applied_scales
         return out
-
-    @property
-    def ghost_skip_sites(self):
-        """Shape-preserving dense/conv layers and residual sub-blocks, in order."""
-        sites = []
-        for layer in self.layers:
-            if isinstance(layer, _ResidualBlock):
-                sites.extend([f"{layer.name}.ghost1", f"{layer.name}.ghost2"])
-            elif isinstance(layer, (_Dense, _Conv)) and layer.ghost_site:
-                sites.append(layer.name)
-        return sites
 
     def activation_site_names(self):
         names = []

@@ -19,6 +19,8 @@ from sparselab.rescale import LRsIConfig
 from sparselab.diagnostics import ProbeConfig
 from sparselab.training import TrainConfig, smooth_labels_batch
 
+from helpers import finite_diff_hessian
+
 
 def _report(num, desc, ok):
     line = f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'}: {desc}"
@@ -184,7 +186,7 @@ def test_criterion_02_hvp_and_spectrum_oracles():
     t = smooth_labels_batch(np.random.default_rng(4).integers(0, 2, 10), 2, 0.0)
     loss_fn, grad_fn, theta0 = diagnostics.probe_functions(model, x, t)
     assert theta0.size <= 20
-    dense = ad.finite_diff_hessian(loss_fn, theta0, h=1e-4)
+    dense = finite_diff_hessian(loss_fn, theta0, h=1e-4)
     for k in range(3):
         v = np.random.default_rng(20 + k).normal(size=theta0.size)
         worst = max(worst, _rel(ad.hvp_finite_diff(grad_fn, theta0, v), dense @ v))

@@ -17,6 +17,8 @@ from sparselab import autodiff as ad
 from sparselab import diagnostics, layers, masks
 from sparselab.training import sgd_step, smooth_labels_batch
 
+from helpers import finite_diff_hessian
+
 
 def _rel_err(got, want):
     got = np.asarray(got, dtype=np.float64).ravel()
@@ -409,40 +411,81 @@ def _bn_eval_captured(x, gamma, beta, rmean, rvar, g, eps=1e-12):
     return out, g * gamma.reshape(pshape) * inv_std, dgamma, dbeta
 
 
+def _conv2d_padded(x, w, b, g, stride):
+    """conv2d and its gradients as written when the bias was added to a
+    fresh array and the input gradient was scattered into a zero-padded
+    (C_in, H+2, W+2, N) buffer, all nine taps, whose ring was then sliced
+    away: (out, dx, dw, db)."""
+    n, c, h, wd = x.shape
+    o = w.shape[0]
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    xp = np.zeros((c, h + 2, wd + 2, n), dtype=x.dtype)
+    xp[:, 1:1 + h, 1:1 + wd] = x.transpose(1, 2, 3, 0)
+    cols = np.empty((c, 3, 3, ho, wo, n), dtype=x.dtype)
+    for ki in range(3):
+        for kj in range(3):
+            cols[:, ki, kj] = xp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
+    cols = cols.reshape(c * 9, ho * wo * n)
+    w2 = w.reshape(o, c * 9)
+    out = (w2 @ cols).reshape(o, ho, wo, n).transpose(3, 0, 1, 2) + b.reshape(1, o, 1, 1)
+    db = g.sum(axis=0, keepdims=True).sum(axis=2, keepdims=True).sum(axis=3, keepdims=True)
+    g2 = g.transpose(1, 2, 3, 0).reshape(o, ho * wo * n)
+    dw = (g2 @ cols.T).reshape(w.shape)
+    dcols = (w2.T @ g2).reshape(c, 3, 3, ho, wo, n)
+    dxp = np.zeros((c, h + 2, wd + 2, n), dtype=dcols.dtype)
+    for ki in range(3):
+        for kj in range(3):
+            dxp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += dcols[:, ki, kj]
+    return out, dxp[:, 1:1 + h, 1:1 + wd].transpose(3, 0, 1, 2), dw, db.reshape(o)
+
+
+def _draw(rng, shape, dtype):
+    a = rng.normal(size=shape)
+    return a + 1j * rng.normal(scale=0.1, size=shape) if dtype == "complex128" else a
+
+
+def _as_conv_output(a):
+    """``a`` laid out in memory as a conv2d output is, (C, H, W, N)."""
+    return a.transpose(1, 2, 3, 0).copy().transpose(3, 0, 1, 2)
+
+
 class TestRecomputedOpsAreBitIdentical:
-    """batchnorm rebuilds xhat in backward and conv2d adds its bias inside
-    the op; outputs and gradients keep every bit of the formulas that
-    captured xhat and of conv2d followed by a separate bias ``add``.
+    """batchnorm rebuilds xhat in backward and computes in place, and conv2d
+    adds its bias in place and scatters only in-bounds taps; outputs and
+    gradients keep every bit, and the memory order, of the formulas that
+    captured xhat and of conv2d with a fresh bias add and a padded scatter.
 
     complex128 is checked too, because the complex-step products run these
     ops on complex data, and there operand order matters: numpy's complex
     ``a * b`` and ``b * a`` differ in the last bit at about a third of the
     elements, and numpy may evaluate an expression into a temporary in
-    place (only for arrays of 256 KiB or more, so the batch here is that
-    large), which can swap a product's operands."""
+    place (only for arrays of 256 KiB or more), which can swap a product's
+    operands. SHAPES holds one batch above that size and one below it in
+    both dtypes. Layout matters as well: a sum reads its operand in memory
+    order, and the probe's batchnorms see x in a conv output's (C, H, W, N)
+    order and g in the (N, C, H, W) order of global_avg_pool's backward."""
 
     SHAPE = (32, 8, 16, 16)
+    SHAPES = [SHAPE, (64, 32, 2, 2)]
 
-    @staticmethod
-    def _draw(rng, shape, dtype):
-        a = rng.normal(size=shape)
-        return a + 1j * rng.normal(scale=0.1, size=shape) if dtype == "complex128" else a
-
-    def _leaves(self, dtype, seed):
+    def _leaves(self, dtype, seed, shape=SHAPE, layout="nchw"):
         rng = np.random.default_rng(seed)
-        c = self.SHAPE[1]
-        x, g = self._draw(rng, self.SHAPE, dtype), self._draw(rng, self.SHAPE, dtype)
-        gamma, beta = 1.0 + self._draw(rng, c, dtype), self._draw(rng, c, dtype)
-        return rng, x, g, gamma, beta
+        c = shape[1]
+        x, g = _draw(rng, shape, dtype), _draw(rng, shape, dtype)
+        gamma, beta = 1.0 + _draw(rng, c, dtype), _draw(rng, c, dtype)
+        return rng, _as_conv_output(x) if layout == "mixed" else x, g, gamma, beta
 
     @staticmethod
-    def _same(got, want):
+    def _order(a):
+        """Axes longer than 1, from the largest stride to the smallest."""
+        return sorted((ax for ax in range(a.ndim) if a.shape[ax] > 1), key=lambda ax: -a.strides[ax])
+
+    def _same(self, got, want):
         assert got.dtype == want.dtype and got.shape == want.shape
+        assert self._order(got) == self._order(want)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("dtype", ["float64", "complex128"])
-    def test_batchnorm_train(self, dtype):
-        _, x, g, gamma, beta = self._leaves(dtype, 30)
+    def _check_batchnorm_train(self, x, g, gamma, beta):
         leaves = [ad.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
         out, mean, var = ad.batchnorm_train(*leaves)
         out._backward(g)
@@ -451,10 +494,9 @@ class TestRecomputedOpsAreBitIdentical:
         for a, b in zip(got, (want[0], want[1].reshape(-1), want[2].reshape(-1), *want[3:])):
             self._same(a, b)
 
-    @pytest.mark.parametrize("dtype", ["float64", "complex128"])
-    def test_batchnorm_eval(self, dtype):
-        rng, x, g, gamma, beta = self._leaves(dtype, 31)
-        rmean, rvar = rng.normal(size=self.SHAPE[1]), rng.uniform(0.5, 2.0, self.SHAPE[1])
+    def _check_batchnorm_eval(self, rng, x, g, gamma, beta):
+        c = x.shape[1]
+        rmean, rvar = rng.normal(size=c), rng.uniform(0.5, 2.0, c)
         leaves = [ad.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
         out = ad.batchnorm_eval(*leaves, rmean, rvar)
         out._backward(g)
@@ -463,12 +505,67 @@ class TestRecomputedOpsAreBitIdentical:
             self._same(a, b)
 
     @pytest.mark.parametrize("dtype", ["float64", "complex128"])
+    def test_batchnorm_train(self, dtype):
+        _, x, g, gamma, beta = self._leaves(dtype, 30)
+        self._check_batchnorm_train(x, g, gamma, beta)
+
+    @pytest.mark.parametrize("dtype", ["float64", "complex128"])
+    def test_batchnorm_eval(self, dtype):
+        self._check_batchnorm_eval(*self._leaves(dtype, 31))
+
+    @pytest.mark.parametrize("dtype", ["float64", "complex128"])
+    @pytest.mark.parametrize("layout", ["nchw", "mixed"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_batchnorm_train_layouts(self, shape, layout, dtype):
+        _, x, g, gamma, beta = self._leaves(dtype, 35, shape, layout)
+        self._check_batchnorm_train(x, g, gamma, beta)
+
+    @pytest.mark.parametrize("dtype", ["float64", "complex128"])
+    @pytest.mark.parametrize("layout", ["nchw", "mixed"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_batchnorm_eval_layouts(self, shape, layout, dtype):
+        self._check_batchnorm_eval(*self._leaves(dtype, 36, shape, layout))
+
+    def test_batchnorm_float_input_complex_parameters(self):
+        """A batchnorm on the raw input under the complex step gets float64 x
+        and complex gamma and beta: the result cannot go into x's buffer."""
+        rng, x, g, gamma, beta = self._leaves("complex128", 37)
+        self._check_batchnorm_train(x.real.copy(), g, gamma, beta)
+        self._check_batchnorm_eval(rng, x.real.copy(), g, gamma, beta)
+
+    # (N, C_in, C_out, H, W): the two SHAPES, then odd and even sizes down to
+    # 1x1, where every tap but the centre one falls off an edge
+    CONV_SHAPES = [(32, 8, 8, 16, 16), (64, 32, 32, 2, 2), (4, 3, 5, 1, 1), (4, 3, 5, 2, 2),
+                   (4, 3, 5, 7, 7), (4, 3, 5, 6, 5), (4, 2, 3, 1, 4)]
+
+    @pytest.mark.parametrize("dtype", ["float64", "complex128"])
+    @pytest.mark.parametrize("layout", ["nchw", "mixed"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_conv2d_input_gradient(self, shape, stride, layout, dtype):
+        """Output and every gradient equal the padded nine-tap form byte for
+        byte; g holds -0.0 at a quarter of its positions."""
+        n, c, o, h, wd = shape
+        rng = np.random.default_rng(sum(shape) + stride)
+        x = _draw(rng, (n, c, h, wd), dtype)
+        w, b = _draw(rng, (o, c, 3, 3), dtype), _draw(rng, o, dtype)
+        g = _draw(rng, (n, o, (h - 1) // stride + 1, (wd - 1) // stride + 1), dtype)
+        g[rng.random(g.shape) < 0.25] = -0.0
+        if layout == "mixed":
+            x = _as_conv_output(x)
+        leaves = [ad.Tensor(a, requires_grad=True) for a in (x, w, b)]
+        y = ad.conv2d(*leaves, stride=stride)
+        y._backward(g)
+        for a, want in zip((y.data, *(t.grad for t in leaves)), _conv2d_padded(x, w, b, g, stride)):
+            self._same(a, want)
+
+    @pytest.mark.parametrize("dtype", ["float64", "complex128"])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_conv2d_bias(self, dtype, stride):
         rng, x, _, b, _ = self._leaves(dtype, 32 + stride)
-        w = self._draw(rng, (self.SHAPE[1], self.SHAPE[1], 3, 3), dtype)
-        g = self._draw(rng, (self.SHAPE[0], self.SHAPE[1], *(np.array(self.SHAPE[2:]) // stride)),
-                       dtype)
+        w = _draw(rng, (self.SHAPE[1], self.SHAPE[1], 3, 3), dtype)
+        g = _draw(rng, (self.SHAPE[0], self.SHAPE[1], *(np.array(self.SHAPE[2:]) // stride)),
+                  dtype)
         runs = []
         for fused in (True, False):
             leaves = [ad.Tensor(a, requires_grad=True) for a in (x, w, b)]
@@ -482,6 +579,51 @@ class TestRecomputedOpsAreBitIdentical:
             runs.append((y.data, *(t.grad for t in leaves)))
         for a, b in zip(*runs):
             self._same(a, b)
+
+
+class TestOpsLeaveTheirInputs:
+    """conv2d and the batchnorms compute in buffers they made: after forward
+    and backward, every input, the running stats and the incoming gradient
+    keep their bytes."""
+
+    SHAPE = (8, 4, 5, 5)
+
+    @staticmethod
+    def _run(dtype, op):
+        """(arrays handed to op, their bytes beforehand, the leaves)."""
+        rng = np.random.default_rng(40)
+        x = _as_conv_output(_draw(rng, TestOpsLeaveTheirInputs.SHAPE, dtype))
+        c = x.shape[1]
+        g = _draw(rng, x.shape, dtype)
+        if op == "conv2d":
+            arrays = [x, _draw(rng, (c, c, 3, 3), dtype), _draw(rng, c, dtype)]
+        else:
+            arrays = [x, 1.0 + _draw(rng, c, dtype), _draw(rng, c, dtype)]
+        stats = [rng.normal(size=c), rng.uniform(0.5, 2.0, c)] if op == "batchnorm_eval" else []
+        before = [a.tobytes() for a in (*arrays, *stats, g)]
+        leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        if op == "conv2d":
+            out = ad.conv2d(*leaves)
+        elif op == "batchnorm_train":
+            out, _, _ = ad.batchnorm_train(*leaves)
+        else:
+            out = ad.batchnorm_eval(*leaves, *stats)
+        out._backward(g)
+        assert [a.tobytes() for a in (*arrays, *stats, g)] == before
+        assert all(t.data is a for t, a in zip(leaves, arrays))
+        return leaves
+
+    @pytest.mark.parametrize("dtype", ["float64", "complex128"])
+    @pytest.mark.parametrize("op", ["conv2d", "batchnorm_train", "batchnorm_eval"])
+    def test_inputs_keep_their_bytes(self, op, dtype):
+        self._run(dtype, op)
+
+    @pytest.mark.parametrize("dtype", ["float64", "complex128"])
+    def test_conv2d_input_gradient_is_unpadded(self, dtype):
+        """x.grad is a view of a buffer of x's size, not of a padded one."""
+        x = self._run(dtype, "conv2d")[0]
+        base = x.grad if x.grad.base is None else x.grad.base
+        assert base.base is None and base.size == x.data.size
 
 
 class TestTapeFreeForward:
@@ -609,7 +751,7 @@ class TestBackwardConsumesTheGraph:
         assert x.grad.tobytes() == grad.tobytes()
 
     def test_probe_gradient_peak(self):
-        """One eval-mode gradient at batch 128 peaks at 11.4 MB traced; a
+        """One eval-mode gradient at batch 128 peaks at 11.2 MB traced; a
         backward that holds the whole tape until it returns peaks at 22.4 MB."""
         model, x, t = self._resnet_probe(128)
         _, value_and_grad, theta = diagnostics.probe_closures(model, x, t)
@@ -810,7 +952,7 @@ class TestHvp:
             return np.concatenate([t.grad.ravel() for t in leaves])
 
         theta = rng.normal(size=8, scale=0.6)
-        dense = ad.finite_diff_hessian(lambda f: float(loss_fn(f).data), theta, h=1e-4)
+        dense = finite_diff_hessian(lambda f: float(loss_fn(f).data), theta, h=1e-4)
         for k in range(3):
             v = np.random.default_rng(30 + k).normal(size=8)
             got = ad.hvp_finite_diff(grad_fn, theta, v)

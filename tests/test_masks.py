@@ -7,6 +7,8 @@ from sparselab import autodiff as ad
 from sparselab import datasets, diagnostics, layers, masks
 from sparselab.training import TrainConfig, train
 
+from helpers import finite_diff_hessian, param_count
+
 
 def _square_net(seed=0):
     """Single 10x10 dense layer: exactly 100 maskable weights."""
@@ -218,7 +220,7 @@ class TestGraspMask:
 
         theta0 = np.concatenate([b.value.ravel() for b in blocks])
         got = masks.grasp_saliency(grad_fn, theta0)
-        dense = ad.finite_diff_hessian(loss_fn, theta0, h=1e-4)
+        dense = finite_diff_hessian(loss_fn, theta0, h=1e-4)
         want = theta0 * (dense @ grad_fn(theta0))
         assert np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12) <= 1e-3
 
@@ -258,7 +260,7 @@ class TestGraspMask:
                                                {"kind": "activation", "activation": "pswish"},
                                                {"kind": "dense", "width": 2}],
                                     "in_shape": [2], "classes": 2}, seed=8)
-        assert model.param_count() <= 20
+        assert param_count(model) <= 20
         masks.apply_mask(model, masks.random_mask(model, 0.4, seed=9))
         x, y = _batch(model, n=8, seed=10)
         from sparselab.training import smooth_labels_batch
@@ -272,7 +274,7 @@ class TestGraspMask:
 
         theta_f = layout.free({b.name: b.value for b in model.maskable_blocks()})
         g_f = ad.finite_diff_grad(loss_fn, theta_f)
-        want = theta_f * (ad.finite_diff_hessian(loss_fn, theta_f) @ g_f)
+        want = theta_f * (finite_diff_hessian(loss_fn, theta_f) @ g_f)
 
         seen = []
         rank = masks._rank_mask

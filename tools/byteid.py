@@ -15,6 +15,10 @@ commands then runs in both trees, each with its own ``src/`` on
   under two more ghost schedules: ``abrupt_removal`` with mish soft neurons,
   and ``ghost_at_second_decay`` with pswish (whose swap probe runs at the
   second milestone), each with the spectrum probe on every epoch;
+- ``run`` of the ``baseline`` and ``toolkit`` tweaks on resnet-tiny with
+  random and GraSP masks at s = 0.9, on a 7x7 teacher input whose stride-2
+  convolutions lose taps off an odd edge, with the spectrum probe on every
+  epoch;
 - ``probe --spectrum --scan --landscape`` on the resnet-probe seed-0
   checkpoint;
 - ``mask`` with all six generators at s in {0.5, 0.9, 0.98} on mlp/spirals,
@@ -86,6 +90,15 @@ GHOST_CONFIGS = {
     for name, ghost in (("abrupt-mish", {"policy": "abrupt_removal", "activation": "mish"}),
                         ("second-decay", {"policy": "ghost_at_second_decay"}))
 }
+# resnet-tiny on a 7x7 input (7 -> 4 -> 2, so stride-2 taps fall off an odd
+# edge), with the toolkit's ghosts and the spectrum probe every epoch
+GHOST_CONFIGS["ghost-resnet-probe"] = {
+    "model": {**RESNET_MODEL, "in_shape": [1, 7, 7]},
+    "dataset": {"name": "teacher", "n": 128, "classes": 2, "seed": 0, "input_shape": [1, 7, 7]},
+    "mask": {"algo": ["random", "grasp"], "sparsity": 0.9},
+    "train": {"epochs": 2, "batch": 32, "milestones": [1]},
+    "probes": {"enabled": True, "every": 1, "power_iters": 5, "probe_batch": 32},
+    "lrsi": {"iters": 1}, "tweaks": ["baseline", "toolkit"]}
 
 
 def write_configs(config_dir):

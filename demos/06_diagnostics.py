@@ -27,7 +27,7 @@ swish_sp = diagnostics.activation_sparsity(model, x, 1e-6, activation="pswish", 
 for name, r, s in zip(model.activation_site_names(), relu_sp, swish_sp):
     print(f"  {name:32s} relu={r:6.3f}  swish={s:8.6f}")
 
-res = model.forward(x, training=True, update_stats=False)
+res = model.forward(x, training=True)
 loss = ad.softmax_cross_entropy(res.logits, targets)
 ad.backward(loss)
 grads = {b.name: res.leaves[b.name].grad for b in model.maskable_blocks()}

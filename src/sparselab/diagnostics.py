@@ -67,7 +67,7 @@ def activation_sparsity(model, x, eps=1e-6, **forward_kwargs):
     if not eps > 0:
         raise ValueError("activation_sparsity: eps must be positive")
     sparsity = []
-    model.forward(x, update_stats=False, grad=False, **forward_kwargs,
+    model.forward(x, grad=False, **forward_kwargs,
                   observe=lambda z, a: sparsity.append(float((np.abs(a) < eps).mean())))
     return np.array(sparsity)
 
@@ -104,8 +104,7 @@ def probe_closures(model, x, targets, *, layout=None, values=None, **forward_kwa
     The one loss-and-gradient closure of the probes, SNIP, GraSP and LRsI.
     A complex128 point (see ``autodiff.hvp_complex_step``) gives a complex
     gradient and the loss's real part. ``loss_fn``'s forward builds no
-    tape. The forward pass never updates running stats and parameter
-    overrides keep the model itself untouched.
+    tape. The model itself is never written.
     """
     if len(x) == 0:
         raise ValueError("probe_closures: batch must be non-empty")
@@ -117,8 +116,7 @@ def probe_closures(model, x, targets, *, layout=None, values=None, **forward_kwa
     y = np.asarray(targets, dtype=np.float64)
 
     def run(vec, grad):
-        res = model.forward(x, update_stats=False, values=layout.from_free(vec), grad=grad,
-                            **forward_kwargs)
+        res = model.forward(x, values=layout.from_free(vec), grad=grad, **forward_kwargs)
         return res, ad.softmax_cross_entropy(res.logits, y, label="probe_loss")
 
     def loss_fn(vec):

@@ -24,7 +24,7 @@ import numpy as np
 from sparselab import checkpoint, datasets, masks, training
 from sparselab.diagnostics import ProbeConfig
 from sparselab.ghost import ConfigError, GhostConfig
-from sparselab.layers import MODEL_KEYS, build_model
+from sparselab.layers import build_model
 from sparselab.rescale import LRsIConfig
 from sparselab.training import TrainConfig
 
@@ -92,7 +92,6 @@ _TABLES = {
     "lrsi": _fields_table(LRsIConfig, ()),
     "probes": _fields_table(ProbeConfig, ()),
 }
-_SCHEMA = {"model": set(MODEL_KEYS), **{s: set(table) for s, table in _TABLES.items()}}
 # the whole config: each section goes through its table, "model" to build_model
 _CONFIG = {"tweaks": ("tweaks", _axis(_STR, str)), "out_dir": ("out_dir", _STR),
            "model": ("model", lambda key, v: v),

@@ -118,9 +118,8 @@ class ForwardContext:
     activation: str | None = None   # runtime replacement for relu sites
     beta: float = 1.0
     alpha: float = 0.0
-    update_stats: bool = False
     bn_passthrough: bool = False    # skip batchnorm entirely (synflow scoring)
-    stats: dict = field(default_factory=dict)   # bn name -> (running_mean, running_var)
+    stats: dict = field(default_factory=dict)   # this forward's copy: bn name -> (mean, var)
     observe: object = None          # observe(input, output) at each activation site
 
 
@@ -128,6 +127,7 @@ class ForwardContext:
 class ForwardResult:
     logits: ad.Tensor
     leaves: dict
+    stats: dict     # bn name -> (running_mean, running_var) after this forward
 
 
 def _apply_activation(t, kind, ctx, label):
@@ -190,8 +190,7 @@ class _BatchNorm:
         out, mean, var = batchnorm_forward(x, P[self.g], P[self.b],
                                            "train" if ctx.training else "eval",
                                            *ctx.stats[self.name], label=self.name)
-        if ctx.update_stats:
-            ctx.stats[self.name] = (mean, var)
+        ctx.stats[self.name] = (mean, var)    # eval mode writes back the same arrays
         return out
 
 
@@ -258,29 +257,28 @@ class Model:
     # -- forward ------------------------------------------------------------
 
     def forward(self, x, *, training=False, activation=None, beta=1.0, alpha=0.0,
-                update_stats=None, observe=None, bn_passthrough=False, values=None,
-                grad=True):
-        """Run the network on a batch.
+                observe=None, bn_passthrough=False, values=None, grad=True):
+        """Run the network on a batch; the model itself is never written.
 
         ``activation`` replaces every relu site at runtime ("ghost soft
         neurons"); ``alpha`` gates the ghost skip additions; ``values``
-        optionally overrides parameter arrays without touching the model.
-        ``grad=False`` makes the parameter leaves constants, so the forward
-        records no tape and ``backward`` on its loss raises. ``observe(z, a)``
-        is called at each activation site in order with its input and output:
-        the forward's own arrays, not copies, which it must not write to.
+        optionally overrides parameter arrays. ``grad=False`` makes the
+        parameter leaves constants, so the forward records no tape and
+        ``backward`` on its loss raises. ``observe(z, a)`` is called at each
+        activation site in order with its input and output: the forward's
+        own arrays, not copies, which it must not write to. The result's
+        ``stats`` is a new dict of the running statistics after this forward
+        (train mode folds its batch in), for the caller to commit or drop.
         """
-        if update_stats is None:
-            update_stats = training
         ctx = ForwardContext(training=training, activation=activation, beta=beta,
-                             alpha=alpha, update_stats=update_stats, observe=observe,
-                             bn_passthrough=bn_passthrough, stats=self.bn_stats)
+                             alpha=alpha, observe=observe, bn_passthrough=bn_passthrough,
+                             stats=dict(self.bn_stats))
         P = {n: ad.Tensor((values or {}).get(n, b.value), requires_grad=grad, name=n)
              for n, b in self.blocks.items()}
         t = ad.Tensor(x)
         for layer in self.layers:
             t = layer.forward(t, ctx, P)
-        return ForwardResult(logits=t, leaves=P)
+        return ForwardResult(logits=t, leaves=P, stats=ctx.stats)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -471,6 +469,8 @@ def build_model(spec, seed=0):
 
     if shape != (n_classes,):
         raise BuildError(f"network output shape {shape} does not match classes {n_classes}")
+    if not any(b.maskable for b in blocks.values()):
+        raise BuildError("network has no dense or conv layer to mask")
     return Model(layers, blocks, bn_stats, in_shape, n_classes)
 
 

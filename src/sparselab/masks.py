@@ -215,7 +215,7 @@ def synflow_mask(model, s, iterations=100):
     notes = []
     emptied = set()
     for k in range(1, iterations + 1):
-        res = model.forward(ones, training=False, update_stats=False, bn_passthrough=True,
+        res = model.forward(ones, training=False, bn_passthrough=True,
                             values={**base_abs, **layout.unflatten(values)})
         ad.backward(ad.sum_all(res.logits, label="synflow_R"))
         grad = layout.flatten({n: res.leaves[n].grad for n in layout.names})

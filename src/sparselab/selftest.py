@@ -125,11 +125,11 @@ def _check_bn_scale_absorption():
     model = layers.build_model({"preset": "resnet-tiny", "in_shape": [1, 8, 8],
                                 "classes": 2}, seed=6)
     x = np.random.default_rng(7).normal(size=(4, 1, 8, 8))
-    base = model.forward(x, training=True, update_stats=False, grad=False).logits.data
+    base = model.forward(x, training=True, grad=False).logits.data
     scaled = model.clone()
     scaled.blocks["L00.conv3x3.w"].value *= 3.0
     scaled.blocks["L00.conv3x3.b"].value *= 3.0
-    got = scaled.forward(x, training=True, update_stats=False, grad=False).logits.data
+    got = scaled.forward(x, training=True, grad=False).logits.data
     return float(np.abs(got - base).max()) <= 1e-9
 
 

@@ -46,6 +46,8 @@ class TrainConfig:
     probes: ProbeConfig | None = None      # None: ProbeConfig's defaults
 
     def __post_init__(self):
+        if not self.epochs >= 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         ms = tuple(int(m) for m in self.milestones)
         if any(m < 0 for m in ms):
             raise ConfigError(f"milestones must be >= 0, got {ms}")
@@ -144,8 +146,8 @@ def train(model, dataset, config, mask=None):
     Divergence (a non-finite value in the forward pass, the gradients or
     the update, or an exploding loss) aborts the run with a final record
     flagged ``diverged`` instead of raising; its ``error`` says what went
-    wrong, at which epoch and batch. The diverging batch changes neither
-    the parameters nor the batchnorm running statistics.
+    wrong, at which epoch and batch. A batch's parameters and batchnorm
+    statistics are committed together after its last check, or not at all.
     """
     if mask is not None:
         from sparselab.masks import apply_mask
@@ -189,7 +191,6 @@ def train(model, dataset, config, mask=None):
             idx = perm[start:start + config.batch_size]
             xb = x_train[idx]
             targets = smooth_labels_batch(y_train[idx], k_classes, config.ls_alpha)
-            bn_before = dict(model.bn_stats)    # put back unless the batch passes its checks
             try:
                 res = model.forward(xb, training=True, **knobs)
                 loss = ad.softmax_cross_entropy(res.logits, targets, label="train_loss")
@@ -201,9 +202,8 @@ def train(model, dataset, config, mask=None):
                 grads = {name: res.leaves[name].grad for name in masks_by_name}
                 flows.append(diagnostics.avg_gradient_flow(grads, masks_by_name))
                 grad = layout.flatten({n: leaf.grad for n, leaf in res.leaves.items()})
-                if not np.all(np.isfinite(grad)):     # the first bad coordinate's block
-                    bad = np.searchsorted(layout.offsets, np.argmin(np.isfinite(grad)), "right")
-                    error = f"sgd_step: non-finite gradient for block {layout.names[bad - 1]}"
+                if not np.all(np.isfinite(grad)):
+                    error = f"sgd_step: non-finite gradient for block {_bad_block(layout, grad)}"
                     break
                 grad = grad[free]   # the finite check read it all; drop the full copy now
                 stepped, velocity = sgd_step(theta[free], grad, velocity, lr,
@@ -211,15 +211,18 @@ def train(model, dataset, config, mask=None):
                 del grad        # not held through the next forward and backward
                 theta = theta.copy()    # masked bytes kept as apply_mask left them (-0.0 too)
                 theta[free] = stepped
+                if not np.all(np.isfinite(stepped)):
+                    error = f"sgd_step: non-finite update for block {_bad_block(layout, theta)}"
+                    break
                 for name, value in layout.unflatten(theta).items():   # rebind: graphs keep theirs
                     model.blocks[name].value = value
+                model.bn_stats.update(res.stats)    # with the blocks, after every check
             except ad.NumericError as exc:
                 error = str(exc)
                 break
             losses.append(val)
 
         if error is not None:
-            model.bn_stats.update(bn_before)
             history.append(RunRecord(epoch=epoch, lr=lr, beta=knobs["beta"],
                                      alpha=knobs["alpha"], train_loss=math.nan, test_loss=math.nan,
                                      test_acc=math.nan, grad_flow=math.nan,
@@ -252,6 +255,11 @@ def train(model, dataset, config, mask=None):
             eig_converged=converged, swap_deviation=swap_dev,
         ))
     return history
+
+
+def _bad_block(layout, flat):
+    """The name of the block that holds ``flat``'s first non-finite coordinate."""
+    return layout.names[np.searchsorted(layout.offsets, np.argmin(np.isfinite(flat)), "right") - 1]
 
 
 def _swap_deviation(model, x, beta_max):

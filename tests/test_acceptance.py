@@ -299,7 +299,7 @@ def test_criterion_05_bn_scale_absorption():
     model = layers.build_model({"preset": "resnet-tiny", "in_shape": [1, 8, 8],
                                 "classes": 3}, seed=5)
     x = np.random.default_rng(5).normal(size=(8, 1, 8, 8))
-    base = model.forward(x, training=True, update_stats=False).logits.data
+    base = model.forward(x, training=True).logits.data
     bn_preceded = [n[:-2] for n in model.blocks if n.endswith(".w") and "conv" in n]
     worst = 0.0
     for group in bn_preceded:
@@ -307,7 +307,7 @@ def test_criterion_05_bn_scale_absorption():
             scaled = model.clone()
             scaled.blocks[f"{group}.w"].value *= c
             scaled.blocks[f"{group}.b"].value *= c
-            got = scaled.forward(x, training=True, update_stats=False).logits.data
+            got = scaled.forward(x, training=True).logits.data
             worst = max(worst, float(np.abs(got - base).max()))
     _report(5, f"scale absorption over {len(bn_preceded)} conv blocks x 3 factors, "
                f"worst dev {worst:.2e}", worst <= 1e-9)

@@ -716,7 +716,7 @@ class TestBackwardFreesIntermediates:
         layout = layers.ParamLayout(model.blocks.values())
 
         def build(flat):
-            res = model.forward(x, training=True, update_stats=False, activation="mish",
+            res = model.forward(x, training=True, activation="mish",
                                 values=layout.unflatten(flat))
             loss = ad.softmax_cross_entropy(res.logits, targets)
             return loss, [res.leaves[n] for n in layout.names]
@@ -768,7 +768,7 @@ class TestBackwardConsumesTheGraph:
         """The last batchnorm's output is freed before the first conv's
         closure runs, not when backward returns."""
         model, x, t = self._resnet_probe(16)
-        res = model.forward(x, update_stats=False)
+        res = model.forward(x)
         loss = ad.softmax_cross_entropy(res.logits, t)
         nodes = ad.topo_order(loss)
         first_conv = next(n for n in nodes if n.op == "conv2d")

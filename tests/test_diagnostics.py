@@ -253,14 +253,14 @@ class TestTapeFreeForwards:
         copies), and neither a backward nor a later forward changes them."""
         model, x, y, knobs = cell
         kept = []
-        res = model.forward(x, update_stats=False, observe=lambda z, a: kept.append(pick(z, a)),
+        res = model.forward(x, observe=lambda z, a: kept.append(pick(z, a)),
                             **knobs)
         nodes = [t for t in ad.topo_order(res.logits) if t.op in ("relu", "pswish")]
         assert len(nodes) == len(kept) == len(model.activation_site_names())
         assert {id(a) for a in kept} == {id(arrays_of(t)) for t in nodes}
         before = [a.tobytes() for a in kept]
         ad.backward(ad.softmax_cross_entropy(res.logits, smooth_labels_batch(y, 3, 0.0)))
-        model.forward(x, update_stats=False, grad=False, **knobs)
+        model.forward(x, grad=False, **knobs)
         assert [a.tobytes() for a in kept] == before
 
     def test_observe_keeps_the_forward_arrays(self, cell):

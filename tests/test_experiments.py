@@ -15,6 +15,10 @@ import pytest
 import sparselab
 from sparselab import cli, datasets, diagnostics, experiments
 from sparselab.ghost import ConfigError
+from sparselab.layers import MODEL_KEYS
+
+# every key a config section accepts: build_model's, then each section's table
+SCHEMA = {"model": set(MODEL_KEYS), **{s: set(t) for s, t in experiments._TABLES.items()}}
 
 
 def _config(tmp_path, **overrides):
@@ -138,6 +142,9 @@ class TestEveryTweakValidated:
         {"model": {"preset": "mlp", "in_shape": [2], "channels": [4], "classes": 2}},
         {"train": {"epochs": 4, "batch": 16, "milestones": [0, 2], "seed": [0]}},
         {"train": {"epochs": 4, "batch": 16, "milestones": [-3, 2], "seed": [0]}},
+        {"train": {"epochs": -3, "batch": 16, "milestones": [], "seed": [0]},
+         "tweaks": ["baseline"]},
+        {"model": {"layers": [{"kind": "activation"}], "in_shape": [2], "classes": 2}},
     ], ids=["ghost-policy", "ghost-second-decay-one-milestone", "lrsi-bounds", "lrsi-enabled",
             "probe-power-iters", "probe-batch", "probe-tol", "algo-repeat", "sparsity-repeat",
             "sparsity-same-dir", "tweak-repeat", "seed-repeat", "mask-scope",
@@ -148,7 +155,8 @@ class TestEveryTweakValidated:
             "float-lrsi-iters", "float-eig-count", "string-enabled", "float-epochs",
             "bool-batch", "idx-key-on-spirals", "int-out-dir", "empty-seed-axis",
             "float-milestone", "noise-on-teacher", "input-shape-on-spirals",
-            "channels-on-mlp", "ghost-removed-at-epoch-0", "negative-milestone"])
+            "channels-on-mlp", "ghost-removed-at-epoch-0", "negative-milestone",
+            "negative-epochs", "no-maskable-layer"])
     def test_exit_2_and_no_cell_written(self, tmp_path, overrides):
         path = _config(tmp_path, **{"tweaks": ["baseline", "toolkit"], **overrides})
         with pytest.raises(ConfigError):
@@ -162,10 +170,9 @@ class TestSchema:
         """Each dataclass-backed section accepts exactly its dataclass's
         fields; the ghost tweak tokens set soft_neurons and skip_gates."""
         names = lambda cls: {f.name for f in dataclasses.fields(cls)}
-        assert experiments._SCHEMA["lrsi"] == names(sparselab.LRsIConfig)
-        assert experiments._SCHEMA["probes"] == names(sparselab.ProbeConfig)
-        assert experiments._SCHEMA["ghost"] == (names(sparselab.GhostConfig)
-                                               - {"soft_neurons", "skip_gates"})
+        assert SCHEMA["lrsi"] == names(sparselab.LRsIConfig)
+        assert SCHEMA["probes"] == names(sparselab.ProbeConfig)
+        assert SCHEMA["ghost"] == names(sparselab.GhostConfig) - {"soft_neurons", "skip_gates"}
 
     def test_unset_train_keys_take_train_config_defaults(self, tmp_path):
         cfg = experiments.load_config(_config(tmp_path, train={"seed": 3}))
@@ -212,8 +219,8 @@ class TestSchema:
     }
 
     def test_every_key_has_a_wrong_typed_case(self):
-        assert set(self.WRONG_TYPED) == {(section, key) for section, keys
-                                         in experiments._SCHEMA.items() for key in keys}
+        assert set(self.WRONG_TYPED) == {(section, key) for section, keys in SCHEMA.items()
+                                         for key in keys}
 
     @pytest.mark.parametrize("section, key", sorted(WRONG_TYPED))
     def test_wrong_type_exits_2_before_any_run(self, tmp_path, section, key):

@@ -102,20 +102,38 @@ class TestBatchNorm:
                                  label="L01.batchnorm")
 
     def test_model_layers_share_the_contract_helper(self):
-        """A model's train-mode forward folds its batch statistics into the
-        running stats exactly as batchnorm_forward does."""
+        """A model's train-mode forward returns its batch statistics folded
+        into the running stats exactly as batchnorm_forward does."""
         model = _tiny_resnet()
         x = np.random.default_rng(5).normal(size=(4, 1, 8, 8))
-        before = dict(model.bn_stats)
-        model.forward(x, training=True)
+        res = model.forward(x, training=True)
         stem = model.layers[0].forward(ad.Tensor(x), ly.ForwardContext(),
                                        {n: ad.Tensor(b.value) for n, b in model.blocks.items()})
         name = model.layers[1].name
         _, rm, rv = ly.batchnorm_forward(stem, ad.Tensor(model.blocks[f"{name}.g"].value),
                                          ad.Tensor(model.blocks[f"{name}.b"].value), "train",
-                                         *before[name])
-        assert model.bn_stats[name][0].tobytes() == rm.tobytes()
-        assert model.bn_stats[name][1].tobytes() == rv.tobytes()
+                                         *model.bn_stats[name])
+        assert res.stats[name][0].tobytes() == rm.tobytes()
+        assert res.stats[name][1].tobytes() == rv.tobytes()
+        assert not np.array_equal(rm, model.bn_stats[name][0])    # the fold moved them
+
+    def test_forward_leaves_running_stats_unchanged(self):
+        """No forward writes the model: a train-mode forward returns its
+        statistics as ``res.stats`` and leaves ``bn_stats``, the dict and
+        the bytes of every array, as they were; eval mode returns them as is."""
+        model = _tiny_resnet()
+        x = np.random.default_rng(9).normal(size=(4, 1, 8, 8))
+        model.bn_stats = {n: (m + 0.5, v * 2.0) for n, (m, v) in model.bn_stats.items()}
+        before = dict(model.bn_stats)
+        raw = {n: (m.tobytes(), v.tobytes()) for n, (m, v) in before.items()}
+        same = lambda stats: (stats.keys() == before.keys() and
+                              all(stats[n][i] is before[n][i] for n in before for i in (0, 1)))
+        res = model.forward(x, training=True)
+        assert same(model.bn_stats) and res.stats is not model.bn_stats
+        assert {n: (m.tobytes(), v.tobytes()) for n, (m, v) in model.bn_stats.items()} == raw
+        assert res.stats.keys() == before.keys()
+        assert all(res.stats[n][i] is not before[n][i] for n in before for i in (0, 1))
+        assert same(model.forward(x).stats)
 
 
 def _tiny_resnet(seed=0, in_shape=(1, 8, 8), classes=3):
@@ -266,8 +284,13 @@ class TestBuildModel:
          "width must be int"),
         ({"layers": [{"kind": "residual_block", "width": 1, "has_native_skip": 1}, *CONV[1:]],
           "in_shape": [1, 4, 4], "classes": 2}, "has_native_skip must be bool"),
+        ({"layers": [{"kind": "activation"}], "in_shape": [2], "classes": 2},
+         "no dense or conv layer"),
+        ({"layers": [{"kind": "batchnorm"}, {"kind": "global_pool"}], "in_shape": [2, 3, 3],
+          "classes": 2}, "no dense or conv layer"),
     ], ids=["preset-and-layers", "channels-on-mlp", "hidden-on-resnet", "hidden-on-layers",
-            "bool-stride", "float-width", "bool-width", "int-native-skip"])
+            "bool-stride", "float-width", "bool-width", "int-native-skip",
+            "activation-only", "nothing-to-mask"])
     def test_rejects_what_it_would_ignore_or_misread(self, spec, match):
         with pytest.raises(ly.BuildError, match=match):
             ly.build_model(spec)
@@ -287,11 +310,11 @@ class TestScaleAbsorption:
     def test_conv_into_bn(self, c):
         model = _tiny_resnet(seed=9)
         x = np.random.default_rng(10).normal(size=(4, 1, 8, 8))
-        base = model.forward(x, training=True, update_stats=False).logits.data
+        base = model.forward(x, training=True).logits.data
         scaled = model.clone()
         for suffix in (".w", ".b"):
             scaled.blocks["L00.conv3x3" + suffix].value *= c
-        got = scaled.forward(x, training=True, update_stats=False).logits.data
+        got = scaled.forward(x, training=True).logits.data
         assert np.abs(got - base).max() <= 1e-9
 
     @pytest.mark.parametrize("c", [0.1, 3.0, 10.0])
@@ -301,11 +324,11 @@ class TestScaleAbsorption:
                 "in_shape": [5], "classes": 2}
         model = ly.build_model(spec, seed=11)
         x = np.random.default_rng(12).normal(size=(6, 5))
-        base = model.forward(x, training=True, update_stats=False).logits.data
+        base = model.forward(x, training=True).logits.data
         scaled = model.clone()
         for suffix in (".w", ".b"):
             scaled.blocks["L00.dense" + suffix].value *= c
-        got = scaled.forward(x, training=True, update_stats=False).logits.data
+        got = scaled.forward(x, training=True).logits.data
         assert np.abs(got - base).max() <= 1e-9
 
 

@@ -149,7 +149,7 @@ class TestSnipMask:
                 n = b.value.size
                 values[b.name] = flat[ofs:ofs + n].reshape(b.value.shape)
                 ofs += n
-            res = model.forward(x, training=True, update_stats=False, values=values)
+            res = model.forward(x, training=True, values=values)
             return float(ad.softmax_cross_entropy(res.logits, targets).data)
 
         theta0 = np.concatenate([b.value.ravel() for b in blocks])
@@ -241,7 +241,7 @@ class TestGraspMask:
 
         def signs(vec):
             seen = []
-            model.forward(x, training=True, update_stats=False, values=layout.from_free(vec),
+            model.forward(x, training=True, values=layout.from_free(vec),
                           observe=lambda z, _: seen.append(np.sign(z).ravel()))
             return np.concatenate(seen)
 
@@ -268,7 +268,7 @@ class TestGraspMask:
         layout = layers.ParamLayout(model.maskable_blocks())
 
         def loss_fn(free):
-            res = model.forward(x, training=True, update_stats=False,
+            res = model.forward(x, training=True,
                                 values=layout.from_free(free))
             return float(ad.softmax_cross_entropy(res.logits, targets).data)
 
@@ -364,7 +364,7 @@ def _synflow_reference(model, s, iterations):
     notes = []
     emptied = set()
     for k in range(1, iterations + 1):
-        res = model.forward(ones, training=False, update_stats=False, bn_passthrough=True,
+        res = model.forward(ones, training=False, bn_passthrough=True,
                             values={**base_abs, **layout.unflatten(base * live)})
         ad.backward(ad.sum_all(res.logits, label="synflow_R"))
         saliency = base * layout.flatten({n: res.leaves[n].grad for n in layout.names})

@@ -25,7 +25,7 @@ class TestFirstStepLoss:
         model = _mlp()
         x, t = _batch(model)
         base = float(ad.softmax_cross_entropy(
-            model.forward(x, training=True, update_stats=False).logits, t).data)
+            model.forward(x, training=True).logits, t).data)
         got = rescale.first_step_loss(model, (x, t), lr=0.0)
         np.testing.assert_allclose(got, base, rtol=0, atol=1e-15)
 
@@ -35,7 +35,7 @@ class TestFirstStepLoss:
         mask = masks.random_mask(model, 0.5, seed=2)
         masks.apply_mask(model, mask)
         x, t = _batch(model, seed=3)
-        res = model.forward(x, training=True, update_stats=False)
+        res = model.forward(x, training=True)
         loss = ad.softmax_cross_entropy(res.logits, t)
         ad.backward(loss)
         sq = 0.0
@@ -60,7 +60,7 @@ class TestFirstStepLoss:
         stepped = rescale.first_step_loss(model, (x, t), lr=0.5)
         assert np.isfinite(stepped)
         # the weight contribution to the step is exactly zero: verify directly
-        res = model.forward(x, training=True, update_stats=False)
+        res = model.forward(x, training=True)
         loss = ad.softmax_cross_entropy(res.logits, t)
         ad.backward(loss)
         for blk in model.maskable_blocks():
@@ -76,13 +76,13 @@ class TestFirstStepReference:
     @staticmethod
     def _reference(model, batch, lr, **kw):
         x, t = batch
-        res = model.forward(x, training=True, update_stats=False, **kw)
+        res = model.forward(x, training=True, **kw)
         ad.backward(ad.softmax_cross_entropy(res.logits, t))
         stepped = {}
         for name, blk in model.blocks.items():
             g = res.leaves[name].grad
             stepped[name] = blk.value - lr * (g if blk.mask is None else g * blk.mask)
-        out = model.forward(x, training=True, update_stats=False, values=stepped, **kw)
+        out = model.forward(x, training=True, values=stepped, **kw)
         return float(ad.softmax_cross_entropy(out.logits, t).data)
 
     @pytest.mark.parametrize("spec", [
@@ -220,9 +220,9 @@ class TestApplyScales:
                 "in_shape": [4], "classes": 2}
         model = layers.build_model(spec, seed=13)
         x = np.random.default_rng(14).normal(size=(8, 4))
-        base = model.forward(x, training=True, update_stats=False).logits.data
+        base = model.forward(x, training=True).logits.data
         rescale.apply_scales(model, {"L00.dense": 2.0})
-        got = model.forward(x, training=True, update_stats=False).logits.data
+        got = model.forward(x, training=True).logits.data
         assert np.abs(got - base).max() <= 1e-9
 
     def test_masked_entries_stay_zero(self):

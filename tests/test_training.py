@@ -202,6 +202,11 @@ class TestTrainConfig:
             training.TrainConfig(epochs=10, milestones=(-3, 2))
         training.TrainConfig(epochs=10, milestones=(0, 2))     # no ghosts: lr decays at once
 
+    def test_epochs_not_negative(self):
+        with pytest.raises(ConfigError, match="epochs must be >= 0"):
+            training.TrainConfig(epochs=-3, milestones=())
+        training.TrainConfig(epochs=0, milestones=())         # trains nothing
+
 
 def _toy_blobs(n=64, seed=0):
     """Two linearly separable clusters."""
@@ -497,6 +502,21 @@ class TestTrainLoop:
             assert m.tobytes() == stats[1][n][0].tobytes()
             assert v.tobytes() == stats[1][n][1].tobytes()
             assert m.tobytes() != stats[0][n][0].tobytes()    # batch 0's update stands
+
+    def test_overflowing_update_is_not_committed(self):
+        """An SGD update that overflows stops the run at the batch that made
+        it, naming its block; every block keeps its pre-batch bytes."""
+        model = layers.build_model({"preset": "mlp", "in_shape": [2], "hidden": [8],
+                                    "classes": 2}, seed=0)
+        before = {n: b.value.tobytes() for n, b in model.blocks.items()}
+        cfg = training.TrainConfig(epochs=2, batch_size=32, lr0=1e308, weight_decay=1e10,
+                                   milestones=())
+        with np.errstate(over="ignore"):
+            history = training.train(model, datasets.make_synthetic("spirals", 64), cfg)
+        assert len(history) == 1 and history[0].diverged
+        assert history[0].error == ("sgd_step: non-finite update for block L00.dense.w"
+                                    " at epoch 0, batch 0")
+        assert {n: b.value.tobytes() for n, b in model.blocks.items()} == before
 
     def test_exploding_loss_records_value_epoch_and_batch(self):
         cfg = training.TrainConfig(epochs=10, batch_size=16, lr0=1e9, milestones=(), seed=6)

@@ -19,6 +19,9 @@ commands then runs in both trees, each with its own ``src/`` on
   random and GraSP masks at s = 0.9, on a 7x7 teacher input whose stride-2
   convolutions lose taps off an odd edge, with the spectrum probe on every
   epoch;
+- ``run`` of the ``baseline`` and ``toolkit`` tweaks on resnet-tiny at
+  ``lr0`` 1000, where both diverge at epoch 0, batch 2, so the statistics
+  and weights a diverging run leaves behind are compared too;
 - ``probe --spectrum --scan --landscape`` on the resnet-probe seed-0
   checkpoint;
 - ``mask`` with all six generators at s in {0.5, 0.9, 0.98} on mlp/spirals,
@@ -100,12 +103,22 @@ GHOST_CONFIGS["ghost-resnet-probe"] = {
     "probes": {"enabled": True, "every": 1, "power_iters": 5, "probe_batch": 32},
     "lrsi": {"iters": 1}, "tweaks": ["baseline", "toolkit"]}
 
+# resnet-tiny at lr0 1000: both tweaks diverge at epoch 0, batch 2, after
+# batch 1's parameters and batchnorm statistics were committed
+DIVERGE_CONFIG = {
+    "model": RESNET_MODEL,
+    "dataset": {"name": "teacher", "n": 128, "classes": 2, "seed": 0, "input_shape": [1, 8, 8]},
+    "mask": {"algo": "random", "sparsity": 0.9},
+    "train": {"epochs": 2, "batch": 32, "lr0": 1000.0, "milestones": [1]},
+    "tweaks": ["baseline", "toolkit"]}
+
 
 def write_configs(config_dir):
     """Every config the commands read, as JSON files both trees share."""
     config_dir.mkdir(parents=True)
     configs = {f"{w}-s{s}": make_config(w, s)[0] for w in WORKLOADS for s in SEEDS}
     configs.update(GHOST_CONFIGS)
+    configs["diverge-resnet"] = DIVERGE_CONFIG
     configs.update({f"mask-{name}": cfg for name, cfg in MASK_CONFIGS.items()})
     for name, cfg in configs.items():
         (config_dir / f"{name}.json").write_text(json.dumps(cfg, indent=1))

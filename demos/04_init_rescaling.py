@@ -8,7 +8,7 @@ existing initialization; masked weights stay zero.
 
 import numpy as np
 
-from sparselab import datasets, masks, rescale
+from sparselab import datasets, diagnostics, masks, rescale
 from sparselab.layers import build_model
 from sparselab.training import smooth_labels_batch
 
@@ -20,11 +20,9 @@ masks.apply_mask(model, masks.random_mask(model, 0.95, seed=0))
 x = ds.x_train[:128]
 targets = smooth_labels_batch(ds.y_train[:128], 2, 0.0)
 
-print("first-step loss at unit scales:",
-      rescale.first_step_loss(model, (x, targets), lr=0.1))
-
 out = rescale.learn_scales(model, (x, targets), lr_train=0.1,
                            config=rescale.LRsIConfig(iters=20))
+print("first-step loss at unit scales:", out.trace[0])
 print("\nobjective trace (first 10):", np.round(out.trace[:10], 6))
 print("best objective:", min(out.trace))
 print("\nlearned scalars:")
@@ -32,7 +30,9 @@ for group, c in out.scales.items():
     print(f"  {group}: {c:.4f}")
 
 rescale.apply_scales(model, out)
-final = rescale.first_step_loss(model, (x, targets), lr=0.1)
+# recomputed from the rescaled model: one masked SGD step, then the loss
+loss_fn, grad_fn, theta = diagnostics.probe_functions(model, x, targets, training=True)
+final = loss_fn(theta - 0.1 * grad_fn(theta))
 print("\nfirst-step loss after rescaling:", final)
 print("never worse than unit scales:", final <= out.trace[0])
 

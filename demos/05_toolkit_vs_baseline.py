@@ -26,7 +26,7 @@ def run(label, seed, toolkit):
         ls_alpha=0.1 if toolkit else 0.0, seed=seed,
         ghost=GhostConfig() if toolkit else None,
         lrsi=LRsIConfig(iters=12) if toolkit else None)
-    history = training.train(model, ds, cfg, mask=mask)
+    history = training.train(model, ds, cfg, mask=mask).history
     path = f"demo05_{label}_seed{seed}.csv"
     training.write_metrics_csv(path, history, len(model.activation_site_names()), 1)
     return history

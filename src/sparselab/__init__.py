@@ -29,14 +29,13 @@ from sparselab.masks import (
     snip_mask,
     synflow_mask,
 )
-from sparselab.rescale import LRsIConfig, ScaleSet, apply_scales, first_step_loss, learn_scales
+from sparselab.rescale import LRsIConfig, ScaleSet, apply_scales, learn_scales
 from sparselab.training import (
     RunRecord,
     TrainConfig,
-    cross_entropy,
+    TrainResult,
     lr_at,
     sgd_step,
-    smooth_labels,
     train,
 )
 
@@ -50,9 +49,8 @@ __all__ = [
     "Model", "build_model",
     "Mask", "random_mask", "magnitude_mask", "snip_mask", "grasp_mask", "synflow_mask",
     "imp_lth", "apply_mask", "layer_collapse_check",
-    "LRsIConfig", "ScaleSet", "first_step_loss", "learn_scales", "apply_scales",
-    "TrainConfig", "RunRecord", "train", "sgd_step", "lr_at", "smooth_labels",
-    "cross_entropy",
+    "LRsIConfig", "ScaleSet", "learn_scales", "apply_scales",
+    "TrainConfig", "TrainResult", "RunRecord", "train", "sgd_step", "lr_at",
 ]
 
 __version__ = "0.1.0"

@@ -81,8 +81,7 @@ def _cmd_probe(args):
                                                  tol=pc.tol, seed=0)
         if spectrum:
             path = os.path.join(out_dir, "spectrum.csv")
-            experiments._write_spectrum_csv(
-                path, k, [(None, rec.eigenvalues, rec.residuals, rec.converged)])
+            experiments._write_spectrum_csv(path, k, [(None, rec)])
             wrote.append(path)
         if args.scan:
             losses = diagnostics.eigvec_perturb_scan(model, (x, targets), vecs[0],

@@ -258,15 +258,16 @@ def run_experiment(config_path, out_dir=None):
                 for tweaks in cfg.tweaks:
                     tc = replace(cfg.train[tweaks], seed=seed)
                     model = build_model(cfg.raw["model"], seed=seed)
-                    history = training.train(model, cfg.dataset, tc, mask=mask)
-                    results.append(_finish_cell(out_root, model, history, tc,
+                    run = training.train(model, cfg.dataset, tc, mask=mask)
+                    results.append(_finish_cell(out_root, model, run, tc,
                                                 algo, s, tweaks, seed))
     _write_summary(os.path.join(out_root, "summary.csv"), results)
     exit_code = 1 if any(r.diverged for r in results) else 0
     return exit_code, results
 
 
-def _finish_cell(out_root, model, history, tc, algo, s, tweaks, seed):
+def _finish_cell(out_root, model, run, tc, algo, s, tweaks, seed):
+    history = run.history
     run_dir = os.path.join(_cell_dir(out_root, algo, s, tweaks), f"seed{seed}")
     os.makedirs(run_dir, exist_ok=True)
     n_act = len(model.activation_site_names())
@@ -274,11 +275,10 @@ def _finish_cell(out_root, model, history, tc, algo, s, tweaks, seed):
                                history, n_act, tc.probes.eig_count)
     if tc.probes.enabled:
         _write_spectrum_csv(os.path.join(run_dir, "spectrum.csv"), tc.probes.eig_count,
-                            [(r.epoch, r.top_eigs, r.eig_residuals, r.eig_converged)
-                             for r in history if r.top_eigs is not None])
-    if model.applied_scales is not None:
+                            [(r.epoch, r.spectrum) for r in history if r.spectrum is not None])
+    if run.scales is not None:
         training.write_csv(os.path.join(run_dir, "lrsi_scales.csv"), ["block_group", "scale"],
-                           ((group, float(c)) for group, c in model.applied_scales.scales.items()))
+                           ((group, float(c)) for group, c in run.scales.scales.items()))
     checkpoint.save_model(os.path.join(run_dir, "final.splb"), model)
     accs = [r.test_acc for r in history if not r.diverged]
     diverged = bool(history) and history[-1].diverged
@@ -291,15 +291,15 @@ def _finish_cell(out_root, model, history, tc, algo, s, tweaks, seed):
 
 
 def _write_spectrum_csv(path, eig_count, rows):
-    """One row per probe from ``(epoch, eigenvalues, residuals, converged)``.
+    """One row per probe from ``(epoch, SpectrumRecord)``.
 
     epoch may be None; ``converged_j`` is written 1 or 0, so a probe that
     stopped without converging is marked as such next to its value.
     """
     header = ["epoch"] + [f"{col}_{j+1}" for col in ("lambda", "residual", "converged")
                           for j in range(eig_count)]
-    training.write_csv(path, header, ((epoch, *eigs, *resids, *map(int, converged))
-                                      for epoch, eigs, resids, converged in rows))
+    training.write_csv(path, header, ((epoch, *rec.eigenvalues, *rec.residuals,
+                                       *map(int, rec.converged)) for epoch, rec in rows))
 
 
 SUMMARY_COLUMNS = ["mask_algo", "sparsity", "tweaks", "n_seeds",

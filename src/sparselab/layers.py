@@ -252,7 +252,6 @@ class Model:
         self.bn_stats = bn_stats      # dict bn name -> (running_mean, running_var)
         self.in_shape = tuple(in_shape)
         self.n_classes = n_classes
-        self.applied_scales = None    # ScaleSet once the trainer rescales the init
 
     # -- forward ------------------------------------------------------------
 
@@ -286,10 +285,8 @@ class Model:
         return [b for b in self.blocks.values() if b.maskable]
 
     def clone(self):
-        out = Model(self.layers, deepcopy(self.blocks), deepcopy(self.bn_stats),
-                    self.in_shape, self.n_classes)
-        out.applied_scales = self.applied_scales
-        return out
+        return Model(self.layers, deepcopy(self.blocks), deepcopy(self.bn_stats),
+                     self.in_shape, self.n_classes)
 
     def activation_site_names(self):
         names = []

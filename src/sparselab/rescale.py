@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sparselab import autodiff as ad
-from sparselab.diagnostics import probe_closures, probe_functions
+from sparselab.diagnostics import probe_closures
 from sparselab.ghost import ConfigError
 from sparselab.layers import ParamLayout
 
@@ -59,20 +59,6 @@ def _scaled_values(model, scales):
         else:
             values[name] = blk.value
     return values
-
-
-def first_step_loss(model, batch, lr, values=None, **forward_kwargs):
-    """Training loss after one simulated masked SGD step on the same batch.
-
-    Returns L(theta - lr * (m ⊙ grad L(theta))) at theta = ``values`` (default:
-    the model's) without mutating the model. ``forward_kwargs`` go to
-    :func:`probe_functions`: activation, beta and alpha select the network
-    variant.
-    """
-    x, targets = batch
-    loss_fn, grad_fn, theta = probe_functions(model, x, targets, training=True,
-                                              values=values, **forward_kwargs)
-    return loss_fn(theta - lr * grad_fn(theta))
 
 
 def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):
@@ -121,7 +107,7 @@ def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):
     # c=1; raises on degenerate init
     j, grad = objective(u, cfg.iters > 0)
     if not math.isfinite(j):
-        raise ad.NumericError("learn_scales: objective non-finite at unit scales")
+        raise ad.NumericError("objective non-finite at unit scales")
     best_u, best_j = u, j
     trace = [j]
     for it in range(cfg.iters):

@@ -117,7 +117,7 @@ def _check_mask_counts():
 
 
 def _check_label_smoothing():
-    row = training.smooth_labels(3, 10, 0.1)
+    row = training.smooth_labels_batch([3], 10, 0.1)[0]
     return abs(row[3] - 0.91) < 1e-15 and abs(row.sum() - 1.0) < 1e-12
 
 

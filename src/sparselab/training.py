@@ -23,10 +23,10 @@ import numpy as np
 from sparselab import autodiff as ad
 from sparselab import diagnostics, rescale
 from sparselab.checkpoint import atomic_open
-from sparselab.diagnostics import ProbeConfig
+from sparselab.diagnostics import ProbeConfig, SpectrumRecord
 from sparselab.ghost import ConfigError, GhostConfig, SchedulePolicy
 from sparselab.layers import ParamLayout
-from sparselab.rescale import LRsIConfig
+from sparselab.rescale import LRsIConfig, ScaleSet
 
 DIVERGENCE_LOSS = 1e6
 
@@ -76,24 +76,16 @@ class RunRecord:
     test_acc: float
     grad_flow: float
     act_sparsity: tuple = ()
-    top_eigs: tuple | None = None
-    eig_residuals: tuple | None = None
-    eig_converged: tuple | None = None
+    spectrum: SpectrumRecord | None = None     # as top_hessian_eigs returned it
     swap_deviation: float | None = None
     diverged: bool = False
     error: str | None = None
 
 
-def smooth_labels(target_class, n_classes, ls_alpha):
-    """Smoothed target row: correct class 1-a+a/K, the rest a/K."""
-    if not 0.0 <= ls_alpha < 1.0:
-        raise ValueError(f"smooth_labels: ls_alpha must be in [0,1), got {ls_alpha}")
-    if n_classes < 2:
-        raise ValueError(f"smooth_labels: need at least 2 classes, got {n_classes}")
-    k = int(target_class)
-    if not 0 <= k < n_classes:
-        raise ValueError(f"smooth_labels: class {target_class} out of range [0,{n_classes})")
-    return smooth_labels_batch([k], n_classes, ls_alpha)[0]
+@dataclass
+class TrainResult:
+    history: list               # one RunRecord per epoch, a diverged one last
+    scales: ScaleSet | None     # what learn_scales returned, None without LRsI
 
 
 def smooth_labels_batch(labels, n_classes, ls_alpha):
@@ -103,12 +95,6 @@ def smooth_labels_batch(labels, n_classes, ls_alpha):
     out = np.full((labels.size, n_classes), ls_alpha / n_classes)
     out[np.arange(labels.size), labels] += 1.0 - ls_alpha
     return out
-
-
-def cross_entropy(logits, targets):
-    """Mean softmax cross entropy as a float; accepts arrays or a Tensor."""
-    t = logits if isinstance(logits, ad.Tensor) else ad.Tensor(logits)
-    return float(ad.softmax_cross_entropy(t, np.asarray(targets, dtype=np.float64)).data)
 
 
 def lr_at(epoch, lr0, milestones):
@@ -132,28 +118,30 @@ def evaluate(model, x, y, batch_size, **forward_kwargs):
         xb, yb = x[start:start + batch_size], y[start:start + batch_size]
         res = model.forward(xb, grad=False, **forward_kwargs)
         onehot = smooth_labels_batch(yb, model.n_classes, 0.0)
-        total_loss += cross_entropy(res.logits, onehot) * len(xb)
+        total_loss += float(ad.softmax_cross_entropy(res.logits, onehot).data) * len(xb)
         correct += int((res.logits.data.argmax(axis=1) == yb).sum())
     return total_loss / n, correct / n
 
 
 def train(model, dataset, config, mask=None):
-    """Run the full protocol; returns one RunRecord per completed epoch.
+    """Run the full protocol; returns a TrainResult with one RunRecord per
+    completed epoch and the ScaleSet that LRsI applied, if any.
 
     ``SchedulePolicy(config.ghost, config.milestones).knobs(epoch)`` gives
     each epoch's activation, beta and alpha, which the training forward,
     ``evaluate`` and the probes receive unchanged (LRsI those of epoch 0).
-    Divergence (a non-finite value in the forward pass, the gradients or
-    the update, or an exploding loss) aborts the run with a final record
-    flagged ``diverged`` instead of raising; its ``error`` says what went
-    wrong, at which epoch and batch. A batch's parameters and batchnorm
-    statistics are committed together after its last check, or not at all.
+    Divergence (a non-finite value in LRsI's objective, the forward pass,
+    the gradients or the update, or an exploding loss) aborts the run with
+    a final record flagged ``diverged`` instead of raising; its ``error``
+    says what went wrong, at which epoch and batch. A batch's parameters
+    and batchnorm statistics are committed together after its last check,
+    or not at all.
     """
     if mask is not None:
         from sparselab.masks import apply_mask
         apply_mask(model, mask)
     if config.epochs == 0:
-        return []
+        return TrainResult([], None)
 
     x_train, y_train = dataset.x_train, dataset.y_train
     n = len(x_train)
@@ -163,14 +151,18 @@ def train(model, dataset, config, mask=None):
 
     policy = SchedulePolicy(config.ghost, config.milestones)
 
+    scales = None
     if config.lrsi is not None:
         bx = x_train[:min(config.batch_size, n)]
         bt = smooth_labels_batch(y_train[:len(bx)], k_classes, config.ls_alpha)
         # the first-step objective sees the exact epoch-0 network, ghosts included
-        scales = rescale.learn_scales(model, (bx, bt), config.lr0, config.lrsi,
-                                      **policy.knobs(0))
+        knobs = policy.knobs(0)
+        try:
+            scales = rescale.learn_scales(model, (bx, bt), config.lr0, config.lrsi, **knobs)
+        except ad.NumericError as exc:
+            return TrainResult([_diverged(config, 0, knobs, f"learn_scales: {exc} at epoch 0")],
+                               None)
         rescale.apply_scales(model, scales)
-        model.applied_scales = scales
 
     rng = np.random.default_rng([config.seed, 2])
     masks_by_name = {b.name: b.mask for b in model.maskable_blocks()}
@@ -223,12 +215,9 @@ def train(model, dataset, config, mask=None):
             losses.append(val)
 
         if error is not None:
-            history.append(RunRecord(epoch=epoch, lr=lr, beta=knobs["beta"],
-                                     alpha=knobs["alpha"], train_loss=math.nan, test_loss=math.nan,
-                                     test_acc=math.nan, grad_flow=math.nan,
-                                     diverged=True,
-                                     error=f"{error} at epoch {epoch}, batch {batch}"))
-            return history
+            history.append(_diverged(config, epoch, knobs,
+                                     f"{error} at epoch {epoch}, batch {batch}"))
+            return TrainResult(history, scales)
 
         test_loss, test_acc = evaluate(model, dataset.x_test, dataset.y_test,
                                        config.batch_size, **knobs)
@@ -236,25 +225,31 @@ def train(model, dataset, config, mask=None):
         swap_dev = (_swap_deviation(model, probe_x, config.ghost.beta_max)
                     if epoch == policy.swap_epoch else None)
 
-        top_eigs = resids = converged = None
+        spectrum = None
         if pc.enabled and epoch % pc.every == 0:
             onehot = smooth_labels_batch(probe_y, k_classes, 0.0)
             _, grad_fn, theta0 = diagnostics.probe_functions(model, probe_x, onehot,
                                                              layout=layout, **knobs)
-            record, _ = diagnostics.top_hessian_eigs(
+            spectrum, _ = diagnostics.top_hessian_eigs(
                 grad_fn, theta0, k=pc.eig_count, iters=pc.power_iters,
                 tol=pc.tol, seed=config.seed * 1000 + epoch)
-            top_eigs, resids, converged = record.eigenvalues, record.residuals, record.converged
 
         history.append(RunRecord(
             epoch=epoch, lr=lr, beta=knobs["beta"], alpha=knobs["alpha"],
             train_loss=float(np.mean(losses)) if losses else math.nan,
             test_loss=test_loss, test_acc=test_acc,
             grad_flow=float(np.mean(flows)) if flows else math.nan,
-            act_sparsity=tuple(act_sp), top_eigs=top_eigs, eig_residuals=resids,
-            eig_converged=converged, swap_deviation=swap_dev,
+            act_sparsity=tuple(act_sp), spectrum=spectrum, swap_deviation=swap_dev,
         ))
-    return history
+    return TrainResult(history, scales)
+
+
+def _diverged(config, epoch, knobs, error):
+    """The final record of a run that ``error`` stopped at ``epoch``."""
+    return RunRecord(epoch=epoch, lr=lr_at(epoch, config.lr0, config.milestones),
+                     beta=knobs["beta"], alpha=knobs["alpha"], train_loss=math.nan,
+                     test_loss=math.nan, test_acc=math.nan, grad_flow=math.nan,
+                     diverged=True, error=error)
 
 
 def _bad_block(layout, flat):
@@ -308,7 +303,10 @@ def metrics_header(n_act_layers, eig_count):
 
 def write_metrics_csv(path, history, n_act_layers, eig_count):
     """Per-epoch metrics; absent sparsities and eigenvalues are empty cells."""
-    write_csv(path, metrics_header(n_act_layers, eig_count), (
-        [r.epoch, r.lr, r.beta, r.alpha, r.train_loss, r.test_loss, r.test_acc, r.grad_flow,
-         *r.act_sparsity, *[None] * (n_act_layers - len(r.act_sparsity)),
-         *(r.top_eigs or ()), *[None] * (eig_count - len(r.top_eigs or ()))] for r in history))
+    def row(r):
+        eigs = r.spectrum.eigenvalues if r.spectrum else ()
+        return [r.epoch, r.lr, r.beta, r.alpha, r.train_loss, r.test_loss, r.test_acc,
+                r.grad_flow, *r.act_sparsity, *[None] * (n_act_layers - len(r.act_sparsity)),
+                *eigs, *[None] * (eig_count - len(eigs))]
+
+    write_csv(path, metrics_header(n_act_layers, eig_count), map(row, history))

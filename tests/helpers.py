@@ -1,10 +1,14 @@
 """Helpers that only the tests call: a parameter count, the ghost skip
-sites of a model, and a dense finite-difference Hessian oracle."""
+sites of a model, a dense finite-difference Hessian oracle, and the
+label-smoothing, cross-entropy and first-step-loss shorthands, each built
+on the library function that the training code calls."""
 
 import numpy as np
 
 from sparselab import autodiff as ad
 from sparselab import layers
+from sparselab.diagnostics import probe_functions
+from sparselab.training import smooth_labels_batch
 
 
 def param_count(model):
@@ -44,3 +48,24 @@ def finite_diff_hessian(scalar_fn, params, h=1e-4):
     if not np.all(np.isfinite(hess)):
         raise ad.NumericError("finite_diff_hessian: non-finite evaluation")
     return hess
+
+
+def smooth_labels(target_class, n_classes, ls_alpha):
+    """One smoothed target row: correct class 1-a+a/K, the rest a/K."""
+    return smooth_labels_batch([target_class], n_classes, ls_alpha)[0]
+
+
+def cross_entropy(logits, targets):
+    """Mean softmax cross entropy of an array of logits, as a float."""
+    return float(ad.softmax_cross_entropy(logits, targets).data)
+
+
+def first_step_loss(model, batch, lr, values=None, **forward_kwargs):
+    """Train-mode loss after one simulated masked SGD step on the same batch:
+    L(theta - lr * (m ⊙ grad L(theta))) at theta = ``values`` (default: the
+    model's), with the model left unchanged. ``forward_kwargs`` select the
+    network variant (activation, beta, alpha)."""
+    x, targets = batch
+    loss_fn, grad_fn, theta = probe_functions(model, x, targets, training=True,
+                                              values=values, **forward_kwargs)
+    return loss_fn(theta - lr * grad_fn(theta))

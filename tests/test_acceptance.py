@@ -19,7 +19,7 @@ from sparselab.rescale import LRsIConfig
 from sparselab.diagnostics import ProbeConfig
 from sparselab.training import TrainConfig, smooth_labels_batch
 
-from helpers import finite_diff_hessian
+from helpers import finite_diff_hessian, first_step_loss
 
 
 def _report(num, desc, ok):
@@ -228,7 +228,7 @@ def test_criterion_03_mask_semantics(monkeypatch):
         return theta, velocity
 
     monkeypatch.setattr(training, "sgd_step", step)
-    history = training.train(model, ds, _toolkit_config(0, True), mask=mask)
+    history = training.train(model, ds, _toolkit_config(0, True), mask=mask).history
     monkeypatch.undo()
     assert len(history) == 60 and not history[-1].diverged
     max_w = max(float(np.abs(b.value[b.mask == 0]).max()) for b in model.maskable_blocks())
@@ -265,7 +265,7 @@ def test_criterion_04_ghost_rehabilitation():
     cfg = TrainConfig(epochs=6, batch_size=32, lr0=0.1, milestones=(3, 5), seed=4,
                       ghost=GhostConfig())
     model = layers.build_model(MLP_SPEC, seed=4)
-    history = training.train(model, ds, cfg)
+    history = training.train(model, ds, cfg).history
     post = history[3]
     sched_ok = post.alpha == 0.0 and post.beta == math.inf
 
@@ -280,7 +280,7 @@ def test_criterion_04_ghost_rehabilitation():
     keep = layers.build_model(MLP_SPEC, seed=4)
     cfg_keep = TrainConfig(epochs=6, batch_size=32, lr0=0.1, milestones=(3, 5), seed=4,
                            ghost=GhostConfig(policy="keep_forever"))
-    hist_keep = training.train(keep, ds, cfg_keep)
+    hist_keep = training.train(keep, ds, cfg_keep).history
     soft = keep.forward(x, activation="pswish", beta=1.0, alpha=1.0).logits.data
     plain = keep.forward(x).logits.data
     contrast_ok = soft.tobytes() != plain.tobytes() and hist_keep[-1].alpha == 1.0
@@ -330,8 +330,8 @@ def test_criterion_06_lrsi_contract():
         masks.apply_mask(model, masks.random_mask(model, 0.95, seed=seed))
         out = rescale.learn_scales(model, (x, t), lr_train=0.1,
                                    config=LRsIConfig(iters=12))
-        final = rescale.first_step_loss(model, (x, t), 0.1,
-                                        values=rescale._scaled_values(model, out.scales))
+        final = first_step_loss(model, (x, t), 0.1,
+                                values=rescale._scaled_values(model, out.scales))
         keep_best_ok &= final <= out.trace[0]
         strict += final < out.trace[0]
     _report(6, f"keep-best on all seeds; strictly lower on {strict}/5 seeds",
@@ -355,7 +355,7 @@ def test_criterion_07_activation_sparsity_direction():
         cfg = TrainConfig(
             epochs=10, batch_size=64, lr0=0.05, milestones=(8,), seed=seed,
             ghost=GhostConfig(policy="keep_forever", beta0=1.0, skip_gates=False) if swish else None)
-        history = training.train(model, ds, cfg, mask=mask)
+        history = training.train(model, ds, cfg, mask=mask).history
         return float(np.mean(history[len(history) // 2].act_sparsity))
 
     wins = 0
@@ -383,7 +383,7 @@ def test_criterion_08_accuracy_direction():
     def run(seed, s, toolkit_on):
         model = layers.build_model(MLP_SPEC, seed=seed)
         mask = masks.random_mask(model, s, seed=seed)
-        history = training.train(model, ds, _toolkit_config(seed, toolkit_on), mask=mask)
+        history = training.train(model, ds, _toolkit_config(seed, toolkit_on), mask=mask).history
         return history[-1].test_acc if history and not history[-1].diverged else math.nan
 
     gaps = {}
@@ -416,8 +416,8 @@ def test_criterion_09_curvature_direction():
         mask = masks.random_mask(model, 0.9, seed=seed)
         cfg = _toolkit_config(seed, toolkit_on, epochs=20, milestones=(10, 15), lr0=0.05,
                               batch=64, probes=probes)
-        history = training.train(model, ds, cfg, mask=mask)
-        return max(r.top_eigs[0] for r in history if r.top_eigs)
+        history = training.train(model, ds, cfg, mask=mask).history
+        return max(r.spectrum.eigenvalues[0] for r in history if r.spectrum)
 
     wins = 0
     pairs = []

@@ -362,6 +362,30 @@ class TestCli:
         metrics = tmp_path / "runs" / "random_s0.5_baseline" / "seed0" / "metrics.csv"
         assert "train loss" not in metrics.read_text()
 
+    def test_overflowing_lrsi_diverges_its_cell_not_the_grid(self, tmp_path, capsys):
+        """At lr0 1e308 the toolkit's first LRsI objective overflows: its cell
+        is a diverged run at epoch 0 that names learn_scales, and the grid
+        still writes every cell and summary.csv."""
+        path = _config(tmp_path, model={"preset": "mlp", "in_shape": [2], "hidden": [16, 16],
+                                        "classes": 2},
+                       dataset={"name": "spirals", "n": 128, "classes": 2, "seed": 0},
+                       mask={"algo": "random", "sparsity": 0.9},
+                       train={"epochs": 3, "batch": 32, "lr0": 1e308, "milestones": [1],
+                              "seed": 0},
+                       tweaks=["baseline", "toolkit"])
+        with np.errstate(over="ignore"):
+            assert cli.main(["run", path]) == 1
+        out = capsys.readouterr().out
+        assert "random s=0.9 toolkit seed=0: DIVERGED (learn_scales: " in out
+        assert "at epoch 0)\n" in out
+        runs = tmp_path / "runs"
+        summary = experiments.read_summary(str(runs / "summary.csv"))
+        assert [(r["tweaks"], r["diverged_runs"]) for r in summary] == \
+            [("baseline", "1"), ("toolkit", "1")]
+        toolkit = runs / "random_s0.9_toolkit" / "seed0"
+        assert (toolkit / "metrics.csv").exists() and (toolkit / "final.splb").exists()
+        assert not (toolkit / "lrsi_scales.csv").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"model": {}, "dataset": {}, "mask": {}, "train": {},
@@ -453,8 +477,7 @@ class TestProbeVerb:
         a = np.diag([5.0, -4.0, -3.0])     # wide shifted gap: converges within tol 1e-3
         rec, _ = diagnostics.top_hessian_eigs(lambda t: a @ t, np.zeros(3), k=1, iters=200)
         path = str(tmp_path / "spectrum.csv")
-        experiments._write_spectrum_csv(
-            path, 1, [(None, rec.eigenvalues, rec.residuals, rec.converged)])
+        experiments._write_spectrum_csv(path, 1, [(None, rec)])
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "lambda_1", "residual_1", "converged_1"]

@@ -7,6 +7,8 @@ from sparselab import autodiff as ad
 from sparselab import layers, masks, rescale
 from sparselab.training import smooth_labels_batch
 
+from helpers import first_step_loss
+
 
 def _mlp(seed=0, hidden=(8, 8)):
     return layers.build_model({"preset": "mlp", "in_shape": [3], "hidden": list(hidden),
@@ -26,7 +28,7 @@ class TestFirstStepLoss:
         x, t = _batch(model)
         base = float(ad.softmax_cross_entropy(
             model.forward(x, training=True).logits, t).data)
-        got = rescale.first_step_loss(model, (x, t), lr=0.0)
+        got = first_step_loss(model, (x, t), lr=0.0)
         np.testing.assert_allclose(got, base, rtol=0, atol=1e-15)
 
     def test_small_lr_matches_taylor_oracle(self):
@@ -46,7 +48,7 @@ class TestFirstStepLoss:
             sq += float((g * g).sum())
         l0 = float(loss.data)
         for lr in (1e-3, 1e-4):
-            got = rescale.first_step_loss(model, (x, t), lr)
+            got = first_step_loss(model, (x, t), lr)
             assert abs(got - (l0 - lr * sq)) <= 50.0 * lr ** 2
 
     def test_masked_coordinates_do_not_move(self):
@@ -55,9 +57,9 @@ class TestFirstStepLoss:
         mask = masks.Mask({b.name: np.zeros_like(b.value) for b in model.maskable_blocks()}, 1.0)
         masks.apply_mask(model, mask)
         x, t = _batch(model, seed=5)
-        base = rescale.first_step_loss(model, (x, t), lr=0.0)
+        base = first_step_loss(model, (x, t), lr=0.0)
         # bias gradients still move; freeze them out by comparing weight-driven paths
-        stepped = rescale.first_step_loss(model, (x, t), lr=0.5)
+        stepped = first_step_loss(model, (x, t), lr=0.5)
         assert np.isfinite(stepped)
         # the weight contribution to the step is exactly zero: verify directly
         res = model.forward(x, training=True)
@@ -96,7 +98,7 @@ class TestFirstStepReference:
         masks.apply_mask(model, masks.random_mask(model, 0.9, seed=14))
         batch = _batch(model, n=8, seed=15)
         for lr in (0.0, 0.05, 0.1):
-            assert rescale.first_step_loss(model, batch, lr, **kw) == \
+            assert first_step_loss(model, batch, lr, **kw) == \
                 self._reference(model, batch, lr, **kw)
 
 
@@ -138,7 +140,7 @@ class TestLearnScales:
             x, t = _batch(model, seed=100 + seed)
             out = rescale.learn_scales(model, (x, t), lr_train=0.1,
                                        config=rescale.LRsIConfig(iters=6))
-            final = rescale.first_step_loss(
+            final = first_step_loss(
                 model, (x, t), 0.1,
                 values=rescale._scaled_values(model, out.scales))
             assert final <= out.trace[0] + 0.0
@@ -181,7 +183,7 @@ def _learned_and_fd_gradient(model, batch, **kw):
 
     def J(u):
         scales = dict(zip(groups, np.exp(u)))
-        return rescale.first_step_loss(model, batch, 0.1,
+        return first_step_loss(model, batch, 0.1,
                                        values=rescale._scaled_values(model, scales), **kw)
 
     fd = np.array([(J(h * e) - J(-h * e)) / (2 * h) for e in np.eye(len(groups))])

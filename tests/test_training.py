@@ -11,16 +11,18 @@ from sparselab import autodiff as ad
 from sparselab import datasets, ghost, layers, masks, rescale, training
 from sparselab.ghost import ConfigError, GhostConfig
 
+from helpers import cross_entropy, smooth_labels
+
 
 class TestSmoothLabels:
     def test_standard_case(self):
-        row = training.smooth_labels(3, 10, 0.1)
+        row = smooth_labels(3, 10, 0.1)
         np.testing.assert_allclose(row[3], 0.91)
         others = np.delete(row, 3)
         np.testing.assert_allclose(others, 0.01)
 
     def test_zero_alpha_is_one_hot(self):
-        row = training.smooth_labels(1, 4, 0.0)
+        row = smooth_labels(1, 4, 0.0)
         np.testing.assert_array_equal(row, [0.0, 1.0, 0.0, 0.0])
 
     def test_rows_sum_to_one(self):
@@ -28,14 +30,14 @@ class TestSmoothLabels:
         for _ in range(20):
             k = int(rng.integers(2, 12))
             a = float(rng.uniform(0, 0.99))
-            row = training.smooth_labels(int(rng.integers(0, k)), k, a)
+            row = smooth_labels(int(rng.integers(0, k)), k, a)
             assert abs(row.sum() - 1.0) <= 1e-12
 
     def test_invalid_class_rejected(self):
         with pytest.raises(ValueError):
-            training.smooth_labels(4, 4, 0.1)
+            smooth_labels(4, 4, 0.1)
         with pytest.raises(ValueError):
-            training.smooth_labels(-1, 4, 0.1)
+            smooth_labels(-1, 4, 0.1)
 
 
 class TestCrossEntropy:
@@ -43,18 +45,18 @@ class TestCrossEntropy:
         for k in (2, 5, 10):
             logits = np.zeros((3, k))
             targets = training.smooth_labels_batch([0, 1, 0][:3], k, 0.0)
-            np.testing.assert_allclose(training.cross_entropy(logits, targets),
+            np.testing.assert_allclose(cross_entropy(logits, targets),
                                        math.log(k), atol=1e-12)
 
     def test_confident_logits_drive_loss_to_zero(self):
         logits = np.array([[30.0, 0.0]])
         targets = np.array([[1.0, 0.0]])
-        assert training.cross_entropy(logits, targets) <= 1e-12
+        assert cross_entropy(logits, targets) <= 1e-12
 
     def test_smoothed_targets_uniform_logits(self):
         # -sum(y * log(1/10)) = ln 10 since the target row sums to 1
         targets = training.smooth_labels_batch([4], 10, 0.1)
-        np.testing.assert_allclose(training.cross_entropy(np.zeros((1, 10)), targets),
+        np.testing.assert_allclose(cross_entropy(np.zeros((1, 10)), targets),
                                    math.log(10.0), atol=1e-12)
 
 
@@ -166,7 +168,7 @@ class TestSgdStep:
         block = list(model.blocks)[3]
         _poison_gradient(monkeypatch, model, block, at_call=1)
         history = training.train(model, ds, training.TrainConfig(
-            epochs=1, batch_size=16, lr0=0.05, milestones=(), seed=9))
+            epochs=1, batch_size=16, lr0=0.05, milestones=(), seed=9)).history
         assert history[-1].error == (f"sgd_step: non-finite gradient for block {block}"
                                      " at epoch 0, batch 0")
 
@@ -283,7 +285,7 @@ class TestTrainLoop:
         model = _small_mlp()
         before = {n: b.value.tobytes() for n, b in model.blocks.items()}
         cfg = training.TrainConfig(epochs=0, milestones=(), seed=0)
-        history = training.train(model, _toy_blobs(), cfg)
+        history = training.train(model, _toy_blobs(), cfg).history
         assert history == []
         for n, b in model.blocks.items():
             assert b.value.tobytes() == before[n]
@@ -346,7 +348,7 @@ class TestTrainLoop:
                 for b in model.maskable_blocks()}
         cfg = training.TrainConfig(epochs=3, batch_size=16, lr0=0.1, weight_decay=0.1,
                                    milestones=(), seed=5)
-        history = training.train(model, ds, cfg, mask=mask)
+        history = training.train(model, ds, cfg, mask=mask).history
         assert len(history) == 3 and not history[-1].diverged
         signs = set()
         for b in model.maskable_blocks():
@@ -364,7 +366,7 @@ class TestTrainLoop:
         index = int(np.flatnonzero(mask.arrays[block] == 0)[0])
         seen = _poison_gradient(monkeypatch, model, block, at_call=3, index=index)
         cfg = training.TrainConfig(epochs=2, batch_size=16, lr0=0.05, milestones=(), seed=9)
-        history = training.train(model, ds, cfg, mask=mask)
+        history = training.train(model, ds, cfg, mask=mask).history
         assert len(seen) == 3 and len(history) == 1 and history[0].diverged
         assert history[0].error == (f"sgd_step: non-finite gradient for block {block}"
                                     " at epoch 0, batch 2")
@@ -391,7 +393,8 @@ class TestTrainLoop:
             ds = _toy_blobs(seed=4)
             cfg = training.TrainConfig(epochs=4, batch_size=16, lr0=0.1, milestones=(2,),
                                        ls_alpha=0.1, seed=4, ghost=GhostConfig())
-            return training.train(model, ds, cfg, mask=masks.random_mask(model, 0.5, seed=5))
+            return training.train(model, ds, cfg,
+                                  mask=masks.random_mask(model, 0.5, seed=5)).history
 
         h1, h2 = run(), run()
         assert len(h1) == len(h2)
@@ -401,7 +404,7 @@ class TestTrainLoop:
     def test_divergence_aborts_with_flagged_record(self):
         model = _small_mlp(seed=6)
         cfg = training.TrainConfig(epochs=10, batch_size=16, lr0=1e9, milestones=(), seed=6)
-        history = training.train(model, _toy_blobs(seed=6), cfg)
+        history = training.train(model, _toy_blobs(seed=6), cfg).history
         assert history[-1].diverged
         assert len(history) < 10
 
@@ -412,7 +415,7 @@ class TestTrainLoop:
                                                {"kind": "dense", "width": 2}],
                                     "in_shape": [2], "classes": 2}, seed=8)
         cfg = training.TrainConfig(epochs=1, batch_size=16, lr0=0.05, milestones=(), seed=8)
-        history = training.train(model, _toy_blobs(seed=8), cfg)
+        history = training.train(model, _toy_blobs(seed=8), cfg).history
         assert len(history) == 1 and not history[0].diverged
         assert history[0].beta == math.inf and math.isfinite(history[0].train_loss)
 
@@ -420,9 +423,51 @@ class TestTrainLoop:
         model = _small_mlp(seed=9)
         cfg = training.TrainConfig(epochs=1, batch_size=16, lr0=0.05, milestones=(), seed=9,
                                    lrsi=rescale.LRsIConfig(iters=1))
-        training.train(model, _toy_blobs(seed=9), cfg)
-        assert model.applied_scales is not None
-        assert list(model.applied_scales.scales) == rescale.scale_groups(model)
+        run = training.train(model, _toy_blobs(seed=9), cfg)
+        assert run.scales is not None
+        assert list(run.scales.scales) == rescale.scale_groups(model)
+
+    def test_scales_are_what_learn_scales_returns(self):
+        """run.scales equals, bit for bit, a direct learn_scales call on the
+        run's first batch (smoothed as the run smooths it) at the epoch-0
+        knobs of its ghost schedule."""
+        ds = _toy_blobs(seed=10)
+        mask = masks.random_mask(_small_mlp(seed=10), 0.5, seed=10)
+        cfg = training.TrainConfig(epochs=2, batch_size=16, lr0=0.05, milestones=(1,),
+                                   ls_alpha=0.1, seed=10, ghost=GhostConfig(),
+                                   lrsi=rescale.LRsIConfig(iters=3))
+        run = training.train(_small_mlp(seed=10), ds, cfg, mask=mask)
+        model = masks.apply_mask(_small_mlp(seed=10), mask)
+        batch = (ds.x_train[:16], training.smooth_labels_batch(ds.y_train[:16], 2, 0.1))
+        knobs = ghost.SchedulePolicy(cfg.ghost, cfg.milestones).knobs(0)
+        want = rescale.learn_scales(model, batch, 0.05, cfg.lrsi, **knobs)
+        assert knobs["activation"] is not None and len(want.trace) == 4
+        assert any(c != 1.0 for c in want.scales.values())
+        assert list(run.scales.scales) == list(want.scales)
+        assert (np.array(list(run.scales.scales.values())).tobytes()
+                == np.array(list(want.scales.values())).tobytes())
+        assert np.array(run.scales.trace).tobytes() == np.array(want.trace).tobytes()
+
+    def test_overflowing_lrsi_objective_is_a_diverged_record(self):
+        """The toolkit's LRsI objective overflows at unit scales at lr0 1e308:
+        the run ends with one diverged record at epoch 0 that names
+        learn_scales, no scales, and the masked initialization left as
+        apply_mask made it."""
+        model = layers.build_model({"preset": "mlp", "in_shape": [2], "hidden": [16, 16],
+                                    "classes": 2}, seed=0)
+        mask = masks.random_mask(model, 0.9, seed=0)
+        want = {n: b.value.tobytes()
+                for n, b in masks.apply_mask(model.clone(), mask).blocks.items()}
+        cfg = training.TrainConfig(epochs=3, batch_size=32, lr0=1e308, milestones=(1,),
+                                   ls_alpha=0.1, ghost=GhostConfig(), lrsi=rescale.LRsIConfig())
+        with np.errstate(over="ignore"):
+            run = training.train(model, datasets.make_synthetic("spirals", 128), cfg, mask=mask)
+        assert run.scales is None and len(run.history) == 1
+        rec = run.history[0]
+        assert rec.diverged and rec.epoch == 0 and rec.lr == 1e308
+        assert math.isnan(rec.train_loss) and math.isnan(rec.test_acc)
+        assert rec.error.startswith("learn_scales: ") and rec.error.endswith(" at epoch 0")
+        assert {n: b.value.tobytes() for n, b in model.blocks.items()} == want
 
     def test_numeric_error_in_update_flags_divergence(self, monkeypatch):
         calls = []
@@ -435,7 +480,7 @@ class TestTrainLoop:
         model = _small_mlp(seed=9)
         before = {n: b.value.copy() for n, b in model.blocks.items()}
         cfg = training.TrainConfig(epochs=3, batch_size=16, lr0=0.05, milestones=(), seed=9)
-        history = training.train(model, _toy_blobs(seed=9), cfg)
+        history = training.train(model, _toy_blobs(seed=9), cfg).history
         assert len(calls) == 1
         assert len(history) == 1 and history[0].diverged
         assert math.isnan(history[0].train_loss)
@@ -456,7 +501,7 @@ class TestTrainLoop:
         fail_at = n_batches + 3         # one step per batch: epoch 1, batch 2
         monkeypatch.setattr(training, "sgd_step", step_failing_late)
         cfg = training.TrainConfig(epochs=3, batch_size=16, lr0=0.05, milestones=(), seed=9)
-        history = training.train(model, ds, cfg)
+        history = training.train(model, ds, cfg).history
         assert [r.error for r in history[:-1]] == [None]
         assert history[-1].diverged
         assert history[-1].error == "sgd_step: injected failure at epoch 1, batch 2"
@@ -469,7 +514,7 @@ class TestTrainLoop:
         n_batches = -(-len(ds.x_train) // 16)
         seen = _poison_gradient(monkeypatch, model, block, at_call=n_batches + 3)
         cfg = training.TrainConfig(epochs=3, batch_size=16, lr0=0.05, milestones=(), seed=9)
-        history = training.train(model, ds, cfg)
+        history = training.train(model, ds, cfg).history
         assert len(seen) == n_batches + 3
         assert [r.diverged for r in history] == [False, True] and history[-1].epoch == 1
         assert history[-1].error == (f"sgd_step: non-finite gradient for block {block}"
@@ -495,7 +540,7 @@ class TestTrainLoop:
         monkeypatch.setattr(model, "forward", forward)
         seen = _poison_gradient(monkeypatch, model, "L00.conv3x3.w", at_call=2)
         cfg = training.TrainConfig(epochs=2, batch_size=32, lr0=0.05, milestones=(), seed=0)
-        history = training.train(model, ds, cfg)
+        history = training.train(model, ds, cfg).history
         assert history[-1].diverged and history[-1].error.endswith("at epoch 0, batch 1")
         assert len(seen) == 2 and len(model.bn_stats) == 9
         for n, (m, v) in model.bn_stats.items():
@@ -512,7 +557,7 @@ class TestTrainLoop:
         cfg = training.TrainConfig(epochs=2, batch_size=32, lr0=1e308, weight_decay=1e10,
                                    milestones=())
         with np.errstate(over="ignore"):
-            history = training.train(model, datasets.make_synthetic("spirals", 64), cfg)
+            history = training.train(model, datasets.make_synthetic("spirals", 64), cfg).history
         assert len(history) == 1 and history[0].diverged
         assert history[0].error == ("sgd_step: non-finite update for block L00.dense.w"
                                     " at epoch 0, batch 0")
@@ -520,7 +565,7 @@ class TestTrainLoop:
 
     def test_exploding_loss_records_value_epoch_and_batch(self):
         cfg = training.TrainConfig(epochs=10, batch_size=16, lr0=1e9, milestones=(), seed=6)
-        history = training.train(_small_mlp(seed=6), _toy_blobs(seed=6), cfg)
+        history = training.train(_small_mlp(seed=6), _toy_blobs(seed=6), cfg).history
         last = history[-1]
         m = re.fullmatch(r"train loss (\S+) at epoch (\d+), batch (\d+)", last.error or "")
         assert m is not None, last.error
@@ -538,7 +583,7 @@ class TestGhostIntegration:
     def test_rehabilitation_bit_identical_after_milestone(self):
         ds = _toy_blobs(seed=7)
         model = _small_mlp(seed=7)
-        history = training.train(model, ds, self._cfg())
+        history = training.train(model, ds, self._cfg()).history
         assert history[3].alpha == 0.0 and history[3].beta == math.inf
         # a never-ghosted model with the same weights produces identical bits
         ghosted = model.forward(ds.x_test, alpha=0.0).logits.data
@@ -556,7 +601,7 @@ class TestGhostIntegration:
     def test_swap_deviation_recorded_and_small(self):
         ds = _toy_blobs(seed=9)
         model = _small_mlp(seed=9)
-        history = training.train(model, ds, self._cfg())
+        history = training.train(model, ds, self._cfg()).history
         devs = [r.swap_deviation for r in history if r.swap_deviation is not None]
         assert len(devs) == 1
         assert devs[0] <= 0.05
@@ -603,7 +648,7 @@ class TestGhostIntegration:
         """The swap probe runs once, at the epoch pswish soft neurons give
         way to relu, and in no run where that never happens."""
         history = training.train(_small_mlp(seed=9), _toy_blobs(seed=9),
-                                 self._cfg(policy=policy, **kw))
+                                 self._cfg(policy=policy, **kw)).history
         assert len(history) == 6 and not history[-1].diverged
         assert [r.epoch for r in history if r.swap_deviation is not None] == \
             ([] if swap is None else [swap])
@@ -611,7 +656,7 @@ class TestGhostIntegration:
     def test_schedule_columns_follow_policy(self):
         ds = _toy_blobs(seed=10)
         model = _small_mlp(seed=10)
-        history = training.train(model, ds, self._cfg())
+        history = training.train(model, ds, self._cfg()).history
         assert history[0].beta == 1.0 and history[0].alpha == 1.0
         assert history[1].beta == pytest.approx(4.0)
         assert history[1].alpha == pytest.approx(2.0 / 3.0)
@@ -623,7 +668,7 @@ class TestMetricsCsv:
         ds = _toy_blobs(seed=11)
         model = _small_mlp(seed=11)
         cfg = training.TrainConfig(epochs=2, batch_size=16, lr0=0.1, milestones=(), seed=11)
-        history = training.train(model, ds, cfg)
+        history = training.train(model, ds, cfg).history
         path = tmp_path / "metrics.csv"
         n_act = len(model.activation_site_names())
         training.write_metrics_csv(path, history, n_act, eig_count=2)
@@ -641,11 +686,43 @@ class TestMetricsCsv:
         ds = _toy_blobs(seed=12)
         model = _small_mlp(seed=12)
         cfg = training.TrainConfig(epochs=1, batch_size=16, lr0=0.1, milestones=(), seed=12)
-        history = training.train(model, ds, cfg)
+        history = training.train(model, ds, cfg).history
         path = tmp_path / "metrics.csv"
         training.write_metrics_csv(path, history, len(model.activation_site_names()), 1)
         row = path.read_text().split("\n")[1].split(",")
         assert float(row[4]) == history[0].train_loss
+
+    def test_probe_epochs_keep_the_spectrum_record(self, tmp_path, monkeypatch):
+        """Each probe epoch's RunRecord.spectrum is the SpectrumRecord that
+        top_hessian_eigs returned, and metrics.csv's top_eig_j cells are its
+        eigenvalues; epochs without a probe have no record and empty cells."""
+        from sparselab import diagnostics
+        returned, real = [], diagnostics.top_hessian_eigs
+
+        def spy(*args, **kw):
+            returned.append(real(*args, **kw))
+            return returned[-1]
+
+        monkeypatch.setattr(diagnostics, "top_hessian_eigs", spy)
+        model = _small_mlp(seed=13)
+        probes = diagnostics.ProbeConfig(enabled=True, every=2, eig_count=2, power_iters=5,
+                                         probe_batch=32)
+        cfg = training.TrainConfig(epochs=3, batch_size=16, lr0=0.1, milestones=(), seed=13,
+                                   probes=probes)
+        history = training.train(model, _toy_blobs(seed=13), cfg).history
+        path = tmp_path / "metrics.csv"
+        training.write_metrics_csv(path, history, len(model.activation_site_names()), 2)
+        rows = [line.split(",") for line in path.read_text().split("\n")[1:-1]]
+        assert [r.spectrum is not None for r in history] == [True, False, True]
+        assert [r.spectrum for r in history if r.spectrum] == [rec for rec, _ in returned]
+        assert all(r.spectrum is rec for r, (rec, _) in zip(history[::2], returned))
+        for r, row in zip(history, rows):
+            if r.spectrum is None:
+                assert row[-2:] == ["", ""]
+                continue
+            assert isinstance(r.spectrum, diagnostics.SpectrumRecord)
+            assert len(r.spectrum.eigenvalues) == 2
+            assert [float(c) for c in row[-2:]] == list(r.spectrum.eigenvalues)
 
 
 class TestWriteCsv:

@@ -22,6 +22,9 @@ commands then runs in both trees, each with its own ``src/`` on
 - ``run`` of the ``baseline`` and ``toolkit`` tweaks on resnet-tiny at
   ``lr0`` 1000, where both diverge at epoch 0, batch 2, so the statistics
   and weights a diverging run leaves behind are compared too;
+- ``run`` of the same two tweaks on mlp/spirals at ``lr0`` 1e308, where the
+  toolkit's first LRsI objective overflows, so a run that diverges before
+  its first step is compared too;
 - ``probe --spectrum --scan --landscape`` on the resnet-probe seed-0
   checkpoint;
 - ``mask`` with all six generators at s in {0.5, 0.9, 0.98} on mlp/spirals,
@@ -112,6 +115,15 @@ DIVERGE_CONFIG = {
     "train": {"epochs": 2, "batch": 32, "lr0": 1000.0, "milestones": [1]},
     "tweaks": ["baseline", "toolkit"]}
 
+# mlp at lr0 1e308: the baseline diverges at epoch 0, batch 1, and the
+# toolkit in LRsI's objective at unit scales, before any step
+LRSI_OVERFLOW_CONFIG = {
+    "model": {"preset": "mlp", "in_shape": [2], "hidden": [16, 16], "classes": 2},
+    "dataset": {"name": "spirals", "n": 128, "classes": 2, "seed": 0},
+    "mask": {"algo": "random", "sparsity": 0.9},
+    "train": {"epochs": 3, "batch": 32, "lr0": 1e308, "milestones": [1], "seed": 0},
+    "tweaks": ["baseline", "toolkit"]}
+
 
 def write_configs(config_dir):
     """Every config the commands read, as JSON files both trees share."""
@@ -119,6 +131,7 @@ def write_configs(config_dir):
     configs = {f"{w}-s{s}": make_config(w, s)[0] for w in WORKLOADS for s in SEEDS}
     configs.update(GHOST_CONFIGS)
     configs["diverge-resnet"] = DIVERGE_CONFIG
+    configs["lrsi-overflow"] = LRSI_OVERFLOW_CONFIG
     configs.update({f"mask-{name}": cfg for name, cfg in MASK_CONFIGS.items()})
     for name, cfg in configs.items():
         (config_dir / f"{name}.json").write_text(json.dumps(cfg, indent=1))

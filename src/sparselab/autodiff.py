@@ -245,17 +245,27 @@ def relu(x, label=""):
 
 def pswish(x, beta=1.0, label=""):
     """Parametric swish x * sigmoid(beta * x); beta=1 is swish, beta=inf is
-    relu itself (the limit, computed exactly: inf * 0 would give NaN)."""
+    relu itself (the limit, computed exactly: inf * 0 would give NaN). Where
+    a finite beta * x overflows, s is exactly 1 or 0 and the derivative
+    takes its limit s, so a huge beta reaches relu without a warning."""
     x = as_tensor(x)
     beta = float(beta)
     if beta < 0:
         raise ValueError(f"pswish: beta must be >= 0, got {beta}")
     if beta == math.inf:
         return relu(x, label)
-    s = _sigmoid(beta * x.data)
+    with np.errstate(over="ignore"):
+        bx = beta * x.data
+    s = _sigmoid(bx)
+    over = np.flatnonzero(np.isinf(bx))
 
     def bw(g):
-        _accumulate(x, g * (s * (1.0 + beta * x.data * (1.0 - s))))
+        # one expression: numpy's temporary elision sets these products' operand
+        # order, and a complex product's bits depend on it
+        with np.errstate(over="ignore", invalid="ignore"):      # inf * 0 at `over`
+            gx = g * (s * (1.0 + beta * x.data * (1.0 - s)))
+        gx.flat[over] = g.flat[over] * s.flat[over]
+        _accumulate(x, gx)
 
     return _result(x.data * s, "pswish", (x,), bw, label)
 

@@ -130,10 +130,13 @@ def train(model, dataset, config, mask=None):
     ``SchedulePolicy(config.ghost, config.milestones).knobs(epoch)`` gives
     each epoch's activation, beta and alpha, which the training forward,
     ``evaluate`` and the probes receive unchanged (LRsI those of epoch 0).
-    Divergence (a non-finite value in LRsI's objective, the forward pass,
-    the gradients or the update, or an exploding loss) aborts the run with
-    a final record flagged ``diverged`` instead of raising; its ``error``
-    says what went wrong, at which epoch and batch. A batch's parameters
+    The run computes with numpy's floating-point warnings off, so only its
+    finite checks decide divergence: a non-finite value anywhere in the run
+    (LRsI's objective, a batch's forward, loss, gradient or update, the
+    evaluation or a probe) or an exploding loss ends it with a final record
+    flagged ``diverged`` instead of raising. Its ``error`` reads
+    ``learn_scales: <msg> at epoch 0``, ``<msg> at epoch e, batch b`` or,
+    after an epoch's batches, ``<msg> at epoch e``. A batch's parameters
     and batchnorm statistics are committed together after its last check,
     or not at all.
     """
@@ -150,106 +153,93 @@ def train(model, dataset, config, mask=None):
     probe_x, probe_y = x_train[:pc.probe_batch], y_train[:pc.probe_batch]
 
     policy = SchedulePolicy(config.ghost, config.milestones)
+    knobs = policy.knobs(0)     # the first-step objective sees the exact epoch-0 network
+    history, scales = [], None
+    stage, epoch, batch = "learn_scales: ", 0, None     # where a NumericError stops the run
 
-    scales = None
-    if config.lrsi is not None:
-        bx = x_train[:min(config.batch_size, n)]
-        bt = smooth_labels_batch(y_train[:len(bx)], k_classes, config.ls_alpha)
-        # the first-step objective sees the exact epoch-0 network, ghosts included
-        knobs = policy.knobs(0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            scales = rescale.learn_scales(model, (bx, bt), config.lr0, config.lrsi, **knobs)
+            if config.lrsi is not None:
+                bx = x_train[:min(config.batch_size, n)]
+                bt = smooth_labels_batch(y_train[:len(bx)], k_classes, config.ls_alpha)
+                scales = rescale.learn_scales(model, (bx, bt), config.lr0, config.lrsi, **knobs)
+                rescale.apply_scales(model, scales)
+            stage = ""
+
+            rng = np.random.default_rng([config.seed, 2])
+            masks_by_name = {b.name: b.mask for b in model.maskable_blocks()}
+            layout = ParamLayout(model.blocks.values())
+            free = layout.free_index
+            theta = layout.flatten({n: b.value for n, b in model.blocks.items()})
+            velocity = np.zeros(free.size)
+
+            for epoch in range(config.epochs):
+                lr = lr_at(epoch, config.lr0, config.milestones)
+                knobs = policy.knobs(epoch)
+
+                perm = rng.permutation(n)
+                losses, flows = [], []
+                for batch, start in enumerate(range(0, n, config.batch_size)):
+                    idx = perm[start:start + config.batch_size]
+                    xb = x_train[idx]
+                    targets = smooth_labels_batch(y_train[idx], k_classes, config.ls_alpha)
+                    res = model.forward(xb, training=True, **knobs)
+                    loss = ad.softmax_cross_entropy(res.logits, targets, label="train_loss")
+                    val = float(loss.data)
+                    if not math.isfinite(val) or val > DIVERGENCE_LOSS:
+                        raise ad.NumericError(f"train loss {val}")
+                    ad.backward(loss)
+                    grads = {name: res.leaves[name].grad for name in masks_by_name}
+                    flows.append(diagnostics.avg_gradient_flow(grads, masks_by_name))
+                    grad = layout.flatten({n: leaf.grad for n, leaf in res.leaves.items()})
+                    if not np.all(np.isfinite(grad)):
+                        raise ad.NumericError("sgd_step: non-finite gradient for block "
+                                              + _bad_block(layout, grad))
+                    grad = grad[free]   # the finite check read it all; drop the full copy now
+                    stepped, velocity = sgd_step(theta[free], grad, velocity, lr,
+                                                 config.momentum, config.weight_decay)
+                    del grad        # not held through the next forward and backward
+                    theta = theta.copy()    # masked bytes kept as apply_mask left them (-0.0 too)
+                    theta[free] = stepped
+                    if not np.all(np.isfinite(stepped)):
+                        raise ad.NumericError("sgd_step: non-finite update for block "
+                                              + _bad_block(layout, theta))
+                    for name, value in layout.unflatten(theta).items():   # rebind: graphs keep old
+                        model.blocks[name].value = value
+                    model.bn_stats.update(res.stats)    # with the blocks, after every check
+                    losses.append(val)
+                batch = None
+
+                test_loss, test_acc = evaluate(model, dataset.x_test, dataset.y_test,
+                                               config.batch_size, **knobs)
+                act_sp = diagnostics.activation_sparsity(model, probe_x, pc.act_eps, **knobs)
+                swap_dev = (_swap_deviation(model, probe_x, config.ghost.beta_max)
+                            if epoch == policy.swap_epoch else None)
+
+                spectrum = None
+                if pc.enabled and epoch % pc.every == 0:
+                    onehot = smooth_labels_batch(probe_y, k_classes, 0.0)
+                    _, grad_fn, theta0 = diagnostics.probe_functions(model, probe_x, onehot,
+                                                                     layout=layout, **knobs)
+                    spectrum, _ = diagnostics.top_hessian_eigs(
+                        grad_fn, theta0, k=pc.eig_count, iters=pc.power_iters,
+                        tol=pc.tol, seed=config.seed * 1000 + epoch)
+
+                history.append(RunRecord(
+                    epoch=epoch, lr=lr, beta=knobs["beta"], alpha=knobs["alpha"],
+                    train_loss=float(np.mean(losses)) if losses else math.nan,
+                    test_loss=test_loss, test_acc=test_acc,
+                    grad_flow=float(np.mean(flows)) if flows else math.nan,
+                    act_sparsity=tuple(act_sp), spectrum=spectrum, swap_deviation=swap_dev,
+                ))
         except ad.NumericError as exc:
-            return TrainResult([_diverged(config, 0, knobs, f"learn_scales: {exc} at epoch 0")],
-                               None)
-        rescale.apply_scales(model, scales)
-
-    rng = np.random.default_rng([config.seed, 2])
-    masks_by_name = {b.name: b.mask for b in model.maskable_blocks()}
-    layout = ParamLayout(model.blocks.values())
-    free = layout.free_index
-    theta = layout.flatten({n: b.value for n, b in model.blocks.items()})
-    velocity = np.zeros(free.size)
-    history = []
-
-    for epoch in range(config.epochs):
-        lr = lr_at(epoch, config.lr0, config.milestones)
-        knobs = policy.knobs(epoch)
-
-        perm = rng.permutation(n)
-        losses, flows = [], []
-        error = None
-        for batch, start in enumerate(range(0, n, config.batch_size)):
-            idx = perm[start:start + config.batch_size]
-            xb = x_train[idx]
-            targets = smooth_labels_batch(y_train[idx], k_classes, config.ls_alpha)
-            try:
-                res = model.forward(xb, training=True, **knobs)
-                loss = ad.softmax_cross_entropy(res.logits, targets, label="train_loss")
-                val = float(loss.data)
-                if not math.isfinite(val) or val > DIVERGENCE_LOSS:
-                    error = f"train loss {val}"
-                    break
-                ad.backward(loss)
-                grads = {name: res.leaves[name].grad for name in masks_by_name}
-                flows.append(diagnostics.avg_gradient_flow(grads, masks_by_name))
-                grad = layout.flatten({n: leaf.grad for n, leaf in res.leaves.items()})
-                if not np.all(np.isfinite(grad)):
-                    error = f"sgd_step: non-finite gradient for block {_bad_block(layout, grad)}"
-                    break
-                grad = grad[free]   # the finite check read it all; drop the full copy now
-                stepped, velocity = sgd_step(theta[free], grad, velocity, lr,
-                                             config.momentum, config.weight_decay)
-                del grad        # not held through the next forward and backward
-                theta = theta.copy()    # masked bytes kept as apply_mask left them (-0.0 too)
-                theta[free] = stepped
-                if not np.all(np.isfinite(stepped)):
-                    error = f"sgd_step: non-finite update for block {_bad_block(layout, theta)}"
-                    break
-                for name, value in layout.unflatten(theta).items():   # rebind: graphs keep theirs
-                    model.blocks[name].value = value
-                model.bn_stats.update(res.stats)    # with the blocks, after every check
-            except ad.NumericError as exc:
-                error = str(exc)
-                break
-            losses.append(val)
-
-        if error is not None:
-            history.append(_diverged(config, epoch, knobs,
-                                     f"{error} at epoch {epoch}, batch {batch}"))
-            return TrainResult(history, scales)
-
-        test_loss, test_acc = evaluate(model, dataset.x_test, dataset.y_test,
-                                       config.batch_size, **knobs)
-        act_sp = diagnostics.activation_sparsity(model, probe_x, pc.act_eps, **knobs)
-        swap_dev = (_swap_deviation(model, probe_x, config.ghost.beta_max)
-                    if epoch == policy.swap_epoch else None)
-
-        spectrum = None
-        if pc.enabled and epoch % pc.every == 0:
-            onehot = smooth_labels_batch(probe_y, k_classes, 0.0)
-            _, grad_fn, theta0 = diagnostics.probe_functions(model, probe_x, onehot,
-                                                             layout=layout, **knobs)
-            spectrum, _ = diagnostics.top_hessian_eigs(
-                grad_fn, theta0, k=pc.eig_count, iters=pc.power_iters,
-                tol=pc.tol, seed=config.seed * 1000 + epoch)
-
-        history.append(RunRecord(
-            epoch=epoch, lr=lr, beta=knobs["beta"], alpha=knobs["alpha"],
-            train_loss=float(np.mean(losses)) if losses else math.nan,
-            test_loss=test_loss, test_acc=test_acc,
-            grad_flow=float(np.mean(flows)) if flows else math.nan,
-            act_sparsity=tuple(act_sp), spectrum=spectrum, swap_deviation=swap_dev,
-        ))
+            at_batch = "" if batch is None else f", batch {batch}"
+            history.append(RunRecord(
+                epoch=epoch, lr=lr_at(epoch, config.lr0, config.milestones),
+                beta=knobs["beta"], alpha=knobs["alpha"], train_loss=math.nan,
+                test_loss=math.nan, test_acc=math.nan, grad_flow=math.nan, diverged=True,
+                error=f"{stage}{exc} at epoch {epoch}{at_batch}"))
     return TrainResult(history, scales)
-
-
-def _diverged(config, epoch, knobs, error):
-    """The final record of a run that ``error`` stopped at ``epoch``."""
-    return RunRecord(epoch=epoch, lr=lr_at(epoch, config.lr0, config.milestones),
-                     beta=knobs["beta"], alpha=knobs["alpha"], train_loss=math.nan,
-                     test_loss=math.nan, test_acc=math.nan, grad_flow=math.nan,
-                     diverged=True, error=error)
 
 
 def _bad_block(layout, flat):

@@ -69,6 +69,21 @@ class TestForwardBasics:
         ad.backward(ad.sum_all(ad.mul(yr, seed)))
         assert x.grad.tobytes() == xr.grad.tobytes()
 
+    def test_pswish_huge_finite_beta_reaches_relu(self):
+        """At beta 1e308, beta * x overflows for |x| >= 2: there pswish takes
+        relu's value and derivative, without a warning (which pytest would
+        raise); every other element keeps the formula's bytes."""
+        data = np.array([-3.0, -2.0, -1e-300, 0.0, 1e-300, 0.5, 2.0, 3.0])
+        x = ad.Tensor(data, requires_grad=True)
+        y = ad.pswish(x, 1e308)
+        ad.backward(ad.sum_all(y))
+        big = np.abs(data) >= 2.0
+        np.testing.assert_array_equal(y.data[big], np.maximum(data[big], 0.0))
+        np.testing.assert_array_equal(x.grad[big], (data[big] > 0).astype(float))
+        bx = 1e308 * data[~big]
+        s = ad._sigmoid(bx)
+        assert x.grad[~big].tobytes() == (s * (1.0 + bx * (1.0 - s))).tobytes()
+
     def test_zero_two_layer_net(self):
         x = ad.Tensor(np.random.default_rng(0).normal(size=(3, 2)))
         w1 = ad.Tensor(np.zeros((2, 2)))

@@ -373,8 +373,7 @@ class TestCli:
                        train={"epochs": 3, "batch": 32, "lr0": 1e308, "milestones": [1],
                               "seed": 0},
                        tweaks=["baseline", "toolkit"])
-        with np.errstate(over="ignore"):
-            assert cli.main(["run", path]) == 1
+        assert cli.main(["run", path]) == 1
         out = capsys.readouterr().out
         assert "random s=0.9 toolkit seed=0: DIVERGED (learn_scales: " in out
         assert "at epoch 0)\n" in out
@@ -385,6 +384,43 @@ class TestCli:
         toolkit = runs / "random_s0.9_toolkit" / "seed0"
         assert (toolkit / "metrics.csv").exists() and (toolkit / "final.splb").exists()
         assert not (toolkit / "lrsi_scales.csv").exists()
+
+    @pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]],
+                             ids=["plain", "W-error"])
+    def test_hostile_grids_end_in_records_not_tracebacks(self, tmp_path, warnings):
+        """Grids whose numbers overflow: lr0 1e308 diverges both cells (the
+        toolkit in LRsI), an lth mask trained on it still comes out, and
+        pswish at beta 1e308 reaches exact relu and trains. Each command
+        leaves stderr empty, also when numpy's warnings are errors."""
+        grid = {"model": {"preset": "mlp", "in_shape": [2], "hidden": [16, 16], "classes": 2},
+                "dataset": {"name": "spirals", "n": 128, "classes": 2, "seed": 0},
+                "mask": {"algo": "random", "sparsity": 0.9},
+                "train": {"epochs": 3, "batch": 32, "lr0": 1e308, "milestones": [1],
+                          "seed": 0},
+                "tweaks": ["baseline", "toolkit"]}
+        overflow, huge_beta = tmp_path / "overflow.json", tmp_path / "beta.json"
+        overflow.write_text(json.dumps(grid))
+        huge_beta.write_text(json.dumps({**grid, "train": {**grid["train"], "lr0": 0.1},
+                                         "ghost": {"beta0": 1e308, "beta_max": 1e308}}))
+        src = os.path.dirname(os.path.dirname(sparselab.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+
+        def sparselab_cli(*args):
+            return subprocess.run([sys.executable, *warnings, "-m", "sparselab", *args],
+                                  env=env, cwd=tmp_path, capture_output=True, text=True,
+                                  timeout=300)
+
+        for cfg, out, code, diverged in ((overflow, "o", 1, ["baseline", "toolkit"]),
+                                         (huge_beta, "b", 0, [])):
+            proc = sparselab_cli("run", str(cfg), "--out", out)
+            assert (proc.returncode, proc.stderr) == (code, ""), proc.stderr
+            assert [line.split()[2] for line in proc.stdout.splitlines()
+                    if ": DIVERGED (" in line] == diverged, proc.stdout
+            assert (tmp_path / out / "summary.csv").exists()
+        proc = sparselab_cli("mask", str(overflow), "--algo", "lth", "--sparsity", "0.9",
+                             "--out", "lth.splb")
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert (tmp_path / "lth.splb").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

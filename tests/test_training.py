@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sparselab import autodiff as ad
-from sparselab import datasets, ghost, layers, masks, rescale, training
+from sparselab import datasets, diagnostics, ghost, layers, masks, rescale, training
 from sparselab.ghost import ConfigError, GhostConfig
 
 from helpers import cross_entropy, smooth_labels
@@ -292,7 +292,6 @@ class TestTrainLoop:
 
     def test_default_probes_use_probe_config_batch(self, monkeypatch):
         """Without a ProbeConfig, train() probes with ProbeConfig's own defaults."""
-        from sparselab import diagnostics
         seen = []
         real = diagnostics.activation_sparsity
 
@@ -460,8 +459,7 @@ class TestTrainLoop:
                 for n, b in masks.apply_mask(model.clone(), mask).blocks.items()}
         cfg = training.TrainConfig(epochs=3, batch_size=32, lr0=1e308, milestones=(1,),
                                    ls_alpha=0.1, ghost=GhostConfig(), lrsi=rescale.LRsIConfig())
-        with np.errstate(over="ignore"):
-            run = training.train(model, datasets.make_synthetic("spirals", 128), cfg, mask=mask)
+        run = training.train(model, datasets.make_synthetic("spirals", 128), cfg, mask=mask)
         assert run.scales is None and len(run.history) == 1
         rec = run.history[0]
         assert rec.diverged and rec.epoch == 0 and rec.lr == 1e308
@@ -556,12 +554,38 @@ class TestTrainLoop:
         before = {n: b.value.tobytes() for n, b in model.blocks.items()}
         cfg = training.TrainConfig(epochs=2, batch_size=32, lr0=1e308, weight_decay=1e10,
                                    milestones=())
-        with np.errstate(over="ignore"):
-            history = training.train(model, datasets.make_synthetic("spirals", 64), cfg).history
+        history = training.train(model, datasets.make_synthetic("spirals", 64), cfg).history
         assert len(history) == 1 and history[0].diverged
         assert history[0].error == ("sgd_step: non-finite update for block L00.dense.w"
                                     " at epoch 0, batch 0")
         assert {n: b.value.tobytes() for n, b in model.blocks.items()} == before
+
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    def test_numeric_error_after_the_batches_is_a_diverged_record(self, monkeypatch, fail_at):
+        """A NumericError from the spectrum probe, after an epoch's batches,
+        ends the run with the finished epochs' records and one diverged
+        record that names the epoch but no batch."""
+        calls = []
+
+        def failing_probe(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == fail_at:
+                raise ad.NumericError("probe failed")
+            return real_probe(*args, **kwargs)
+
+        real_probe = diagnostics.top_hessian_eigs
+        monkeypatch.setattr(diagnostics, "top_hessian_eigs", failing_probe)
+        probes = diagnostics.ProbeConfig(enabled=True, every=1, eig_count=1, power_iters=2,
+                                         probe_batch=16)
+        cfg = training.TrainConfig(epochs=3, batch_size=16, lr0=0.05, milestones=(), seed=9,
+                                   probes=probes)
+        history = training.train(_small_mlp(seed=9), _toy_blobs(seed=9), cfg).history
+        assert len(calls) == fail_at and len(history) == fail_at
+        assert [r.diverged for r in history] == [False] * (fail_at - 1) + [True]
+        assert all(r.spectrum is not None for r in history[:-1])
+        last = history[-1]
+        assert last.epoch == fail_at - 1 and last.lr == 0.05
+        assert last.error == f"probe failed at epoch {fail_at - 1}"
 
     def test_exploding_loss_records_value_epoch_and_batch(self):
         cfg = training.TrainConfig(epochs=10, batch_size=16, lr0=1e9, milestones=(), seed=6)
@@ -696,7 +720,6 @@ class TestMetricsCsv:
         """Each probe epoch's RunRecord.spectrum is the SpectrumRecord that
         top_hessian_eigs returned, and metrics.csv's top_eig_j cells are its
         eigenvalues; epochs without a probe have no record and empty cells."""
-        from sparselab import diagnostics
         returned, real = [], diagnostics.top_hessian_eigs
 
         def spy(*args, **kw):

@@ -25,6 +25,9 @@ commands then runs in both trees, each with its own ``src/`` on
 - ``run`` of the same two tweaks on mlp/spirals at ``lr0`` 1e308, where the
   toolkit's first LRsI objective overflows, so a run that diverges before
   its first step is compared too;
+- ``run`` of the same grid at ``lr0`` 0.1 with ghost ``beta0`` and
+  ``beta_max`` 1e308, where the toolkit's pswish overflows beta * x and
+  must take relu's limit;
 - ``probe --spectrum --scan --landscape`` on the resnet-probe seed-0
   checkpoint;
 - ``mask`` with all six generators at s in {0.5, 0.9, 0.98} on mlp/spirals,
@@ -124,6 +127,12 @@ LRSI_OVERFLOW_CONFIG = {
     "train": {"epochs": 3, "batch": 32, "lr0": 1e308, "milestones": [1], "seed": 0},
     "tweaks": ["baseline", "toolkit"]}
 
+# the same grid at lr0 0.1 with pswish at beta 1e308: beta * x overflows
+# wherever |x| exceeds about 1.8, and there takes relu's value and derivative
+HUGE_BETA_CONFIG = {**LRSI_OVERFLOW_CONFIG,
+                    "train": {**LRSI_OVERFLOW_CONFIG["train"], "lr0": 0.1},
+                    "ghost": {"beta0": 1e308, "beta_max": 1e308}}
+
 
 def write_configs(config_dir):
     """Every config the commands read, as JSON files both trees share."""
@@ -132,6 +141,7 @@ def write_configs(config_dir):
     configs.update(GHOST_CONFIGS)
     configs["diverge-resnet"] = DIVERGE_CONFIG
     configs["lrsi-overflow"] = LRSI_OVERFLOW_CONFIG
+    configs["huge-beta"] = HUGE_BETA_CONFIG
     configs.update({f"mask-{name}": cfg for name, cfg in MASK_CONFIGS.items()})
     for name, cfg in configs.items():
         (config_dir / f"{name}.json").write_text(json.dumps(cfg, indent=1))

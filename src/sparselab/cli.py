@@ -7,8 +7,9 @@ Verbs:
     compare <summary.csv> <summary.csv...> [--out PATH]
     selftest                               run the oracle battery
 
-Exit codes: 0 success, 1 run failure (a missing checkpoint included), 2
-configuration error (a missing config file included).
+Exit codes: 0 success, 1 run failure (a missing checkpoint or a non-finite
+value outside training included), 2 configuration error (a missing config
+file included).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import sys
 
 from sparselab import checkpoint, diagnostics, experiments, masks, training
+from sparselab.autodiff import NumericError
 from sparselab.ghost import ConfigError
 from sparselab.layers import build_model
 from sparselab.training import smooth_labels_batch
@@ -169,7 +171,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:      # CheckpointError is a ValueError
+    except (OSError, ValueError, NumericError) as exc:    # CheckpointError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

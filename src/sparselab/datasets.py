@@ -152,6 +152,8 @@ def load_idx_images(path, labels_path=None, limit=None):
     if len(x) != len(y):
         raise FormatError(f"{path}: {len(x)} images but {len(y)} labels")
     if limit is not None:
+        if limit < 0:
+            raise ValueError(f"{path}: limit must be >= 0, got {limit}")
         x, y = x[:limit], y[:limit]
     if len(x) < 2:
         raise FormatError(f"{path}: need at least 2 examples, got {len(x)}")

@@ -146,7 +146,19 @@ def _apply_activation(t, kind, ctx, label):
     return out
 
 
-class _Dense:
+def _ghost_skip(z, x, alpha, label, scale_label=None):
+    """``z + alpha * x``: the ghost skip from a block's input ``x`` to its
+    output ``z``. Adds no node when ``alpha`` is 0."""
+    if alpha == 0.0:
+        return z
+    return ad.add(z, ad.scale(x, alpha, label=scale_label or label), label=label)
+
+
+class _Layer:
+    activation_sites = ()   # names of the activation sites the layer runs, in order
+
+
+class _Dense(_Layer):
     def __init__(self, name, in_dim, out_dim, flatten):
         self.name = name
         self.w = f"{name}.w"
@@ -158,12 +170,10 @@ class _Dense:
         if self.flatten:
             x = ad.reshape(x, (x.data.shape[0], -1), label=self.name)
         z = ad.add(ad.matmul(x, P[self.w], label=self.name), P[self.b], label=self.name)
-        if self.ghost_site and ctx.alpha != 0.0:
-            z = ad.add(z, ad.scale(x, ctx.alpha, label=self.name), label=self.name)
-        return z
+        return _ghost_skip(z, x, ctx.alpha, self.name) if self.ghost_site else z
 
 
-class _Conv:
+class _Conv(_Layer):
     def __init__(self, name, stride, ghost_site):
         self.name = name
         self.w = f"{name}.w"
@@ -173,12 +183,13 @@ class _Conv:
 
     def forward(self, x, ctx, P):
         z = ad.conv2d(x, P[self.w], P[self.b], stride=self.stride, label=self.name)
-        if self.ghost_site and ctx.alpha != 0.0:
-            z = ad.add(z, ad.scale(x, ctx.alpha, label=self.name), label=self.name)
-        return z
+        return _ghost_skip(z, x, ctx.alpha, self.name) if self.ghost_site else z
 
 
-class _BatchNorm:
+class _BatchNorm(_Layer):
+    """Train mode normalizes by the batch and folds its statistics into
+    ``ctx.stats`` with ``BN_MOMENTUM``; eval mode normalizes by ``ctx.stats``."""
+
     def __init__(self, name):
         self.name = name
         self.g = f"{name}.g"
@@ -187,23 +198,26 @@ class _BatchNorm:
     def forward(self, x, ctx, P):
         if ctx.bn_passthrough:
             return x
-        out, mean, var = batchnorm_forward(x, P[self.g], P[self.b],
-                                           "train" if ctx.training else "eval",
-                                           *ctx.stats[self.name], label=self.name)
-        ctx.stats[self.name] = (mean, var)    # eval mode writes back the same arrays
+        rm, rv = ctx.stats[self.name]
+        if not ctx.training:
+            return ad.batchnorm_eval(x, P[self.g], P[self.b], rm, rv, eps=BN_EPS, label=self.name)
+        out, mean, var = ad.batchnorm_train(x, P[self.g], P[self.b], eps=BN_EPS, label=self.name)
+        ctx.stats[self.name] = ((1 - BN_MOMENTUM) * rm + BN_MOMENTUM * mean,
+                                (1 - BN_MOMENTUM) * rv + BN_MOMENTUM * var)
         return out
 
 
-class _Activation:
+class _Activation(_Layer):
     def __init__(self, name, kind):
         self.name = name
         self.kind = kind
+        self.activation_sites = (name,)
 
     def forward(self, x, ctx, P):
         return _apply_activation(x, self.kind, ctx, self.name)
 
 
-class _GlobalPool:
+class _GlobalPool(_Layer):
     def __init__(self, name):
         self.name = name
 
@@ -211,31 +225,27 @@ class _GlobalPool:
         return ad.global_avg_pool(x, label=self.name)
 
 
-class _ResidualBlock:
+class _ResidualBlock(_Layer):
     """conv-BN-act-conv-BN with a native identity skip added pre-final
     activation, plus two ghost sites (one around each conv+BN sub-block)."""
 
-    def __init__(self, name, channels, has_native_skip, activation):
+    def __init__(self, name, conv1, bn1, conv2, bn2, has_native_skip, activation):
         self.name = name
+        self.conv1, self.bn1, self.conv2, self.bn2 = conv1, bn1, conv2, bn2
         self.has_native_skip = has_native_skip
         self.activation = activation
-        # the two conv sub-blocks are the ghost sites, not the convs themselves
-        self.conv1 = _Conv(f"{name}.conv1", 1, ghost_site=False)
-        self.conv2 = _Conv(f"{name}.conv2", 1, ghost_site=False)
-        self.bn1 = _BatchNorm(f"{name}.bn1")
-        self.bn2 = _BatchNorm(f"{name}.bn2")
+        self.activation_sites = (f"{name}.act1", f"{name}.act2")
 
     def forward(self, x, ctx, P):
+        act1, act2 = self.activation_sites
         z1 = self.bn1.forward(self.conv1.forward(x, ctx, P), ctx, P)
-        if ctx.alpha != 0.0:
-            z1 = ad.add(z1, ad.scale(x, ctx.alpha, label=f"{self.name}.ghost1"), label=self.name)
-        h1 = _apply_activation(z1, self.activation, ctx, f"{self.name}.act1")
+        z1 = _ghost_skip(z1, x, ctx.alpha, self.name, f"{self.name}.ghost1")
+        h1 = _apply_activation(z1, self.activation, ctx, act1)
         z2 = self.bn2.forward(self.conv2.forward(h1, ctx, P), ctx, P)
-        if ctx.alpha != 0.0:
-            z2 = ad.add(z2, ad.scale(h1, ctx.alpha, label=f"{self.name}.ghost2"), label=self.name)
+        z2 = _ghost_skip(z2, h1, ctx.alpha, self.name, f"{self.name}.ghost2")
         if self.has_native_skip:
             z2 = ad.add(z2, x, label=f"{self.name}.skip")
-        return _apply_activation(z2, self.activation, ctx, f"{self.name}.act2")
+        return _apply_activation(z2, self.activation, ctx, act2)
 
 
 class Model:
@@ -289,13 +299,7 @@ class Model:
                      self.in_shape, self.n_classes)
 
     def activation_site_names(self):
-        names = []
-        for layer in self.layers:
-            if isinstance(layer, _Activation):
-                names.append(layer.name)
-            elif isinstance(layer, _ResidualBlock):
-                names.extend([f"{layer.name}.act1", f"{layer.name}.act2"])
-        return names
+        return [site for layer in self.layers for site in layer.activation_sites]
 
     def state_dict(self):
         state = {n: b.value.copy() for n, b in self.blocks.items()}
@@ -413,11 +417,11 @@ def build_model(spec, seed=0):
     def add_block(name, kind, value, group):
         blocks[name] = ParamBlock(name, kind, value, group)
 
-    def make_conv(name, in_ch, out_ch, stride):
+    def make_conv(name, in_ch, out_ch, stride, ghost_site):
         w = rng.normal(size=(out_ch, in_ch, 3, 3)) * np.sqrt(2.0 / (in_ch * 9))
         add_block(f"{name}.w", "weight", w, name)
         add_block(f"{name}.b", "bias", np.zeros(out_ch), name)
-        return _Conv(name, stride, ghost_site=in_ch == out_ch and stride == 1)
+        return _Conv(name, stride, ghost_site)
 
     def make_bn(name, dim):
         add_block(f"{name}.g", "bn_scale", np.ones(dim), name)
@@ -427,6 +431,8 @@ def build_model(spec, seed=0):
 
     for i, ls in enumerate(lspecs):
         name = f"L{i:02d}.{ls.kind}"
+        if ls.kind in ("conv3x3", "residual_block", "global_pool") and len(shape) != 3:
+            raise BuildError(f"layer {i} ({ls.kind}): needs (C,H,W) input, has {shape}")
         if ls.kind == "dense":
             flat_in = int(np.prod(shape))
             flatten = len(shape) > 1
@@ -436,28 +442,26 @@ def build_model(spec, seed=0):
             layer = _Dense(name, flat_in, ls.width, flatten)
             shape = (ls.width,)
         elif ls.kind == "conv3x3":
-            if len(shape) != 3:
-                raise BuildError(f"layer {i} ({ls.kind}): needs (C,H,W) input, has {shape}")
-            layer = make_conv(name, shape[0], ls.width, ls.stride)
+            layer = make_conv(name, shape[0], ls.width, ls.stride,
+                              ghost_site=shape[0] == ls.width and ls.stride == 1)
             shape = (ls.width, _conv_out(shape[1], ls.stride), _conv_out(shape[2], ls.stride))
         elif ls.kind == "batchnorm":
             layer = make_bn(name, shape[0])
         elif ls.kind == "activation":
             layer = _Activation(name, ls.activation)
         elif ls.kind == "residual_block":
-            if len(shape) != 3:
-                raise BuildError(f"layer {i} ({ls.kind}): needs (C,H,W) input, has {shape}")
             if shape[0] != ls.width:
                 raise BuildError(
                     f"layer {i} ({ls.kind}): native skip needs {ls.width} input channels, has {shape[0]}"
                 )
-            layer = _ResidualBlock(name, ls.width, ls.has_native_skip, ls.activation)
-            for conv, bn in ((layer.conv1, layer.bn1), (layer.conv2, layer.bn2)):
-                make_conv(conv.name, ls.width, ls.width, 1)
-                make_bn(bn.name, ls.width)
+            # built in this order (conv1, bn1, conv2, bn2): the RNG draws and the
+            # block order follow it; the conv+BN sub-blocks are the ghost sites
+            ch = ls.width
+            layer = _ResidualBlock(name, make_conv(f"{name}.conv1", ch, ch, 1, ghost_site=False),
+                                   make_bn(f"{name}.bn1", ch),
+                                   make_conv(f"{name}.conv2", ch, ch, 1, ghost_site=False),
+                                   make_bn(f"{name}.bn2", ch), ls.has_native_skip, ls.activation)
         elif ls.kind == "global_pool":
-            if len(shape) != 3:
-                raise BuildError(f"layer {i} ({ls.kind}): needs (C,H,W) input, has {shape}")
             layer = _GlobalPool(name)
             shape = (shape[0],)
         else:
@@ -469,26 +473,3 @@ def build_model(spec, seed=0):
     if not any(b.maskable for b in blocks.values()):
         raise BuildError("network has no dense or conv layer to mask")
     return Model(layers, blocks, bn_stats, in_shape, n_classes)
-
-
-# ---------------------------------------------------------------------------
-# standalone contract helpers
-# ---------------------------------------------------------------------------
-
-def batchnorm_forward(x, gamma, beta_shift, mode, running_mean, running_var,
-                      momentum=BN_MOMENTUM, eps=BN_EPS, label=""):
-    """Batch normalization with explicit mode and running statistics.
-
-    Returns ``(out, new_running_mean, new_running_var)``; the inputs are
-    never mutated. Train mode normalizes by batch statistics and folds
-    them into the running stats; eval mode uses the running stats. Every
-    batchnorm layer runs through here; ``label`` names it in op errors.
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"batchnorm_forward: mode must be train or eval, got {mode!r}")
-    rm = np.asarray(running_mean, dtype=np.float64)
-    rv = np.asarray(running_var, dtype=np.float64)
-    if mode == "train":
-        out, mean, var = ad.batchnorm_train(x, gamma, beta_shift, eps=eps, label=label)
-        return out, (1 - momentum) * rm + momentum * mean, (1 - momentum) * rv + momentum * var
-    return ad.batchnorm_eval(x, gamma, beta_shift, rm, rv, eps=eps, label=label), rm, rv

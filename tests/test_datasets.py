@@ -92,6 +92,18 @@ class TestIdxLoader:
         ds = datasets.load_idx_images(str(img), limit=100)
         assert len(ds.x_train) + len(ds.x_test) == 6
 
+    @pytest.mark.parametrize("limit, match", [(-3, "limit must be >= 0, got -3"),
+                                              (0, "need at least 2 examples, got 0"),
+                                              (1, "need at least 2 examples, got 1")],
+                             ids=["negative", "zero", "one"])
+    def test_limit_below_two_rejected(self, tmp_path, limit, match):
+        """A negative limit is an error, not a slice that drops examples
+        from the end; 0 and 1 leave too few examples."""
+        rng = np.random.default_rng(9)
+        img, lab = _write_idx(tmp_path, rng.integers(0, 256, (12, 4, 4)), rng.integers(0, 2, 12))
+        with pytest.raises(ValueError, match=match):
+            datasets.load_idx_images(str(img), limit=limit)
+
     def test_bad_magic(self, tmp_path):
         rng = np.random.default_rng(10)
         img, lab = _write_idx(tmp_path, rng.integers(0, 256, (4, 3, 3)),

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import sparselab
+from sparselab import autodiff as ad
 from sparselab import cli, datasets, diagnostics, experiments
 from sparselab.ghost import ConfigError
 from sparselab.layers import MODEL_KEYS
@@ -389,19 +390,25 @@ class TestCli:
                              ids=["plain", "W-error"])
     def test_hostile_grids_end_in_records_not_tracebacks(self, tmp_path, warnings):
         """Grids whose numbers overflow: lr0 1e308 diverges both cells (the
-        toolkit in LRsI), an lth mask trained on it still comes out, and
-        pswish at beta 1e308 reaches exact relu and trains. Each command
-        leaves stderr empty, also when numpy's warnings are errors."""
+        toolkit in LRsI), also with wd 1e10, and so do momentum 1e300 at lr0
+        0.1 and lr0 1e200 with the spectrum probe every epoch; an lth mask
+        trained on the lr0 1e308 grid still comes out, and pswish at beta
+        1e308 reaches exact relu and trains. Each command leaves stderr
+        empty, also when numpy's warnings are errors."""
         grid = {"model": {"preset": "mlp", "in_shape": [2], "hidden": [16, 16], "classes": 2},
                 "dataset": {"name": "spirals", "n": 128, "classes": 2, "seed": 0},
                 "mask": {"algo": "random", "sparsity": 0.9},
                 "train": {"epochs": 3, "batch": 32, "lr0": 1e308, "milestones": [1],
                           "seed": 0},
                 "tweaks": ["baseline", "toolkit"]}
-        overflow, huge_beta = tmp_path / "overflow.json", tmp_path / "beta.json"
-        overflow.write_text(json.dumps(grid))
-        huge_beta.write_text(json.dumps({**grid, "train": {**grid["train"], "lr0": 0.1},
-                                         "ghost": {"beta0": 1e308, "beta_max": 1e308}}))
+        at = lambda **train: {**grid, "train": {**grid["train"], **train}}
+        both = ["baseline", "toolkit"]
+        grids = {"overflow": (grid, 1, both), "wd": (at(wd=1e10), 1, both),
+                 "momentum": (at(lr0=0.1, momentum=1e300), 1, both),
+                 "probes": ({**at(lr0=1e200), "probes": {"enabled": True, "every": 1}}, 1, both),
+                 "beta": ({**at(lr0=0.1), "ghost": {"beta0": 1e308, "beta_max": 1e308}}, 0, [])}
+        for name, (cfg, _, _) in grids.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
         src = os.path.dirname(os.path.dirname(sparselab.__file__))
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
 
@@ -410,14 +417,13 @@ class TestCli:
                                   env=env, cwd=tmp_path, capture_output=True, text=True,
                                   timeout=300)
 
-        for cfg, out, code, diverged in ((overflow, "o", 1, ["baseline", "toolkit"]),
-                                         (huge_beta, "b", 0, [])):
-            proc = sparselab_cli("run", str(cfg), "--out", out)
-            assert (proc.returncode, proc.stderr) == (code, ""), proc.stderr
+        for name, (_, code, diverged) in grids.items():
+            proc = sparselab_cli("run", f"{name}.json", "--out", name)
+            assert (proc.returncode, proc.stderr) == (code, ""), (name, proc.stderr)
             assert [line.split()[2] for line in proc.stdout.splitlines()
                     if ": DIVERGED (" in line] == diverged, proc.stdout
-            assert (tmp_path / out / "summary.csv").exists()
-        proc = sparselab_cli("mask", str(overflow), "--algo", "lth", "--sparsity", "0.9",
+            assert (tmp_path / name / "summary.csv").exists()
+        proc = sparselab_cli("mask", "overflow.json", "--algo", "lth", "--sparsity", "0.9",
                              "--out", "lth.splb")
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
         assert (tmp_path / "lth.splb").exists()
@@ -436,6 +442,20 @@ class TestCli:
         assert cli.main(["probe", str(tmp_path / "nope.splb"), "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nope.splb" in err
+
+    def test_numeric_error_outside_training_is_a_run_failure(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """A non-finite value in mask generation (here a stand-in for synflow
+        overflowing a very deep net) ends the verb with one error line."""
+        def overflow(*args, **kwargs):
+            raise ad.NumericError("non-finite values produced by node matmul[L492.dense]")
+        monkeypatch.setattr(experiments, "generate_mask", overflow)
+        out = tmp_path / "m.splb"
+        assert cli.main(["mask", _config(tmp_path), "--algo", "synflow", "--sparsity", "0.9",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: non-finite values produced by node matmul[L492.dense]\n"
+        assert not out.exists()
 
     def test_mask_out_creates_its_directory(self, tmp_path):
         out = tmp_path / "new" / "dir" / "m.splb"

@@ -85,37 +85,40 @@ class TestBatchNorm:
             assert np.abs(scaled.data - base.data).max() <= 1e-9
 
     def test_contract_wrapper_updates_running_stats(self):
-        rng = np.random.default_rng(8)
-        x = ad.Tensor(rng.normal(size=(8, 2), loc=5.0))
-        g, b = ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2))
-        out, rm, rv = ly.batchnorm_forward(x, g, b, "train", np.zeros(2), np.ones(2))
-        np.testing.assert_allclose(rm, 0.1 * x.data.mean(axis=0), atol=1e-12)
-        out_eval, rm2, rv2 = ly.batchnorm_forward(x, g, b, "eval", rm, rv)
-        np.testing.assert_array_equal(rm, rm2)
-        np.testing.assert_array_equal(rv, rv2)
-        assert out_eval.data.shape == (8, 2)
+        """A batchnorm after a dense layer folds 0.1 of the batch mean into
+        zero running means; an eval forward returns the running arrays as is."""
+        model = _dense_bn()
+        x = np.random.default_rng(8).normal(size=(8, 3), loc=5.0)
+        res = model.forward(x, training=True)
+        dense = x @ model.blocks["L00.dense.w"].value + model.blocks["L00.dense.b"].value
+        np.testing.assert_allclose(res.stats["L01.batchnorm"][0], 0.1 * dense.mean(axis=0),
+                                   atol=1e-12)
+        model.bn_stats.update(res.stats)
+        out_eval = model.forward(x)
+        assert all(a is b for a, b in zip(out_eval.stats["L01.batchnorm"],
+                                          res.stats["L01.batchnorm"]))
+        assert out_eval.logits.data.shape == (8, 2)
 
     def test_batch_of_one_rejected_in_train(self):
         with pytest.raises(ValueError, match=r"batchnorm\[L01\.batchnorm\]"):
-            ly.batchnorm_forward(ad.Tensor(np.zeros((1, 2))), ad.Tensor(np.ones(2)),
-                                 ad.Tensor(np.zeros(2)), "train", np.zeros(2), np.ones(2),
-                                 label="L01.batchnorm")
+            _dense_bn().forward(np.zeros((1, 3)), training=True)
 
     def test_model_layers_share_the_contract_helper(self):
         """A model's train-mode forward returns its batch statistics folded
-        into the running stats exactly as batchnorm_forward does."""
+        into the running stats with BN_MOMENTUM, bit for bit."""
         model = _tiny_resnet()
         x = np.random.default_rng(5).normal(size=(4, 1, 8, 8))
         res = model.forward(x, training=True)
         stem = model.layers[0].forward(ad.Tensor(x), ly.ForwardContext(),
                                        {n: ad.Tensor(b.value) for n, b in model.blocks.items()})
         name = model.layers[1].name
-        _, rm, rv = ly.batchnorm_forward(stem, ad.Tensor(model.blocks[f"{name}.g"].value),
-                                         ad.Tensor(model.blocks[f"{name}.b"].value), "train",
-                                         *model.bn_stats[name])
-        assert res.stats[name][0].tobytes() == rm.tobytes()
-        assert res.stats[name][1].tobytes() == rv.tobytes()
-        assert not np.array_equal(rm, model.bn_stats[name][0])    # the fold moved them
+        _, mean, var = ad.batchnorm_train(stem, ad.Tensor(model.blocks[f"{name}.g"].value),
+                                          ad.Tensor(model.blocks[f"{name}.b"].value),
+                                          eps=ly.BN_EPS)
+        for got, running, batch in zip(res.stats[name], model.bn_stats[name], (mean, var)):
+            fold = (1 - ly.BN_MOMENTUM) * running + ly.BN_MOMENTUM * batch
+            assert got.tobytes() == fold.tobytes()
+            assert not np.array_equal(got, running)     # the fold moved them
 
     def test_forward_leaves_running_stats_unchanged(self):
         """No forward writes the model: a train-mode forward returns its
@@ -138,6 +141,12 @@ class TestBatchNorm:
 
 def _tiny_resnet(seed=0, in_shape=(1, 8, 8), classes=3):
     return ly.build_model({"preset": "resnet-tiny", "in_shape": in_shape, "classes": classes}, seed=seed)
+
+
+def _dense_bn():
+    """dense(2) into a 2-D batchnorm: the batchnorm is layer L01."""
+    return ly.build_model({"layers": [{"kind": "dense", "width": 2}, {"kind": "batchnorm"}],
+                           "in_shape": [3], "classes": 2}, seed=0)
 
 
 def _first_residual_block(model, x, alpha, activation=None, beta=1.0):
@@ -334,18 +343,36 @@ class TestScaleAbsorption:
 
 class TestForwardPlumbing:
     def test_observe_activations(self):
-        """``observe`` is called once per activation site with the site's
-        input and output; a soft-neuron forward hands it the pswish pair."""
-        model = _tiny_resnet()
-        x = np.random.default_rng(13).normal(size=(2, 1, 8, 8))
-        for knobs, act in (({}, lambda z: np.maximum(z, 0.0)),
-                           ({"activation": "pswish", "beta": 2.0},
-                            lambda z: ad.pswish(z, 2.0).data)):
-            seen = []
-            model.forward(x, observe=lambda z, a: seen.append((z, a)), **knobs)
-            assert len(seen) == len(model.activation_site_names()) == 9
-            for z, a in seen:
-                np.testing.assert_array_equal(a, act(z))
+        """``observe`` is called once per activation site, in the order of
+        ``activation_site_names``, with the site's input and output; a
+        soft-neuron forward hands it the pswish pair at relu sites only."""
+        mixed = ly.build_model({"layers": [
+            {"kind": "conv3x3", "width": 2}, {"kind": "batchnorm"},
+            {"kind": "activation", "activation": "mish"},
+            {"kind": "residual_block", "width": 2, "has_native_skip": False},
+            {"kind": "residual_block", "width": 2, "activation": "pswish"},
+            {"kind": "global_pool"}, {"kind": "dense", "width": 2}],
+            "in_shape": [1, 6, 6], "classes": 2}, seed=3)
+        mixed_kinds = {"L02.activation": "mish", "L03.residual_block.act1": "relu",
+                       "L03.residual_block.act2": "relu", "L04.residual_block.act1": "pswish",
+                       "L04.residual_block.act2": "pswish"}
+        resnet = _tiny_resnet()
+        rng = np.random.default_rng(13)
+        for model, x, kinds in ((resnet, rng.normal(size=(2, 1, 8, 8)),
+                                 dict.fromkeys(resnet.activation_site_names(), "relu")),
+                                (mixed, rng.normal(size=(2, 1, 6, 6)), mixed_kinds)):
+            assert list(kinds) == model.activation_site_names()
+            for knobs in ({}, {"activation": "pswish", "beta": 2.0}):
+                beta = knobs.get("beta", 1.0)
+                act = {"relu": lambda z: np.maximum(z, 0.0), "mish": lambda z: ad.mish(z).data,
+                       "pswish": lambda z: ad.pswish(z, beta).data}
+                seen = []
+                model.forward(x, observe=lambda z, a: seen.append((z, a)), **knobs)
+                assert len(seen) == len(kinds)
+                for kind, (z, a) in zip(kinds.values(), seen):
+                    kind = knobs.get("activation", kind) if kind == "relu" else kind
+                    np.testing.assert_array_equal(a, act[kind](z))
+        assert len(resnet.activation_site_names()) == 9
 
     def test_values_override_leaves_model_untouched(self):
         model = _tiny_resnet()

@@ -28,6 +28,12 @@ commands then runs in both trees, each with its own ``src/`` on
 - ``run`` of the same grid at ``lr0`` 0.1 with ghost ``beta0`` and
   ``beta_max`` 1e308, where the toolkit's pswish overflows beta * x and
   must take relu's limit;
+- ``run`` of the ``baseline`` and ``toolkit`` tweaks on a layers list over a
+  1x8x8 teacher input that the presets do not build: a mish activation, a
+  residual block without its native skip and one with pswish, a dense ghost
+  site after the global pool and a batchnorm on its 2-D output, with
+  random, SNIP, GraSP and SynFlow masks at s = 0.5, the spectrum probe on
+  every epoch and one LRsI iteration;
 - ``probe --spectrum --scan --landscape`` on the resnet-probe seed-0
   checkpoint;
 - ``mask`` with all six generators at s in {0.5, 0.9, 0.98} on mlp/spirals,
@@ -133,6 +139,24 @@ HUGE_BETA_CONFIG = {**LRSI_OVERFLOW_CONFIG,
                     "train": {**LRSI_OVERFLOW_CONFIG["train"], "lr0": 0.1},
                     "ghost": {"beta0": 1e308, "beta_max": 1e308}}
 
+# layer kinds and options beyond the presets; global_pool -> dense(4) keeps
+# the width, so that dense layer is a ghost site
+LAYERS_LIST_CONFIG = {
+    "model": {"layers": [{"kind": "conv3x3", "width": 4}, {"kind": "batchnorm"},
+                         {"kind": "activation", "activation": "mish"},
+                         {"kind": "residual_block", "width": 4, "has_native_skip": False},
+                         {"kind": "residual_block", "width": 4, "activation": "pswish"},
+                         {"kind": "global_pool"}, {"kind": "dense", "width": 4},
+                         {"kind": "batchnorm"}, {"kind": "activation"},
+                         {"kind": "dense", "width": 2}],
+              "in_shape": [1, 8, 8], "classes": 2},
+    "dataset": {"name": "teacher", "n": 128, "classes": 2, "seed": 0, "input_shape": [1, 8, 8]},
+    "mask": {"algo": ["random", "snip", "grasp", "synflow"], "sparsity": 0.5,
+             "synflow_iterations": 5},
+    "train": {"epochs": 2, "batch": 32, "milestones": [1]},
+    "probes": {"enabled": True, "every": 1, "power_iters": 5, "probe_batch": 32},
+    "lrsi": {"iters": 1}, "tweaks": ["baseline", "toolkit"]}
+
 
 def write_configs(config_dir):
     """Every config the commands read, as JSON files both trees share."""
@@ -142,6 +166,7 @@ def write_configs(config_dir):
     configs["diverge-resnet"] = DIVERGE_CONFIG
     configs["lrsi-overflow"] = LRSI_OVERFLOW_CONFIG
     configs["huge-beta"] = HUGE_BETA_CONFIG
+    configs["layers-list"] = LAYERS_LIST_CONFIG
     configs.update({f"mask-{name}": cfg for name, cfg in MASK_CONFIGS.items()})
     for name, cfg in configs.items():
         (config_dir / f"{name}.json").write_text(json.dumps(cfg, indent=1))

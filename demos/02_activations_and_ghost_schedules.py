@@ -35,6 +35,5 @@ for epoch in (0, 10, 15, 20, 29, 30, 45):
 print("\nremoval policies at milestones (30, 45):")
 for policy in ("ghost", "keep_forever", "ghost_at_second_decay", "abrupt_removal"):
     pol = SchedulePolicy(GhostConfig(policy=policy), (30, 45))
-    marks = [pol.state_at(e) for e in (0, 29, 30, 44, 45)]
-    desc = "  ".join(f"e{e}:a={st.alpha:.2f}" for e, st in zip((0, 29, 30, 44, 45), marks))
+    desc = "  ".join(f"e{e}:a={pol.knobs(e)['alpha']:.2f}" for e in (0, 29, 30, 44, 45))
     print(f"{policy:22s} {desc}")

@@ -23,7 +23,7 @@ generators["magnitude"] = masks.magnitude_mask(model, S)
 generators["snip"] = masks.snip_mask(model, batch, S)
 generators["grasp"] = masks.grasp_mask(model, batch, S)
 generators["synflow"] = masks.synflow_mask(model, S)
-generators["lth (2 rounds)"], rewound = masks.imp_lth(
+generators["lth (2 rounds)"] = masks.imp_lth(
     model, ds, rounds=2, per_round_rate=1 - (1 - S) ** 0.5, train_config=cfg)
 
 names = [b.name for b in model.maskable_blocks()]
@@ -34,10 +34,11 @@ for label, mask in generators.items():
     counts = [mask.per_layer_survivors()[n] for n in names]
     print(f"{label:15s} {mask.survivors():5d} {mask.achieved_sparsity():9.4f}  {counts}")
 
-report = masks.layer_collapse_check(generators["random"])
-print("\nrandom mask collapse check:", "collapsed" if report.collapsed else "no layer emptied")
+collapsed = masks.layer_collapse_check(generators["random"])
+print("\nrandom mask collapse check:", "collapsed" if collapsed else "no layer emptied")
 
 # rewound lottery weights are the original initialization times the mask
+rewound = masks.apply_mask(model.clone(), generators["lth (2 rounds)"])
 w0 = model.blocks[names[0]].value
 wr = rewound.blocks[names[0]].value
 m = generators["lth (2 rounds)"].arrays[names[0]]

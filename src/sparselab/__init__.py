@@ -16,7 +16,7 @@ from sparselab.diagnostics import (
     landscape_slice,
     top_hessian_eigs,
 )
-from sparselab.ghost import GhostConfig, GhostState, alpha_at, beta_at
+from sparselab.ghost import GhostConfig, alpha_at, beta_at
 from sparselab.layers import Model, build_model
 from sparselab.masks import (
     Mask,
@@ -45,7 +45,7 @@ __all__ = [
     "Dataset", "make_synthetic", "load_idx_images",
     "ProbeConfig", "activation_sparsity", "avg_gradient_flow", "top_hessian_eigs",
     "eigvec_perturb_scan", "landscape_slice",
-    "GhostConfig", "GhostState", "beta_at", "alpha_at",
+    "GhostConfig", "beta_at", "alpha_at",
     "Model", "build_model",
     "Mask", "random_mask", "magnitude_mask", "snip_mask", "grasp_mask", "synflow_mask",
     "imp_lth", "apply_mask", "layer_collapse_check",

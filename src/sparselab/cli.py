@@ -45,11 +45,10 @@ def _cmd_mask(args):
     masks.apply_mask(model, mask)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     checkpoint.save_model(args.out, model)
-    report = masks.layer_collapse_check(mask)
     print(f"{args.algo} mask at s={args.sparsity:g}: {mask.survivors()}/{mask.total()} "
           f"weights kept (achieved {mask.achieved_sparsity():.6f})")
-    if report.collapsed:
-        print(f"warning: collapsed layers {report.collapsed_layers}")
+    if collapsed := masks.layer_collapse_check(mask):
+        print(f"warning: collapsed layers {collapsed}")
     print(f"checkpoint written to {args.out}")
     return 0
 
@@ -70,7 +69,7 @@ def _cmd_probe(args):
     checkpoint.load_into_model(args.checkpoint, model)
     x, y = _parse_batch_spec(args.batch, cfg.dataset)
     targets = smooth_labels_batch(y, model.n_classes, 0.0)
-    pc = cfg.baseline.probes
+    pc = cfg.train["baseline"].probes
     out_dir = args.out or os.path.dirname(args.checkpoint) or "."
     os.makedirs(out_dir, exist_ok=True)
     wrote = []

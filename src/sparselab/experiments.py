@@ -108,8 +108,7 @@ class ExperimentConfig:
     seeds: list
     out_dir: str
     dataset: datasets.Dataset = field(repr=False)
-    train: dict = field(repr=False)    # tweak label -> TrainConfig (first seed)
-    baseline: TrainConfig = field(repr=False)   # what lth's rounds train with
+    train: dict = field(repr=False)    # tweak label -> TrainConfig (first seed), "baseline" too
     mask_options: dict = field(repr=False)      # generator parameter -> value
 
 
@@ -175,8 +174,7 @@ def validate_config(raw):
         raise ConfigError(f"model has {model.n_classes} classes, dataset {dataset.n_classes}")
     return ExperimentConfig(raw=raw, algos=algos, sparsities=sparsities, tweaks=tweaks,
                             seeds=seeds, out_dir=out_dir, dataset=dataset,
-                            train={t: configs[t] for t in tweaks}, baseline=configs["baseline"],
-                            mask_options=options)
+                            train=configs, mask_options=options)
 
 
 def _train_config(tweak_label, kw, seed):
@@ -196,8 +194,10 @@ def _train_config(tweak_label, kw, seed):
 
 def generate_mask(algo, model, dataset, sparsity, seed, cfg):
     """Dispatch to the requested generator with the mask options of ``cfg``;
-    its baseline TrainConfig (at ``seed``) gives the batch and lth's training."""
-    train = replace(cfg.baseline, seed=seed)
+    its baseline TrainConfig (at ``seed``) gives the batch and lth's training.
+    ``sparsity`` obeys the config's ``mask.sparsity`` rule."""
+    _SPARSITY("sparsity", sparsity)
+    train = replace(cfg.train["baseline"], seed=seed)
     batch = (dataset.x_train[:train.batch_size], dataset.y_train[:train.batch_size])
     options = cfg.mask_options
     scope = {k: v for k, v in options.items() if k == "scope"}    # the four scoped generators
@@ -217,8 +217,7 @@ def generate_mask(algo, model, dataset, sparsity, seed, cfg):
             return masks.random_mask(model, 0.0, seed=seed)
         rounds = options.get("rounds", 3)
         rate = 1.0 - (1.0 - sparsity) ** (1.0 / rounds)
-        found, _ = masks.imp_lth(model, dataset, rounds, rate, train)
-        return found
+        return masks.imp_lth(model, dataset, rounds, rate, train)
     raise ConfigError(f"unknown mask algo {algo!r}")
 
 

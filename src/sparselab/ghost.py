@@ -21,13 +21,6 @@ class ConfigError(ValueError):
     """Invalid configuration value."""
 
 
-@dataclass(frozen=True)
-class GhostState:
-    beta: float
-    alpha: float
-    phase: str      # "ghost" | "post_ghost"
-
-
 def _fraction(epoch, t_end, shape):
     f = epoch / t_end
     if shape == "linear":
@@ -112,24 +105,18 @@ class SchedulePolicy:
                 and config.policy != "keep_forever"):
             self.swap_epoch = self.t_end
 
-    def state_at(self, epoch):
-        c = self.config
-        if c.policy == "keep_forever" or (c.policy == "abrupt_removal" and epoch < self.t_end):
-            return GhostState(c.beta0, c.alpha0, "ghost")
-        if epoch >= self.t_end:
-            return GhostState(math.inf, 0.0, "post_ghost")
-        # "ghost" and "ghost_at_second_decay": annealed removal
-        return GhostState(beta_at(epoch, self.t_end, c.beta0, c.beta_max, c.schedule),
-                          alpha_at(epoch, self.t_end, c.alpha0, c.schedule), "ghost")
-
     def knobs(self, epoch):
         """``Model.forward``'s activation, beta and alpha at ``epoch``: soft
         neurons only where configured and still in the ghost phase, and
         skip gates only where configured."""
         c = self.config
-        if c is None:
+        if c is None or (c.policy != "keep_forever" and epoch >= self.t_end):
             return {"activation": None, "beta": math.inf, "alpha": 0.0}
-        state = self.state_at(epoch)
-        return {"activation": c.activation if c.soft_neurons and state.phase == "ghost" else None,
-                "beta": state.beta if c.soft_neurons else math.inf,
-                "alpha": state.alpha if c.skip_gates else 0.0}
+        if c.policy in ("keep_forever", "abrupt_removal"):
+            beta, alpha = c.beta0, c.alpha0
+        else:   # "ghost" and "ghost_at_second_decay": annealed removal
+            beta = beta_at(epoch, self.t_end, c.beta0, c.beta_max, c.schedule)
+            alpha = alpha_at(epoch, self.t_end, c.alpha0, c.schedule)
+        return {"activation": c.activation if c.soft_neurons else None,
+                "beta": beta if c.soft_neurons else math.inf,
+                "alpha": alpha if c.skip_gates else 0.0}

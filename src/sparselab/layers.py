@@ -27,6 +27,9 @@ BN_EPS = 1e-12
 BN_MOMENTUM = 0.1
 
 ACTIVATION_KINDS = ("relu", "pswish", "mish")
+LAYER_KEYS = {"dense": ("width",), "conv3x3": ("width", "stride"),    # kind -> keys it reads
+              "batchnorm": (), "activation": ("activation",), "global_pool": (),
+              "residual_block": ("width", "activation", "has_native_skip")}
 MODEL_KEYS = ("preset", "layers", "in_shape", "classes", "hidden", "channels")
 
 
@@ -39,17 +42,29 @@ class LayerSpec:
     kind: str                 # dense | conv3x3 | batchnorm | activation | residual_block | global_pool
     width: int = 0            # dense out features / conv out channels / block channels
     stride: int = 1
-    activation: str = "relu"  # for activation layers
+    activation: str = "relu"  # activation layers and residual blocks
     has_native_skip: bool = True  # residual blocks only
 
     def __post_init__(self):
         for f in fields(self):      # exact types: "stride": true is not an int here
             if type(v := getattr(self, f.name)).__name__ != f.type:
                 raise BuildError(f"layer {self.kind}: {f.name} must be {f.type}, got {v!r}")
+        if (reads := LAYER_KEYS.get(self.kind)) is None:
+            raise BuildError(f"unknown layer kind {self.kind!r}")
         if self.stride not in (1, 2):
             raise BuildError(f"layer {self.kind}: stride must be 1 or 2, got {self.stride}")
-        if self.kind == "activation" and self.activation not in ACTIVATION_KINDS:
-            raise BuildError(f"unknown activation kind {self.activation!r}")
+        if "width" in reads and self.width < 1:
+            raise BuildError(f"layer {self.kind}: width must be >= 1, got {self.width}")
+        if "activation" in reads and self.activation not in ACTIVATION_KINDS:
+            raise BuildError(f"layer {self.kind}: unknown activation kind {self.activation!r}")
+
+    @classmethod
+    def from_dict(cls, entry):
+        """A layers-list entry; a key its kind does not read is an error, not ignored."""
+        spec = cls(**entry)
+        if unread := sorted(set(entry) - {"kind", *LAYER_KEYS[spec.kind]}):
+            raise BuildError(f"layer {spec.kind}: {unread} do nothing for this kind")
+        return spec
 
 
 @dataclass
@@ -403,7 +418,8 @@ def build_model(spec, seed=0):
         raise BuildError("model spec needs a preset or a layers list, not both")
     sizes = {k: tuple(v) for k, v in lists.items() if k != "in_shape"}
     lspecs = (preset_layers(spec["preset"], n_classes, **sizes) if "preset" in spec else
-              [ls if isinstance(ls, LayerSpec) else LayerSpec(**ls) for ls in spec["layers"]])
+              [ls if isinstance(ls, LayerSpec) else LayerSpec.from_dict(ls)
+               for ls in spec["layers"]])
     preset = spec.get("preset", "a layers list")    # a known preset here, or no preset
     if unread := set(sizes) - {{"mlp": "hidden", "resnet-tiny": "channels"}.get(preset)}:
         raise BuildError(f"model {sorted(unread)} cannot size {preset!r}")
@@ -461,11 +477,9 @@ def build_model(spec, seed=0):
                                    make_bn(f"{name}.bn1", ch),
                                    make_conv(f"{name}.conv2", ch, ch, 1, ghost_site=False),
                                    make_bn(f"{name}.bn2", ch), ls.has_native_skip, ls.activation)
-        elif ls.kind == "global_pool":
+        else:   # global_pool
             layer = _GlobalPool(name)
             shape = (shape[0],)
-        else:
-            raise BuildError(f"layer {i}: unknown kind {ls.kind!r}")
         layers.append(layer)
 
     if shape != (n_classes,):

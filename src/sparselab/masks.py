@@ -13,7 +13,7 @@ is a module constant (`GRASP_PRUNE_LARGEST`) so flipping it is one line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,13 +49,6 @@ class Mask:
 
     def per_layer_survivors(self):
         return {n: int(a.sum()) for n, a in self.arrays.items()}
-
-
-@dataclass
-class CollapseReport:
-    survivors: dict
-    collapsed: bool
-    collapsed_layers: list = field(default_factory=list)
 
 
 def _check_sparsity(s):
@@ -237,8 +230,8 @@ def imp_lth(model, dataset, rounds, per_round_rate, train_config):
     Each round trains a fresh rewound copy to completion (without the
     spectrum probe: a round's history is dropped), prunes ``per_round_rate``
     of the survivors by global trained magnitude, and rewinds the survivors
-    to their initial values. Returns the final mask and the rewound (masked)
-    model; the input model is untouched.
+    to their initial values. Returns the final mask; the input model is
+    untouched, so ``apply_mask(model.clone(), mask)`` is the rewound ticket.
     """
     if rounds < 1:
         raise ValueError("imp_lth: rounds must be >= 1")
@@ -258,10 +251,7 @@ def imp_lth(model, dataset, rounds, per_round_rate, train_config):
         trained = layout.flatten({n: b.value for n, b in work.blocks.items()})
         survivors_r = int(round(total * (1.0 - per_round_rate) ** r))
         live = live[np.flatnonzero(_topk_keep(np.abs(trained[live]), survivors_r))]
-    mask = Mask(_live_arrays(layout, live), 1.0 - live.size / total)
-    rewound = model.clone()
-    apply_mask(rewound, mask)
-    return mask, rewound
+    return Mask(_live_arrays(layout, live), 1.0 - live.size / total)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +277,5 @@ def apply_mask(model, mask):
 
 
 def layer_collapse_check(mask):
-    """Survivor counts per maskable layer; flags any layer left empty."""
-    survivors = mask.per_layer_survivors()
-    collapsed = [n for n, c in survivors.items() if c == 0]
-    return CollapseReport(survivors=survivors, collapsed=bool(collapsed),
-                          collapsed_layers=collapsed)
+    """The maskable layers the mask leaves empty, in block order."""
+    return [n for n, c in mask.per_layer_survivors().items() if c == 0]

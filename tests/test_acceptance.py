@@ -245,7 +245,7 @@ def test_criterion_03_mask_semantics(monkeypatch):
         "snip": masks.snip_mask(probe, batch, s),
         "grasp": masks.grasp_mask(probe, batch, s),
         "synflow": masks.synflow_mask(probe, s),
-        "lth": masks.imp_lth(probe, ds, 2, 1.0 - (1.0 - s) ** 0.5, imp_cfg)[0],
+        "lth": masks.imp_lth(probe, ds, 2, 1.0 - (1.0 - s) ** 0.5, imp_cfg),
     }
     counts_ok = all(abs(m.achieved_sparsity() - s) * total <= 1.0 for m in gens.values())
     _report(3, f"masked weights exactly 0 (max {max_w:g}) and their bytes unchanged over "
@@ -446,7 +446,7 @@ def test_criterion_10_synflow_anti_collapse():
         syn = masks.synflow_mask(model, 0.99)
         syn_alive += all(c >= 1 for c in syn.per_layer_survivors().values())
         rand = masks.random_mask(model, 0.99, seed=seed)
-        rand_collapsed += masks.layer_collapse_check(rand).collapsed
+        rand_collapsed += bool(masks.layer_collapse_check(rand))
     _report(10, f"synflow alive on {syn_alive}/5 seeds; random collapsed on "
                 f"{rand_collapsed}/5 seeds", syn_alive == 5 and rand_collapsed >= 1)
 

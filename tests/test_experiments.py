@@ -179,7 +179,7 @@ class TestSchema:
         cfg = experiments.load_config(_config(tmp_path, train={"seed": 3}))
         want = sparselab.TrainConfig(seed=3)
         for f in dataclasses.fields(sparselab.TrainConfig):
-            assert getattr(cfg.baseline, f.name) == getattr(want, f.name), f.name
+            assert getattr(cfg.train["baseline"], f.name) == getattr(want, f.name), f.name
 
     def test_validated_dataset_is_the_one_run_uses(self, tmp_path):
         """run, mask and probe reuse cfg.dataset: make_synthetic's, from the keys given."""
@@ -456,6 +456,18 @@ class TestCli:
         assert capsys.readouterr().err == \
             "error: non-finite values produced by node matmul[L492.dense]\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["lth", "random"])
+    def test_mask_sparsity_out_of_range_is_a_config_error(self, tmp_path, capsys, algo):
+        """``--sparsity`` obeys ``mask.sparsity``'s rule for every algo, before
+        any generator runs (lth's per-round rate would be complex at 1.5)."""
+        out = tmp_path / "m.splb"
+        for sparsity in ("1.5", "-0.1", "nan"):
+            assert cli.main(["mask", _config(tmp_path), "--algo", algo, "--sparsity", sparsity,
+                             "--out", str(out)]) == 2, sparsity
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
+            assert not out.exists()
 
     def test_mask_out_creates_its_directory(self, tmp_path):
         out = tmp_path / "new" / "dir" / "m.splb"

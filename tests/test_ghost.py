@@ -55,30 +55,31 @@ class TestAlphaSchedule:
         assert all(b <= a for a, b in zip(cos_vals, cos_vals[1:]))
 
 
+POST_GHOST = {"activation": None, "beta": math.inf, "alpha": 0.0}
+
+
 class TestPolicies:
     def test_default_policy_anneals_to_first_milestone(self):
         pol = ghost.SchedulePolicy(ghost.GhostConfig(), (30, 45))
-        assert pol.state_at(0) == ghost.GhostState(1.0, 1.0, "ghost")
-        st = pol.state_at(30)
-        assert st.phase == "post_ghost" and st.alpha == 0.0 and st.beta == math.inf
+        assert pol.knobs(0) == {"activation": "pswish", "beta": 1.0, "alpha": 1.0}
+        assert pol.knobs(30) == POST_GHOST
 
     def test_keep_forever(self):
         pol = ghost.SchedulePolicy(ghost.GhostConfig(policy="keep_forever"), (30, 45))
         for e in (0, 29, 30, 59, 500):
-            st = pol.state_at(e)
-            assert st.alpha == 1.0 and st.beta == 1.0 and st.phase == "ghost"
+            assert pol.knobs(e) == {"activation": "pswish", "beta": 1.0, "alpha": 1.0}
 
     def test_abrupt_removal_step_function(self):
         pol = ghost.SchedulePolicy(ghost.GhostConfig(policy="abrupt_removal"), (30, 45))
-        assert pol.state_at(29).alpha == 1.0
-        assert pol.state_at(29).beta == 1.0
-        assert pol.state_at(30).alpha == 0.0
-        assert pol.state_at(30).beta == math.inf
+        assert pol.knobs(29)["alpha"] == 1.0
+        assert pol.knobs(29)["beta"] == 1.0
+        assert pol.knobs(30)["alpha"] == 0.0
+        assert pol.knobs(30)["beta"] == math.inf
 
     def test_ghost_at_second_decay(self):
         pol = ghost.SchedulePolicy(ghost.GhostConfig(policy="ghost_at_second_decay"), (30, 45))
-        assert pol.state_at(44).alpha > 0.0
-        assert pol.state_at(45).alpha == 0.0
+        assert pol.knobs(44)["alpha"] > 0.0
+        assert pol.knobs(45)["alpha"] == 0.0
         with pytest.raises(ghost.ConfigError):
             ghost.SchedulePolicy(ghost.GhostConfig(policy="ghost_at_second_decay"), (30,))
 
@@ -87,23 +88,27 @@ class TestPolicies:
             ghost.GhostConfig(policy="linger")
 
     def test_post_ghost_invariant(self):
-        for policy in ("ghost", "abrupt_removal", "ghost_at_second_decay"):
+        for policy, t_end in (("ghost", 10), ("abrupt_removal", 10),
+                              ("ghost_at_second_decay", 20)):
             pol = ghost.SchedulePolicy(ghost.GhostConfig(policy=policy), (10, 20))
-            for e in range(60):
-                st = pol.state_at(e)
-                if st.phase == "post_ghost":
-                    assert st.alpha == 0.0 and st.beta == math.inf
+            for e in range(t_end, 60):
+                assert pol.knobs(e) == POST_GHOST
 
 
-def _reference_knobs(config, state):
-    """The forward's (activation, beta, alpha) from a policy's state, written
-    out apart from ``SchedulePolicy.knobs`` as the reference it must match."""
-    if state is None or config is None:
+def _reference_knobs(config, milestones, epoch):
+    """The forward's (activation, beta, alpha) at ``epoch``, the policy table
+    written out apart from ``SchedulePolicy.knobs`` as the reference it must match."""
+    t_end = milestones[1] if config.policy == "ghost_at_second_decay" else milestones[0]
+    if config.policy == "keep_forever" or (config.policy == "abrupt_removal" and epoch < t_end):
+        beta, alpha = config.beta0, config.alpha0
+    elif epoch >= t_end:
         return None, math.inf, 0.0
-    act = config.activation if (config.soft_neurons and state.phase == "ghost") else None
-    beta = state.beta if config.soft_neurons else math.inf
-    alpha = state.alpha if config.skip_gates else 0.0
-    return act, beta, alpha
+    else:
+        beta = ghost.beta_at(epoch, t_end, config.beta0, config.beta_max, config.schedule)
+        alpha = ghost.alpha_at(epoch, t_end, config.alpha0, config.schedule)
+    if not config.soft_neurons:
+        return None, math.inf, alpha if config.skip_gates else 0.0
+    return config.activation, beta, alpha if config.skip_gates else 0.0
 
 
 class TestKnobs:
@@ -115,13 +120,16 @@ class TestKnobs:
                              ids=["soft+skips", "soft", "skips"])
     @pytest.mark.parametrize("policy", ghost.POLICIES)
     def test_knobs_match_the_state_derivation(self, policy, soft, skips, activation):
-        cfg = ghost.GhostConfig(policy=policy, activation=activation, soft_neurons=soft,
-                                skip_gates=skips, beta0=1.5, beta_max=8.0, alpha0=0.75)
         milestones = (4, 7)
-        pol = ghost.SchedulePolicy(cfg, milestones)
-        for e in range(milestones[1] + 2):
-            act, beta, alpha = _reference_knobs(cfg, pol.state_at(e))
-            assert pol.knobs(e) == {"activation": act, "beta": beta, "alpha": alpha}, e
+        for schedule in ("linear", "cosine"):
+            cfg = ghost.GhostConfig(policy=policy, activation=activation, soft_neurons=soft,
+                                    skip_gates=skips, beta0=1.5, beta_max=8.0, alpha0=0.75,
+                                    schedule=schedule)
+            pol = ghost.SchedulePolicy(cfg, milestones)
+            for e in range(milestones[1] + 2):
+                act, beta, alpha = _reference_knobs(cfg, milestones, e)
+                assert pol.knobs(e) == {"activation": act, "beta": beta, "alpha": alpha}, \
+                    (schedule, e)
 
     def test_no_ghost_config(self):
         for milestones in ((), (0,), (3, 5)):

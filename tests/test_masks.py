@@ -338,7 +338,7 @@ class TestSynflowMask:
             syn = masks.synflow_mask(model, 0.99)
             assert all(c >= 1 for c in syn.per_layer_survivors().values()), seed
             mag = masks.magnitude_mask(model, 0.99)
-            if masks.layer_collapse_check(mag).collapsed:
+            if masks.layer_collapse_check(mag):
                 collapsed_magnitude += 1
         assert collapsed_magnitude >= 1
 
@@ -446,7 +446,7 @@ class TestSurvivorRankingOracle:
                                     "classes": 3}, seed=8)
         ds = datasets.make_synthetic("spirals", 60, 3, noise=0.2, seed=9)
         cfg = TrainConfig(epochs=2, batch_size=16, lr0=0.05, milestones=(), seed=0)
-        mask, _ = masks.imp_lth(model, ds, rounds, 0.4, cfg)
+        mask = masks.imp_lth(model, ds, rounds, 0.4, cfg)
         want = _imp_reference(model, ds, rounds, 0.4, cfg)
         _assert_same_arrays(mask.arrays, want.arrays)
         assert mask.sparsity == want.sparsity and mask.notes == want.notes
@@ -465,21 +465,22 @@ class TestImpLth:
     def test_single_round_rewinds_to_init(self):
         model, ds, cfg = self._setup()
         theta0 = {b.name: b.value.copy() for b in model.maskable_blocks()}
-        mask, rewound = masks.imp_lth(model, ds, rounds=1, per_round_rate=0.2, train_config=cfg)
+        mask = masks.imp_lth(model, ds, rounds=1, per_round_rate=0.2, train_config=cfg)
         total = mask.total()
         assert mask.survivors() == round(0.8 * total)
+        rewound = masks.apply_mask(model.clone(), mask)
         for b in rewound.maskable_blocks():
             np.testing.assert_array_equal(b.value, theta0[b.name] * mask.arrays[b.name])
 
     def test_two_rounds_compound(self):
         model, ds, cfg = self._setup()
-        mask, _ = masks.imp_lth(model, ds, rounds=2, per_round_rate=0.2, train_config=cfg)
+        mask = masks.imp_lth(model, ds, rounds=2, per_round_rate=0.2, train_config=cfg)
         assert mask.survivors() == round(0.64 * mask.total())
 
     def test_masks_are_nested(self):
         model, ds, cfg = self._setup()
-        m1, _ = masks.imp_lth(model, ds, rounds=1, per_round_rate=0.3, train_config=cfg)
-        m2, _ = masks.imp_lth(model, ds, rounds=2, per_round_rate=0.3, train_config=cfg)
+        m1 = masks.imp_lth(model, ds, rounds=1, per_round_rate=0.3, train_config=cfg)
+        m2 = masks.imp_lth(model, ds, rounds=2, per_round_rate=0.3, train_config=cfg)
         for name in m1.arrays:
             assert np.all(m2.arrays[name] <= m1.arrays[name])
 
@@ -536,19 +537,17 @@ class TestApplyMask:
 class TestCollapseCheck:
     def test_flags_empty_layer(self):
         arrays = {"a.w": np.ones((2, 2)), "b.w": np.zeros((2, 2))}
-        report = masks.layer_collapse_check(masks.Mask(arrays, 0.5))
-        assert report.collapsed and report.collapsed_layers == ["b.w"]
+        assert masks.layer_collapse_check(masks.Mask(arrays, 0.5)) == ["b.w"]
 
     def test_dense_mask_not_collapsed(self):
         model = _mlp(seed=17)
-        report = masks.layer_collapse_check(masks.random_mask(model, 0.0, seed=0))
-        assert not report.collapsed
+        assert masks.layer_collapse_check(masks.random_mask(model, 0.0, seed=0)) == []
 
     def test_survivor_counts_account(self):
         model = _mlp(seed=18)
         mask = masks.random_mask(model, 0.35, seed=19)
-        report = masks.layer_collapse_check(mask)
-        assert sum(report.survivors.values()) == round(0.65 * mask.total())
+        assert masks.layer_collapse_check(mask) == []
+        assert sum(mask.per_layer_survivors().values()) == round(0.65 * mask.total())
 
 
 class TestSparsityAccounting:
@@ -568,6 +567,6 @@ class TestSparsityAccounting:
             "synflow": masks.synflow_mask(model, s, iterations=20),
         }
         rate = 1.0 - (1.0 - s) ** 0.5
-        generated["imp"], _ = masks.imp_lth(model, ds, 2, rate, cfg)
+        generated["imp"] = masks.imp_lth(model, ds, 2, rate, cfg)
         for name, mask in generated.items():
             assert abs(mask.achieved_sparsity() - s) * total <= 1.0, name

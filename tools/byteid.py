@@ -12,9 +12,11 @@ commands then runs in both trees, each with its own ``src/`` on
 
 - ``run`` on the three ``perfbench/workloads.py`` configs at seeds 0 and 1;
 - ``run`` of the ``soft``, ``skips`` and ``soft+skips`` tweaks on mlp/spirals
-  under two more ghost schedules: ``abrupt_removal`` with mish soft neurons,
-  and ``ghost_at_second_decay`` with pswish (whose swap probe runs at the
-  second milestone), each with the spectrum probe on every epoch;
+  under four more ghost schedules: ``abrupt_removal`` with mish soft neurons,
+  ``ghost_at_second_decay`` with pswish (whose swap probe runs at the
+  second milestone), ``keep_forever`` at beta 2 and alpha 0.5, and the
+  default policy on the cosine shape over 4 epochs with milestone 3, each
+  with the spectrum probe on every epoch;
 - ``run`` of the ``baseline`` and ``toolkit`` tweaks on resnet-tiny with
   random and GraSP masks at s = 0.9, on a 7x7 teacher input whose stride-2
   convolutions lose taps off an odd edge, with the spectrum probe on every
@@ -94,17 +96,22 @@ MASK_CONFIGS = {
              "dataset": {"name": "spirals", "n": 256, "classes": 2, "seed": 0},
              "mask": {"synflow_iterations": 20, "imp_rounds": 2}, "train": TRAIN},
 }
+GHOST_MLP = {"model": MLP_MODEL,
+             "dataset": {"name": "spirals", "n": 256, "classes": 2, "seed": 0},
+             "mask": {"algo": "random", "sparsity": 0.9},
+             "train": {"epochs": 3, "batch": 64, "milestones": [1, 2]},
+             "probes": {"enabled": True, "every": 1, "power_iters": 5, "probe_batch": 64},
+             "tweaks": ["soft", "skips", "soft+skips"]}
 GHOST_CONFIGS = {
-    f"ghost-{name}": {"model": MLP_MODEL,
-                      "dataset": {"name": "spirals", "n": 256, "classes": 2, "seed": 0},
-                      "mask": {"algo": "random", "sparsity": 0.9},
-                      "train": {"epochs": 3, "batch": 64, "milestones": [1, 2]},
-                      "probes": {"enabled": True, "every": 1, "power_iters": 5,
-                                 "probe_batch": 64},
-                      "ghost": ghost, "tweaks": ["soft", "skips", "soft+skips"]}
+    f"ghost-{name}": {**GHOST_MLP, "ghost": ghost}
     for name, ghost in (("abrupt-mish", {"policy": "abrupt_removal", "activation": "mish"}),
-                        ("second-decay", {"policy": "ghost_at_second_decay"}))
+                        ("second-decay", {"policy": "ghost_at_second_decay"}),
+                        ("keep-forever", {"policy": "keep_forever", "beta0": 2,
+                                          "alpha0": 0.5}))
 }
+# the default policy on the cosine shape: epochs 1 and 2 anneal along it
+GHOST_CONFIGS["ghost-cosine"] = {**GHOST_MLP, "ghost": {"schedule": "cosine", "beta_max": 6},
+                                 "train": {"epochs": 4, "batch": 64, "milestones": [3]}}
 # resnet-tiny on a 7x7 input (7 -> 4 -> 2, so stride-2 taps fall off an odd
 # edge), with the toolkit's ghosts and the spectrum probe every epoch
 GHOST_CONFIGS["ghost-resnet-probe"] = {

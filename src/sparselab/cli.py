@@ -92,8 +92,8 @@ def _cmd_probe(args):
             wrote.append(path)
 
     if args.landscape:
-        out = diagnostics.landscape_slice(model, (x, targets), pc.landscape_grid,
-                                          pc.landscape_span, seed=0)
+        out = diagnostics.landscape_slice(model, (x, targets), diagnostics.LANDSCAPE_GRID,
+                                          diagnostics.LANDSCAPE_SPAN, seed=0)
         path = os.path.join(out_dir, "landscape.csv")
         training.write_csv(path, ["a", "b", "loss"],
                            ((a, b, out.losses[i, j]) for i, a in enumerate(out.a_values)

@@ -60,7 +60,7 @@ def _teacher_logits(x_flat, p):
     return h @ p["w2"] + p["b2"]
 
 
-def make_synthetic(name, n, k_classes=2, noise=0.1, seed=0, input_shape=None):
+def make_synthetic(name, n=512, k_classes=2, noise=0.1, seed=0, input_shape=None):
     """Deterministic synthetic dataset.
 
     ``spirals``: interleaved 2-D spiral arms, one per class, radii bounded

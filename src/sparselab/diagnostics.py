@@ -21,6 +21,8 @@ from sparselab.layers import ParamLayout
 
 # the distances ``sparselab probe --scan`` moves along the top eigenvector
 SCAN_DISTANCES = tuple(np.linspace(-0.5, 0.5, 11))
+# the points per axis and the half-width of ``sparselab probe --landscape``'s grid
+LANDSCAPE_GRID, LANDSCAPE_SPAN = 11, 0.5
 
 
 @dataclass
@@ -30,17 +32,12 @@ class ProbeConfig:
     eig_count: int = 1
     power_iters: int = 50
     tol: float = 1e-3
-    act_eps: float = 1e-6          # |activation| threshold for sparsity
     probe_batch: int = 256
-    landscape_grid: int = 11
-    landscape_span: float = 0.5
 
     def __post_init__(self):
         # each check is written so that NaN fails it
         if not self.eig_count >= 1:
             raise ConfigError("probe eig_count must be >= 1")
-        if not self.act_eps > 0:
-            raise ConfigError("probe act_eps must be positive")
         if not self.every >= 1:
             raise ConfigError("probe cadence must be >= 1 epoch")
         if not self.power_iters >= 1:
@@ -49,8 +46,6 @@ class ProbeConfig:
             raise ConfigError("probe tol must be positive")
         if not self.probe_batch >= 1:
             raise ConfigError("probe probe_batch must be >= 1")
-        if self.landscape_grid % 2 == 0 or not self.landscape_grid >= 1:
-            raise ConfigError("landscape grid must be odd so the origin is sampled")
 
 
 @dataclass

@@ -45,14 +45,13 @@ def _strict(what, ok, convert):
 _INT = _strict("an integer", lambda v: type(v) is int, int)
 _FLOAT = _strict("a number", lambda v: type(v) in (int, float), float)
 _STR = _strict("a string", lambda v: type(v) is str, str)
-_TUPLE = _strict("a list", lambda v: isinstance(v, (list, tuple)), tuple)
 _INTS = _strict("a list of integers", lambda v: isinstance(v, (list, tuple))
                 and all(type(d) is int for d in v), tuple)
-_CASTS = {"int": _INT, "float": _FLOAT, "str": _STR, "tuple": _TUPLE,    # by annotation
+_CASTS = {"int": _INT, "float": _FLOAT, "str": _STR,     # by annotation
           "bool": _strict("true or false", lambda v: type(v) is bool, bool)}
 _COUNT = _strict("an integer >= 1", lambda v: type(v) is int and v >= 1, int)
 _ALGO = _strict(f"one of {MASK_ALGOS}", lambda v: v in MASK_ALGOS, str)
-_SPARSITY = _strict("a number in [0, 1)", lambda v: type(v) in (int, float) and 0 <= v < 1, float)
+_SPARSITY = lambda key, v: masks.check_sparsity(_FLOAT(key, v), key)
 _SCOPE = _strict(f"one of {masks.SCOPES}", lambda v: v in masks.SCOPES, str)
 
 
@@ -164,7 +163,7 @@ def validate_config(raw):
         if (unread := {"spirals": "input_shape", "teacher": "noise"}.get(name)) in data:
             raise ConfigError(f"dataset.{unread} does nothing for dataset {name!r}")
         dataset = (datasets.load_idx_images(**data) if name == "idx"
-                   else datasets.make_synthetic(name, data.pop("n", 512), **data))
+                   else datasets.make_synthetic(name, **data))
         model = build_model(kw["model"], seed=seeds[0])
     except (TypeError, ValueError) as exc:      # an owner rejected a value
         raise ConfigError(str(exc)) from exc
@@ -195,8 +194,8 @@ def _train_config(tweak_label, kw, seed):
 def generate_mask(algo, model, dataset, sparsity, seed, cfg):
     """Dispatch to the requested generator with the mask options of ``cfg``;
     its baseline TrainConfig (at ``seed``) gives the batch and lth's training.
-    ``sparsity`` obeys the config's ``mask.sparsity`` rule."""
-    _SPARSITY("sparsity", sparsity)
+    ``sparsity`` is checked before lth turns it into a per-round rate."""
+    masks.check_sparsity(sparsity)
     train = replace(cfg.train["baseline"], seed=seed)
     batch = (dataset.x_train[:train.batch_size], dataset.y_train[:train.batch_size])
     options = cfg.mask_options

@@ -48,23 +48,26 @@ class LayerSpec:
     def __post_init__(self):
         for f in fields(self):      # exact types: "stride": true is not an int here
             if type(v := getattr(self, f.name)).__name__ != f.type:
-                raise BuildError(f"layer {self.kind}: {f.name} must be {f.type}, got {v!r}")
+                raise BuildError(f"{f.name} must be {f.type}, got {v!r}")
         if (reads := LAYER_KEYS.get(self.kind)) is None:
             raise BuildError(f"unknown layer kind {self.kind!r}")
         if self.stride not in (1, 2):
-            raise BuildError(f"layer {self.kind}: stride must be 1 or 2, got {self.stride}")
+            raise BuildError(f"stride must be 1 or 2, got {self.stride}")
         if "width" in reads and self.width < 1:
-            raise BuildError(f"layer {self.kind}: width must be >= 1, got {self.width}")
+            raise BuildError(f"width must be >= 1, got {self.width}")
         if "activation" in reads and self.activation not in ACTIVATION_KINDS:
-            raise BuildError(f"layer {self.kind}: unknown activation kind {self.activation!r}")
+            raise BuildError(f"unknown activation kind {self.activation!r}")
 
     @classmethod
     def from_dict(cls, entry):
         """A layers-list entry; a key its kind does not read is an error, not ignored."""
-        spec = cls(**entry)
-        if unread := sorted(set(entry) - {"kind", *LAYER_KEYS[spec.kind]}):
-            raise BuildError(f"layer {spec.kind}: {unread} do nothing for this kind")
-        return spec
+        if not isinstance(entry, dict):
+            raise BuildError(f"a layers-list entry must be an object, got {entry!r}")
+        if type(kind := entry.get("kind")) is not str or kind not in LAYER_KEYS:
+            raise BuildError(f"unknown layer kind {kind!r}")
+        if unread := sorted(set(entry) - {"kind", *LAYER_KEYS[kind]}):
+            raise BuildError(f"{unread} do nothing for this kind")
+        return cls(**entry)
 
 
 @dataclass
@@ -394,6 +397,15 @@ def _conv_out(h, stride):
     return (h + 2 - 3) // stride + 1
 
 
+def _entry_spec(i, entry):
+    """``LayerSpec.from_dict(entry)``, its error prefixed by the entry's position and kind."""
+    try:
+        return LayerSpec.from_dict(entry)
+    except BuildError as exc:
+        kind = entry.get("kind") if isinstance(entry, dict) else None
+        raise BuildError(f"layer {i} ({kind}): {exc}") from None
+
+
 def build_model(spec, seed=0):
     """Construct a Model from a structured description.
 
@@ -418,8 +430,8 @@ def build_model(spec, seed=0):
         raise BuildError("model spec needs a preset or a layers list, not both")
     sizes = {k: tuple(v) for k, v in lists.items() if k != "in_shape"}
     lspecs = (preset_layers(spec["preset"], n_classes, **sizes) if "preset" in spec else
-              [ls if isinstance(ls, LayerSpec) else LayerSpec.from_dict(ls)
-               for ls in spec["layers"]])
+              [ls if isinstance(ls, LayerSpec) else _entry_spec(i, ls)
+               for i, ls in enumerate(spec["layers"])])
     preset = spec.get("preset", "a layers list")    # a known preset here, or no preset
     if unread := set(sizes) - {{"mlp": "hidden", "resnet-tiny": "channels"}.get(preset)}:
         raise BuildError(f"model {sorted(unread)} cannot size {preset!r}")

@@ -19,6 +19,7 @@ import numpy as np
 
 from sparselab import autodiff as ad
 from sparselab.diagnostics import probe_functions
+from sparselab.ghost import ConfigError
 from sparselab.layers import ParamLayout
 from sparselab.training import smooth_labels_batch, train
 
@@ -51,9 +52,11 @@ class Mask:
         return {n: int(a.sum()) for n, a in self.arrays.items()}
 
 
-def _check_sparsity(s):
+def check_sparsity(s, key="sparsity"):
+    """The one sparsity rule, 0 <= s < 1 (NaN fails it); returns ``s``."""
     if not 0.0 <= s < 1.0:
-        raise ValueError(f"sparsity must be in [0,1), got {s}")
+        raise ConfigError(f"{key} must be in [0, 1), got {s}")
+    return s
 
 
 def _keep_count(total, s):
@@ -117,7 +120,7 @@ def _rank_mask(layout, scores_by_block, s, scope):
 
 def random_mask(model, s, seed, scope="global"):
     """Uniformly random keep-set of round((1-s)*N) weights."""
-    _check_sparsity(s)
+    check_sparsity(s)
     rng = np.random.default_rng([seed, 1])
 
     def keep(lo, hi, keep_n):
@@ -130,7 +133,7 @@ def random_mask(model, s, seed, scope="global"):
 
 def magnitude_mask(model, s, scope="global"):
     """Keep the top (1-s) fraction by |theta|."""
-    _check_sparsity(s)
+    check_sparsity(s)
     blocks = model.maskable_blocks()
     scores = {}
     for b in blocks:
@@ -151,7 +154,7 @@ def _loss_closure(model, batch):
 
 def snip_mask(model, batch, s, scope="global"):
     """Gradient-sensitivity pruning: saliency |theta ⊙ grad L| on one batch."""
-    _check_sparsity(s)
+    check_sparsity(s)
     layout, grad_fn, theta0 = _loss_closure(model, batch)
     scores = np.abs(theta0 * grad_fn(theta0))
     if not np.any(scores):
@@ -174,7 +177,7 @@ def grasp_mask(model, batch, s, scope="global"):
     held fixed), then H g exactly by the complex step; saliency is
     theta ⊙ (H g) and the largest-saliency fraction s is pruned.
     """
-    _check_sparsity(s)
+    check_sparsity(s)
     layout, grad_fn, theta0 = _loss_closure(model, batch)
     saliency = grasp_saliency(grad_fn, theta0)
     ranking = -saliency if GRASP_PRUNE_LARGEST else saliency
@@ -192,7 +195,7 @@ def synflow_mask(model, s, iterations=100):
     ranking all weights with the pruned ones last would, ties in index order.
     The model is never mutated; signs are untouched.
     """
-    _check_sparsity(s)
+    check_sparsity(s)
     if iterations < 1:
         raise ValueError("synflow_mask: iterations must be >= 1")
     layout = ParamLayout(model.maskable_blocks())

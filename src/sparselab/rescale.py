@@ -20,19 +20,17 @@ from sparselab.diagnostics import probe_closures
 from sparselab.ghost import ConfigError
 from sparselab.layers import ParamLayout
 
+STEP = 0.05                 # the fixed step on each log-scale
+BOUNDS = (0.01, 100.0)      # the clamp on each scalar
+
 
 @dataclass
 class LRsIConfig:
     iters: int = 50
-    step: float = 0.05
-    bounds: tuple = (0.01, 100.0)  # clamp on each scalar
 
     def __post_init__(self):
         if not self.iters >= 0:
             raise ConfigError(f"lrsi iters must be >= 0, got {self.iters}")
-        lo, hi = self.bounds
-        if not (0 < lo < hi):
-            raise ConfigError(f"lrsi bounds must satisfy 0 < lo < hi, got {self.bounds}")
 
 
 @dataclass
@@ -64,10 +62,10 @@ def _scaled_values(model, scales):
 def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):
     """Optimize per-block scalars to lower the first-step loss.
 
-    The scalars are c = exp(u) (positivity needs no projection), moved by a
-    fixed-size step along the exact gradient of J(u) = L(theta'), with
-    theta_c the scaled values and theta' = theta_c - lr * grad L(theta_c),
-    and clamped. Since H is symmetric and the step moves free coordinates
+    The scalars are c = exp(u) (positivity needs no projection), moved by
+    ``STEP`` along the exact gradient of J(u) = L(theta'), with theta_c the
+    scaled values and theta' = theta_c - lr * grad L(theta_c), and clamped
+    to ``BOUNDS``. Since H is symmetric and the step moves free coordinates
     only, dJ/du_g = sum over group g of theta_c ⊙ (g' - lr * H(theta_c) g')
     with g' = grad L(theta'): two gradients and one complex-step Hessian-
     vector product per iteration, for every scalar at once. The best-seen
@@ -79,7 +77,7 @@ def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):
     groups = scale_groups(model)
     if not groups:
         raise ValueError("learn_scales: model has no maskable weight blocks")
-    lo, hi = math.log(cfg.bounds[0]), math.log(cfg.bounds[1])
+    lo, hi = math.log(BOUNDS[0]), math.log(BOUNDS[1])
     x, targets = batch
     # masks and shapes are fixed here, so every objective call shares one layout
     layout = ParamLayout(model.blocks.values())
@@ -113,7 +111,7 @@ def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):
     for it in range(cfg.iters):
         if grad is None or not np.all(np.isfinite(grad)):
             break
-        u = np.clip(u - cfg.step * grad, lo, hi)
+        u = np.clip(u - STEP * grad, lo, hi)
         try:
             j, grad = objective(u, it + 1 < cfg.iters)    # the last one needs J only
         except ad.NumericError:

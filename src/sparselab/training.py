@@ -212,7 +212,7 @@ def train(model, dataset, config, mask=None):
 
                 test_loss, test_acc = evaluate(model, dataset.x_test, dataset.y_test,
                                                config.batch_size, **knobs)
-                act_sp = diagnostics.activation_sparsity(model, probe_x, pc.act_eps, **knobs)
+                act_sp = diagnostics.activation_sparsity(model, probe_x, **knobs)
                 swap_dev = (_swap_deviation(model, probe_x, config.ghost.beta_max)
                             if epoch == policy.swap_epoch else None)
 

@@ -342,10 +342,6 @@ class TestProbeConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             dg.ProbeConfig(eig_count=0)
-        with pytest.raises(ValueError):
-            dg.ProbeConfig(act_eps=0.0)
-        with pytest.raises(ValueError):
-            dg.ProbeConfig(landscape_grid=4)
         for bad in ({"power_iters": 0}, {"probe_batch": 0}, {"tol": 0.0}):
             with pytest.raises(ConfigError):
                 dg.ProbeConfig(**bad)

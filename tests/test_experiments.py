@@ -212,11 +212,9 @@ class TestSchema:
         ("ghost", "policy"): 5, ("ghost", "beta0"): True, ("ghost", "beta_max"): True,
         ("ghost", "alpha0"): True, ("ghost", "schedule"): ["linear"],
         ("ghost", "activation"): None,
-        ("lrsi", "iters"): 2.5, ("lrsi", "step"): True, ("lrsi", "bounds"): "ab",
+        ("lrsi", "iters"): 2.5,
         ("probes", "enabled"): "false", ("probes", "every"): 5.0, ("probes", "eig_count"): 1.5,
-        ("probes", "power_iters"): 2.5, ("probes", "tol"): True, ("probes", "act_eps"): True,
-        ("probes", "probe_batch"): 2.5, ("probes", "landscape_grid"): 3.0,
-        ("probes", "landscape_span"): True,
+        ("probes", "power_iters"): 2.5, ("probes", "tol"): True, ("probes", "probe_batch"): 2.5,
     }
 
     def test_every_key_has_a_wrong_typed_case(self):
@@ -498,6 +496,14 @@ class TestCli:
                          "--spectrum", "--scan", "--landscape", "--out", probe_dir]) == 0
         for f in ("spectrum.csv", "scan.csv", "landscape.csv"):
             assert os.path.exists(os.path.join(probe_dir, f))
+        # the scan runs over SCAN_DISTANCES, the landscape over an 11 x 11 grid of +-0.5
+        scan = experiments.read_summary(os.path.join(probe_dir, "scan.csv"))
+        assert [float(r["t"]) for r in scan] == list(diagnostics.SCAN_DISTANCES)
+        grid = np.linspace(-0.5, 0.5, 11)
+        land = experiments.read_summary(os.path.join(probe_dir, "landscape.csv"))
+        assert len(land) == 121
+        assert [(float(r["a"]), float(r["b"])) for r in land] == [(a, b) for a in grid
+                                                                  for b in grid]
 
 
 class TestProbeVerb:

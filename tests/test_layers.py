@@ -286,40 +286,43 @@ class TestBuildModel:
          "hidden"),
         ({"layers": DENSE, "hidden": [4], "in_shape": [2], "classes": 2}, "hidden"),
         ({"layers": [{"kind": "conv3x3", "width": 1, "stride": True}, *CONV[1:]],
-          "in_shape": [1, 4, 4], "classes": 2}, "stride must be int"),
+          "in_shape": [1, 4, 4], "classes": 2}, r"layer 0 \(conv3x3\): stride must be int"),
         ({"layers": [{"kind": "dense", "width": 2.0}], "in_shape": [2], "classes": 2},
-         "width must be int"),
+         r"layer 0 \(dense\): width must be int"),
         ({"layers": [{"kind": "dense", "width": True}], "in_shape": [2], "classes": 2},
-         "width must be int"),
+         r"layer 0 \(dense\): width must be int"),
         ({"layers": [{"kind": "residual_block", "width": 1, "has_native_skip": 1}, *CONV[1:]],
-          "in_shape": [1, 4, 4], "classes": 2}, "has_native_skip must be bool"),
+          "in_shape": [1, 4, 4], "classes": 2},
+         r"layer 0 \(residual_block\): has_native_skip must be bool"),
         ({"layers": [{"kind": "activation"}], "in_shape": [2], "classes": 2},
          "no dense or conv layer"),
         ({"layers": [{"kind": "batchnorm"}, {"kind": "global_pool"}], "in_shape": [2, 3, 3],
           "classes": 2}, "no dense or conv layer"),
-        ({"layers": [{"kind": "dense"}, *DENSE], "in_shape": [2], "classes": 2},
-         r"layer dense: width must be >= 1, got 0"),
+        ({"layers": [*DENSE, *DENSE, {"kind": "dense"}], "in_shape": [2], "classes": 2},
+         r"layer 2 \(dense\): width must be >= 1, got 0"),
         ({"layers": [{"kind": "conv3x3", "width": 0}, *CONV[1:]], "in_shape": [1, 4, 4],
-          "classes": 2}, r"layer conv3x3: width must be >= 1, got 0"),
+          "classes": 2}, r"layer 0 \(conv3x3\): width must be >= 1, got 0"),
         ({"layers": [{"kind": "dense", "width": -3}, *DENSE], "in_shape": [2], "classes": 2},
-         r"layer dense: width must be >= 1, got -3"),
+         r"layer 0 \(dense\): width must be >= 1, got -3"),
         ({"layers": [{"kind": "residual_block", "width": 1, "activation": "bogus"}, *CONV[1:]],
           "in_shape": [1, 4, 4], "classes": 2},
-         "layer residual_block: unknown activation kind 'bogus'"),
+         r"layer 0 \(residual_block\): unknown activation kind 'bogus'"),
         ({"layers": [{"kind": "conv3x3", "width": 1, "activation": "mish"}, *CONV[1:]],
           "in_shape": [1, 4, 4], "classes": 2},
-         r"layer conv3x3: \['activation'\] do nothing"),
+         r"layer 0 \(conv3x3\): \['activation'\] do nothing"),
         ({"layers": [{"kind": "dense", "width": 2, "stride": 2}], "in_shape": [2],
-          "classes": 2}, r"layer dense: \['stride'\] do nothing"),
+          "classes": 2}, r"layer 0 \(dense\): \['stride'\] do nothing"),
         ({"layers": [{"kind": "batchnorm", "width": 2}, *DENSE], "in_shape": [2],
-          "classes": 2}, r"layer batchnorm: \['width'\] do nothing"),
+          "classes": 2}, r"layer 0 \(batchnorm\): \['width'\] do nothing"),
         ({"layers": [{"kind": "pool"}, *DENSE], "in_shape": [2], "classes": 2},
-         "unknown layer kind 'pool'"),
+         r"layer 0 \(pool\): unknown layer kind 'pool'"),
+        ({"layers": [*DENSE, {"kind": "dense", "width": 2, "foo": 1}], "in_shape": [2],
+          "classes": 2}, r"layer 1 \(dense\): \['foo'\] do nothing"),
     ], ids=["preset-and-layers", "channels-on-mlp", "hidden-on-resnet", "hidden-on-layers",
             "bool-stride", "float-width", "bool-width", "int-native-skip",
             "activation-only", "nothing-to-mask", "dense-without-width", "zero-width-conv",
             "negative-width", "bogus-block-activation", "activation-on-conv",
-            "stride-on-dense", "width-on-batchnorm", "unknown-kind"])
+            "stride-on-dense", "width-on-batchnorm", "unknown-kind", "unknown-key"])
     def test_rejects_what_it_would_ignore_or_misread(self, spec, match):
         with pytest.raises(ly.BuildError, match=match):
             ly.build_model(spec)

@@ -5,6 +5,7 @@ import pytest
 
 from sparselab import autodiff as ad
 from sparselab import datasets, diagnostics, layers, masks
+from sparselab.ghost import ConfigError
 from sparselab.training import TrainConfig, train
 
 from helpers import finite_diff_hessian, param_count
@@ -89,8 +90,17 @@ class TestRandomMask:
             np.testing.assert_array_equal(a.arrays[name], b.arrays[name])
 
     def test_sparsity_out_of_range(self):
+        """One rule, one message: every generator raises the ConfigError
+        (a ValueError) that the config's ``mask.sparsity`` check raises."""
         with pytest.raises(ValueError):
             masks.random_mask(_square_net(), 1.0, seed=0)
+        for s in (1.5, float("nan")):
+            want = f"sparsity must be in [0, 1), got {s}"
+            for make in (lambda m: masks.random_mask(m, s, seed=0),
+                         lambda m: masks.synflow_mask(m, s)):
+                with pytest.raises(ConfigError) as err:
+                    make(_square_net())
+                assert str(err.value) == want
 
     def test_layerwise_scope(self):
         mask = masks.random_mask(_mlp(hidden=(8, 8)), 0.5, seed=2, scope="layerwise")

@@ -145,11 +145,13 @@ class TestLearnScales:
                 values=rescale._scaled_values(model, out.scales))
             assert final <= out.trace[0] + 0.0
 
-    def test_scales_respect_bounds(self):
+    def test_scales_respect_bounds(self, monkeypatch):
         model = _mlp(seed=10)
         x, t = _batch(model, seed=11)
-        cfg = rescale.LRsIConfig(iters=30, step=5.0, bounds=(0.5, 2.0))
-        out = rescale.learn_scales(model, (x, t), lr_train=0.1, config=cfg)
+        monkeypatch.setattr(rescale, "STEP", 5.0)
+        monkeypatch.setattr(rescale, "BOUNDS", (0.5, 2.0))
+        out = rescale.learn_scales(model, (x, t), lr_train=0.1,
+                                   config=rescale.LRsIConfig(iters=30))
         for c in out.scales.values():
             assert 0.5 - 1e-12 <= c <= 2.0 + 1e-12
 
@@ -177,7 +179,9 @@ def _learned_and_fd_gradient(model, batch, **kw):
     step (u1 = -step * dJ/du, kept because it lowers J), and by central
     differences of J with step 1e-6 in log scale."""
     groups, step, h = rescale.scale_groups(model), 1e-3, 1e-6
-    out = rescale.learn_scales(model, batch, 0.1, rescale.LRsIConfig(iters=1, step=step), **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rescale, "STEP", step)
+        out = rescale.learn_scales(model, batch, 0.1, rescale.LRsIConfig(iters=1), **kw)
     assert out.trace[1] < out.trace[0]
     learned = -np.log([out.scales[g] for g in groups]) / step
 

@@ -291,13 +291,14 @@ class TestTrainLoop:
             assert b.value.tobytes() == before[n]
 
     def test_default_probes_use_probe_config_batch(self, monkeypatch):
-        """Without a ProbeConfig, train() probes with ProbeConfig's own defaults."""
+        """Without a ProbeConfig, train() probes with ProbeConfig's own
+        defaults, and leaves the threshold to activation_sparsity's own."""
         seen = []
         real = diagnostics.activation_sparsity
 
-        def spy(model, x, eps, **kw):
-            seen.append((len(x), eps))
-            return real(model, x, eps, **kw)
+        def spy(model, x, **kw):
+            seen.append((len(x), "eps" in kw))
+            return real(model, x, **kw)
 
         monkeypatch.setattr(diagnostics, "activation_sparsity", spy)
         cfg = training.TrainConfig(epochs=1, batch_size=100, milestones=(), seed=0)
@@ -305,7 +306,7 @@ class TestTrainLoop:
         want = diagnostics.ProbeConfig()
         assert training.TrainConfig(probes=None).probes == want
         assert want.probe_batch < 400
-        assert seen == [(want.probe_batch, want.act_eps)]
+        assert seen == [(want.probe_batch, False)]
 
     def test_separable_toy_fits_within_five_epochs(self):
         # the full-width preset, dense (no mask), on linearly separable blobs

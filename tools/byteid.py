@@ -36,6 +36,9 @@ commands then runs in both trees, each with its own ``src/`` on
   site after the global pool and a batchnorm on its 2-D output, with
   random, SNIP, GraSP and SynFlow masks at s = 0.5, the spectrum probe on
   every epoch and one LRsI iteration;
+- ``run`` of the ``baseline`` tweak on mlp/spirals with the random,
+  magnitude, SNIP, GraSP and lth masks at s in {0, 0.9}, ranked per layer,
+  so the ``layerwise`` scope and lth's separate s = 0 path are compared too;
 - ``probe --spectrum --scan --landscape`` on the resnet-probe seed-0
   checkpoint;
 - ``mask`` with all six generators at s in {0.5, 0.9, 0.98} on mlp/spirals,
@@ -164,6 +167,14 @@ LAYERS_LIST_CONFIG = {
     "probes": {"enabled": True, "every": 1, "power_iters": 5, "probe_batch": 32},
     "lrsi": {"iters": 1}, "tweaks": ["baseline", "toolkit"]}
 
+# the four scoped generators ranked per layer, and lth, each at s = 0 too
+SCOPE_LAYERWISE_CONFIG = {
+    "model": {"preset": "mlp", "in_shape": [2], "hidden": [16, 16], "classes": 2},
+    "dataset": {"name": "spirals", "n": 128, "classes": 2, "seed": 0},
+    "mask": {"algo": ["random", "magnitude", "snip", "grasp", "lth"], "sparsity": [0.0, 0.9],
+             "scope": "layerwise", "imp_rounds": 2},
+    "train": {"epochs": 1, "batch": 32, "milestones": []}}
+
 
 def write_configs(config_dir):
     """Every config the commands read, as JSON files both trees share."""
@@ -174,6 +185,7 @@ def write_configs(config_dir):
     configs["lrsi-overflow"] = LRSI_OVERFLOW_CONFIG
     configs["huge-beta"] = HUGE_BETA_CONFIG
     configs["layers-list"] = LAYERS_LIST_CONFIG
+    configs["scope-layerwise"] = SCOPE_LAYERWISE_CONFIG
     configs.update({f"mask-{name}": cfg for name, cfg in MASK_CONFIGS.items()})
     for name, cfg in configs.items():
         (config_dir / f"{name}.json").write_text(json.dumps(cfg, indent=1))

@@ -9,7 +9,8 @@ Verbs:
 
 Exit codes: 0 success, 1 run failure (a missing checkpoint or a non-finite
 value outside training included), 2 configuration error (a missing config
-file included).
+file included). Every verb runs with numpy's floating-point warnings off,
+as ``train`` does, so a non-finite value ends it with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+import numpy as np
 
 from sparselab import checkpoint, diagnostics, experiments, masks, training
 from sparselab.autodiff import NumericError
@@ -159,7 +162,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        # as in train, the finite checks decide, not numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            code = args.fn(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -1,10 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The directional criteria
-(7, 8, 9) retrain small networks and take minutes; everything is seeded,
-so reruns are bit-reproducible.
+(7, 8, 9) run the committed grids in claims/ through the grid driver, as
+`sparselab run claims/<name>.json` does, and read their verdicts from the
+CSVs it writes; they take minutes. Everything is seeded, so reruns are
+bit-reproducible.
 """
 
+import csv
+import glob
 import math
 import os
 import time
@@ -13,10 +17,9 @@ import numpy as np
 import pytest
 
 from sparselab import autodiff as ad
-from sparselab import checkpoint, datasets, diagnostics, experiments, ghost, layers, masks, rescale, training
+from sparselab import datasets, diagnostics, experiments, ghost, layers, masks, rescale, training
 from sparselab.ghost import GhostConfig
 from sparselab.rescale import LRsIConfig
-from sparselab.diagnostics import ProbeConfig
 from sparselab.training import TrainConfig, smooth_labels_batch
 
 from helpers import finite_diff_hessian, first_step_loss
@@ -35,20 +38,39 @@ def _rel(got, want):
 
 SPIRALS = dict(n=1024, k_classes=2, noise=0.05, seed=0)
 MLP_SPEC = {"preset": "mlp", "in_shape": [2], "classes": 2}
+CLAIMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "claims")
+# claims/<name>.json -> the sparsities and tweak labels that its criterion
+# reads, each on random masks over seeds 0-4
+CLAIM_GRIDS = {"activation_sparsity": ([0.9], ["baseline", "soft"]),          # criterion 7
+               "accuracy": ([0.5, 0.95, 0.98], ["baseline", "toolkit"]),      # criterion 8
+               "curvature": ([0.9], ["baseline", "toolkit"])}                 # criterion 9
 
 
 def _spirals():
     return datasets.make_synthetic("spirals", **SPIRALS)
 
 
-def _toolkit_config(seed, toolkit_on, epochs=60, milestones=(30, 45), lr0=0.1, batch=64,
-                    probes=None):
-    return TrainConfig(
-        epochs=epochs, batch_size=batch, lr0=lr0, milestones=milestones,
-        ls_alpha=0.1 if toolkit_on else 0.0, seed=seed,
-        ghost=GhostConfig() if toolkit_on else None,
-        lrsi=LRsIConfig(iters=12) if toolkit_on else None,
-        probes=probes)
+def _run_claim(name, out_dir):
+    """Run claims/<name>.json through the grid driver into ``out_dir``; returns
+    ``rows(sparsity, tweaks, seed, csv_name)``, the rows of one run's CSV."""
+    experiments.run_experiment(os.path.join(CLAIMS, f"{name}.json"), out_dir=str(out_dir))
+
+    def rows(s, tweaks, seed, csv_name):
+        with open(out_dir / f"random_s{s:g}_{tweaks}" / f"seed{seed}" / csv_name,
+                  newline="") as fh:
+            return list(csv.DictReader(fh))
+    return rows
+
+
+def test_claim_files_hold_their_criteria_grids():
+    """Each claims/*.json parses, and a criterion's grid has the seeds, tweak
+    labels and sparsities that the criterion reads."""
+    names = {os.path.basename(p)[:-5] for p in glob.glob(os.path.join(CLAIMS, "*.json"))}
+    for name in sorted(names | set(CLAIM_GRIDS)):
+        cfg = experiments.load_config(os.path.join(CLAIMS, f"{name}.json"))
+        if name in CLAIM_GRIDS:
+            assert (cfg.sparsities, cfg.tweaks) == CLAIM_GRIDS[name], name
+            assert cfg.algos == ["random"] and cfg.seeds == list(range(5)), name
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +250,9 @@ def test_criterion_03_mask_semantics(monkeypatch):
         return theta, velocity
 
     monkeypatch.setattr(training, "sgd_step", step)
-    history = training.train(model, ds, _toolkit_config(0, True), mask=mask).history
+    toolkit = TrainConfig(epochs=60, batch_size=64, lr0=0.1, milestones=(30, 45), ls_alpha=0.1,
+                          seed=0, ghost=GhostConfig(), lrsi=LRsIConfig(iters=12))
+    history = training.train(model, ds, toolkit, mask=mask).history
     monkeypatch.undo()
     assert len(history) == 60 and not history[-1].diverged
     max_w = max(float(np.abs(b.value[b.mask == 0]).max()) for b in model.maskable_blocks())
@@ -343,29 +367,20 @@ def test_criterion_06_lrsi_contract():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_criterion_07_activation_sparsity_direction():
+def test_criterion_07_activation_sparsity_direction(tmp_path):
     """resnet-tiny at s=0.9 (random mask, eps=1e-6): mid-training relu
-    activation sparsity >= 10x the swish-trained counterpart, >= 4/5 seeds."""
-    ds = datasets.make_synthetic("teacher", 256, 2, seed=0, input_shape=(1, 8, 8))
+    activation sparsity >= 10x the swish-trained counterpart, >= 4/5 seeds
+    (claims/activation_sparsity.json)."""
+    rows = _run_claim("activation_sparsity", tmp_path)
 
-    def run(seed, swish):
-        model = layers.build_model({"preset": "resnet-tiny", "in_shape": [1, 8, 8],
-                                    "classes": 2}, seed=seed)
-        mask = masks.random_mask(model, 0.9, seed=seed)
-        cfg = TrainConfig(
-            epochs=10, batch_size=64, lr0=0.05, milestones=(8,), seed=seed,
-            ghost=GhostConfig(policy="keep_forever", beta0=1.0, skip_gates=False) if swish else None)
-        history = training.train(model, ds, cfg, mask=mask).history
-        return float(np.mean(history[len(history) // 2].act_sparsity))
+    def mid_sparsity(tweaks, seed):
+        metrics = rows(0.9, tweaks, seed, "metrics.csv")
+        row = metrics[len(metrics) // 2]
+        return float(np.mean([float(v) for k, v in row.items() if k.startswith("act_sparsity_L")]))
 
-    wins = 0
-    ratios = []
-    for seed in range(5):
-        relu_sp = run(seed, swish=False)
-        swish_sp = run(seed, swish=True)
-        ratio = relu_sp / max(swish_sp, 1e-300)
-        ratios.append(ratio)
-        wins += ratio >= 10.0
+    ratios = [mid_sparsity("baseline", seed) / max(mid_sparsity("soft", seed), 1e-300)
+              for seed in range(5)]
+    wins = sum(ratio >= 10.0 for ratio in ratios)
     _report(7, f"relu/swish activation-sparsity ratios {[f'{r:.3g}' for r in ratios]}, "
                f"{wins}/5 seeds >= 10x", wins >= 4)
 
@@ -375,24 +390,19 @@ def test_criterion_07_activation_sparsity_direction():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_criterion_08_accuracy_direction():
+def test_criterion_08_accuracy_direction(tmp_path):
     """spirals + mlp preset: mean test accuracy with the full toolkit >=
-    baseline at s=0.95, and the toolkit's gap at s=0.98 >= its gap at s=0.5."""
-    ds = _spirals()
+    baseline at s=0.95, and the toolkit's gap at s=0.98 >= its gap at s=0.5
+    (claims/accuracy.json). A diverged run's last test_acc is NaN."""
+    rows = _run_claim("accuracy", tmp_path)
 
-    def run(seed, s, toolkit_on):
-        model = layers.build_model(MLP_SPEC, seed=seed)
-        mask = masks.random_mask(model, s, seed=seed)
-        history = training.train(model, ds, _toolkit_config(seed, toolkit_on), mask=mask).history
-        return history[-1].test_acc if history and not history[-1].diverged else math.nan
+    def mean_final_acc(s, tweaks):
+        return float(np.mean([float(rows(s, tweaks, seed, "metrics.csv")[-1]["test_acc"])
+                              for seed in range(5)]))
 
-    gaps = {}
-    means = {}
-    for s in (0.5, 0.95, 0.98):
-        base = [run(seed, s, False) for seed in range(5)]
-        full = [run(seed, s, True) for seed in range(5)]
-        means[s] = (float(np.mean(base)), float(np.mean(full)))
-        gaps[s] = means[s][1] - means[s][0]
+    means = {s: (mean_final_acc(s, "baseline"), mean_final_acc(s, "toolkit"))
+             for s in (0.5, 0.95, 0.98)}
+    gaps = {s: full - base for s, (base, full) in means.items()}
     _report(8, f"toolkit-vs-baseline mean gaps: s=0.5 {gaps[0.5]:+.4f}, "
                f"s=0.95 {gaps[0.95]:+.4f}, s=0.98 {gaps[0.98]:+.4f}",
             means[0.95][1] >= means[0.95][0] and gaps[0.98] >= gaps[0.5])
@@ -403,29 +413,16 @@ def test_criterion_08_accuracy_direction():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_criterion_09_curvature_direction():
+def test_criterion_09_curvature_direction(tmp_path):
     """Max top Hessian eigenvalue over the trajectory: toolkit <= baseline
-    in >= 3 of 5 seeds at s=0.9 on resnet-tiny."""
-    ds = datasets.make_synthetic("teacher", 256, 2, seed=0, input_shape=(1, 8, 8))
-    probes = ProbeConfig(enabled=True, every=5, eig_count=1, power_iters=25,
-                         probe_batch=128)
+    in >= 3 of 5 seeds at s=0.9 on resnet-tiny (claims/curvature.json)."""
+    rows = _run_claim("curvature", tmp_path)
 
-    def run(seed, toolkit_on):
-        model = layers.build_model({"preset": "resnet-tiny", "in_shape": [1, 8, 8],
-                                    "classes": 2}, seed=seed)
-        mask = masks.random_mask(model, 0.9, seed=seed)
-        cfg = _toolkit_config(seed, toolkit_on, epochs=20, milestones=(10, 15), lr0=0.05,
-                              batch=64, probes=probes)
-        history = training.train(model, ds, cfg, mask=mask).history
-        return max(r.spectrum.eigenvalues[0] for r in history if r.spectrum)
+    def max_eig(tweaks, seed):
+        return max(float(r["lambda_1"]) for r in rows(0.9, tweaks, seed, "spectrum.csv"))
 
-    wins = 0
-    pairs = []
-    for seed in range(5):
-        b = run(seed, False)
-        t = run(seed, True)
-        pairs.append((b, t))
-        wins += t <= b
+    pairs = [(max_eig("baseline", seed), max_eig("toolkit", seed)) for seed in range(5)]
+    wins = sum(t <= b for b, t in pairs)
     _report(9, f"max-eig pairs (baseline, toolkit) {[(f'{b:.0f}', f'{t:.0f}') for b, t in pairs]}, "
                f"toolkit <= baseline in {wins}/5 seeds", wins >= 3)
 

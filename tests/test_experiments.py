@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -392,7 +393,10 @@ class TestCli:
         0.1 and lr0 1e200 with the spectrum probe every epoch; an lth mask
         trained on the lr0 1e308 grid still comes out, and pswish at beta
         1e308 reaches exact relu and trains. Each command leaves stderr
-        empty, also when numpy's warnings are errors."""
+        empty, also when numpy's warnings are errors. Outside training, synflow
+        on a 520-layer width-16 mlp overflows near its last layer (|theta| on
+        an all-ones input): the mask verb exits 1 with one `error:` line
+        naming the node and no numpy warning or traceback."""
         grid = {"model": {"preset": "mlp", "in_shape": [2], "hidden": [16, 16], "classes": 2},
                 "dataset": {"name": "spirals", "n": 128, "classes": 2, "seed": 0},
                 "mask": {"algo": "random", "sparsity": 0.9},
@@ -407,6 +411,8 @@ class TestCli:
                  "beta": ({**at(lr0=0.1), "ghost": {"beta0": 1e308, "beta_max": 1e308}}, 0, [])}
         for name, (cfg, _, _) in grids.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        deep = {**grid, "model": {**grid["model"], "hidden": [16] * 520}}
+        (tmp_path / "deep.json").write_text(json.dumps(deep))
         src = os.path.dirname(os.path.dirname(sparselab.__file__))
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
 
@@ -425,6 +431,12 @@ class TestCli:
                              "--out", "lth.splb")
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
         assert (tmp_path / "lth.splb").exists()
+        proc = sparselab_cli("mask", "deep.json", "--algo", "synflow", "--sparsity", "0.9",
+                             "--out", "deep.splb")
+        assert proc.returncode == 1, proc.stderr
+        assert re.fullmatch(r"error: non-finite values produced by node matmul\[L\d+\.dense\]\n",
+                            proc.stderr), proc.stderr
+        assert not (tmp_path / "deep.splb").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

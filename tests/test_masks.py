@@ -462,6 +462,69 @@ class TestSurvivorRankingOracle:
         assert mask.sparsity == want.sparsity and mask.notes == want.notes
 
 
+class TestSynflowConservation:
+    """Synflow's scores checked by its conservation law (Tanaka et al. 2020,
+    Theorems 1-2). On the network synflow scores (|theta|, an all-ones
+    input, batchnorm bypassed) every relu sees a non-negative input, so R,
+    the sum of the logits, is positively homogeneous of degree 1 in a cut
+    layer's weights together with every bias at or after it. A cut is a
+    layer that every input-to-output path crosses. By Euler's identity the
+    cut's weight saliency plus those bias saliencies equals R."""
+
+    @pytest.mark.parametrize("iteration", [1, 3], ids=["first", "third"])
+    @pytest.mark.parametrize("spec", [
+        {"preset": "mlp", "in_shape": [2], "hidden": [16, 16, 16], "classes": 2},
+        {"preset": "resnet-tiny", "in_shape": [1, 8, 8], "classes": 2},
+    ], ids=["mlp", "resnet-tiny"])
+    def test_cut_saliency_plus_later_bias_saliency_is_R(self, monkeypatch, spec, iteration):
+        model = layers.build_model(spec, seed=0)
+        layout = layers.ParamLayout(model.maskable_blocks())
+        ranked, topk_keep = [], masks._topk_keep
+
+        def spy(scores, keep_n):    # synflow ranks the survivors' scores, in flat order
+            kept = topk_keep(scores, keep_n)
+            ranked.append((scores.copy(), kept == 1.0))
+            return kept
+
+        monkeypatch.setattr(masks, "_topk_keep", spy)
+        masks.synflow_mask(model, 0.9, iterations=4)
+        monkeypatch.undo()
+        live = np.arange(layout.size)
+        for _, kept in ranked[:iteration - 1]:
+            live = live[kept]
+        weight_saliency = np.zeros(layout.size)
+        weight_saliency[live] = ranked[iteration - 1][0]
+        weight_saliency = {n: float(a.sum()) for n, a in layout.unflatten(weight_saliency).items()}
+
+        # one independent forward and backward on the same network gives R
+        # and the bias saliencies
+        alive = np.zeros(layout.size)
+        alive[live] = 1.0
+        values = {n: np.abs(b.value) for n, b in model.blocks.items()}
+        values.update({n: values[n] * a for n, a in layout.unflatten(alive).items()})
+        res = model.forward(np.ones((1,) + model.in_shape), bn_passthrough=True, values=values)
+        out = ad.sum_all(res.logits)
+        ad.backward(out)
+        r = float(out.data)
+        names = list(model.blocks)
+        biases = [n for n in names if n.endswith(".b") and f"{n[:-2]}.w" in model.blocks]
+        bias_saliency = {n: float((values[n] * res.leaves[n].grad).sum()) for n in biases}
+
+        def conserved(cut):
+            total = weight_saliency[cut] + sum(bias_saliency[n] for n in biases
+                                               if names.index(n) > names.index(cut))
+            return abs(total - r) <= 1e-12 * r     # r == 0 (no path left) asks for exactly 0
+
+        cuts = [l.w for l in model.layers if isinstance(l, (layers._Dense, layers._Conv))]
+        assert len(cuts) == 4 and r >= 0.0
+        assert all(conserved(cut) for cut in cuts), [(c, weight_saliency[c], r) for c in cuts]
+        # the native skip bypasses the residual blocks' convs: not cuts, and
+        # their sums miss R, so the identity tells a cut from the rest
+        inner = [n for n in layout.names if n not in cuts]
+        assert not any(conserved(n) for n in inner)
+        assert len(inner) == (6 if spec["preset"] == "resnet-tiny" else 0)
+
+
 class TestImpLth:
     def _setup(self):
         model = _mlp(seed=8, hidden=(8, 8))

@@ -195,21 +195,12 @@ def mul(a, b, label=""):
         raise ShapeError(f"mul[{label}]: {a.data.shape} * {b.data.shape}: {exc}") from None
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _result(data, "mul", (a, b), bw, label)
-
-
-def scale(a, c, label=""):
-    """Multiply by a python float (no gradient w.r.t. the scalar)."""
-    a = as_tensor(a)
-    c = float(c)
-
-    def bw(g):
-        _accumulate(a, g * c)
-
-    return _result(a.data * c, "scale", (a,), bw, label)
 
 
 def matmul(a, b, label=""):
@@ -376,6 +367,9 @@ def conv2d(x, w, b=None, stride=1, label=""):
     return _result(data, "conv2d", (x, w) if b is None else (x, w, b), bw, label)
 
 
+BN_EPS = 1e-12      # both batchnorms' default eps; batchnorm_train says why it is tiny
+
+
 def _bn_axes(shape):
     if len(shape) == 2:
         return (0,)
@@ -403,7 +397,7 @@ def _bn_affine(xhat, gamma, beta, pshape):
     return _reuse(out, np.add, out, beta.data.reshape(pshape))
 
 
-def batchnorm_train(x, gamma, beta, eps=1e-12, label=""):
+def batchnorm_train(x, gamma, beta, eps=BN_EPS, label=""):
     """Train-mode batch normalization.
 
     Normalizes by the batch mean/variance (biased) over the batch axis
@@ -443,7 +437,7 @@ def batchnorm_train(x, gamma, beta, eps=1e-12, label=""):
     return out, mean.reshape(-1), var.reshape(-1)
 
 
-def batchnorm_eval(x, gamma, beta, running_mean, running_var, eps=1e-12, label=""):
+def batchnorm_eval(x, gamma, beta, running_mean, running_var, eps=BN_EPS, label=""):
     """Eval-mode batch normalization using frozen running statistics."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     pshape = _bn_param_shape(x.data.shape, gamma, "gamma", label)
@@ -517,11 +511,12 @@ def softmax_cross_entropy(logits, targets, label=""):
         )
     z = logits.data
     zmax = z.real.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    probs = np.exp(z - zmax)
+    total = probs.sum(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(total[:, 0])
     n = z.shape[0]
     data = (lse - (y * z).sum(axis=1)).mean()
-    probs = np.exp(z - zmax)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= total
 
     def bw(g):
         _accumulate(logits, (probs - y) * (g / n))

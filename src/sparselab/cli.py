@@ -56,13 +56,13 @@ def _cmd_mask(args):
     return 0
 
 
-def _parse_batch_spec(spec, dataset):
+def _parse_batch_spec(spec, dataset, probe_batch):
     split, _, count = (spec or "test").partition(":")
     if split not in ("train", "test") or count and not (count.isdecimal() and int(count) > 0):
         raise ConfigError(f"--batch must be train[:n] or test[:n] with n >= 1, got {spec!r}")
     x = dataset.x_train if split == "train" else dataset.x_test
     y = dataset.y_train if split == "train" else dataset.y_test
-    n = min(int(count) if count else diagnostics.ProbeConfig.probe_batch, len(x))
+    n = min(int(count) if count else probe_batch, len(x))
     return x[:n], y[:n]
 
 
@@ -70,9 +70,9 @@ def _cmd_probe(args):
     cfg = experiments.load_config(args.config)
     model = build_model(cfg.raw["model"], seed=cfg.seeds[0])
     checkpoint.load_into_model(args.checkpoint, model)
-    x, y = _parse_batch_spec(args.batch, cfg.dataset)
-    targets = smooth_labels_batch(y, model.n_classes, 0.0)
     pc = cfg.train["baseline"].probes
+    x, y = _parse_batch_spec(args.batch, cfg.dataset, pc.probe_batch)
+    targets = smooth_labels_batch(y, model.n_classes, 0.0)
     out_dir = args.out or os.path.dirname(args.checkpoint) or "."
     os.makedirs(out_dir, exist_ok=True)
     wrote = []

@@ -6,6 +6,7 @@ split only.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -109,24 +110,17 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
-def _read_idx_images(path):
+def _read_idx(path, magic, kind, payload):
+    """The uint8 array of an IDX file whose magic must be ``magic``: its low
+    byte is the rank, and one big-endian u32 extent follows per axis."""
     with open(path, "rb") as fh:
-        magic, = struct.unpack(">I", _read_exact(fh, 4, "magic", path, FormatError))
-        if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(f"{path}: bad image magic 0x{magic:08x} at byte offset 0")
-        count, rows, cols = struct.unpack(">III", _read_exact(fh, 12, "header", path, FormatError))
-        raw = _read_exact(fh, count * rows * cols, "pixel payload", path, FormatError)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, rows, cols)
-
-
-def _read_idx_labels(path):
-    with open(path, "rb") as fh:
-        magic, = struct.unpack(">I", _read_exact(fh, 4, "magic", path, FormatError))
-        if magic != IDX_LABELS_MAGIC:
-            raise FormatError(f"{path}: bad label magic 0x{magic:08x} at byte offset 0")
-        count, = struct.unpack(">I", _read_exact(fh, 4, "header", path, FormatError))
-        raw = _read_exact(fh, count, "label payload", path, FormatError)
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        found, = struct.unpack(">I", _read_exact(fh, 4, "magic", path, FormatError))
+        if found != magic:
+            raise FormatError(f"{path}: bad {kind} magic 0x{found:08x} at byte offset 0")
+        rank = magic & 0xFF
+        shape = struct.unpack(f">{rank}I", _read_exact(fh, 4 * rank, "header", path, FormatError))
+        raw = _read_exact(fh, math.prod(shape), payload, path, FormatError)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
 def _derive_labels_path(images_path):
@@ -147,8 +141,8 @@ def load_idx_images(path, labels_path=None, limit=None):
         labels_path = _derive_labels_path(path)
         if labels_path is None:
             raise FormatError(f"{path}: cannot derive labels path; pass labels_path")
-    x = _read_idx_images(path)
-    y = _read_idx_labels(labels_path)
+    x = _read_idx(path, IDX_IMAGES_MAGIC, "image", "pixel payload")[:, None]
+    y = _read_idx(labels_path, IDX_LABELS_MAGIC, "label", "label payload").astype(np.int64)
     if len(x) != len(y):
         raise FormatError(f"{path}: {len(x)} images but {len(y)} labels")
     if limit is not None:

@@ -132,7 +132,7 @@ def probe_functions(model, x, targets, **kwargs):
     return loss_fn, lambda vec: value_and_grad(vec)[1], theta0
 
 
-def top_hessian_eigs(grad_fn, theta, k=1, iters=100, tol=1e-3, seed=0):
+def top_hessian_eigs(grad_fn, theta, k, iters, tol=1e-3, seed=0):
     """Top-k Hessian eigenvalues by shifted power iteration with deflation.
 
     A first pass estimates the spectral radius; iterating on H + radius*I

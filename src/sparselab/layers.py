@@ -21,9 +21,6 @@ import numpy as np
 from sparselab import autodiff as ad
 from sparselab.checkpoint import CheckpointError
 
-# Tiny eps: guards the zero-variance channel while keeping batchnorm
-# exactly scale-equivariant to 1e-9 (weight rescaling must be absorbed).
-BN_EPS = 1e-12
 BN_MOMENTUM = 0.1
 
 ACTIVATION_KINDS = ("relu", "pswish", "mish")
@@ -169,7 +166,7 @@ def _ghost_skip(z, x, alpha, label, scale_label=None):
     output ``z``. Adds no node when ``alpha`` is 0."""
     if alpha == 0.0:
         return z
-    return ad.add(z, ad.scale(x, alpha, label=scale_label or label), label=label)
+    return ad.add(z, ad.mul(x, alpha, label=scale_label or label), label=label)
 
 
 class _Layer:
@@ -218,8 +215,8 @@ class _BatchNorm(_Layer):
             return x
         rm, rv = ctx.stats[self.name]
         if not ctx.training:
-            return ad.batchnorm_eval(x, P[self.g], P[self.b], rm, rv, eps=BN_EPS, label=self.name)
-        out, mean, var = ad.batchnorm_train(x, P[self.g], P[self.b], eps=BN_EPS, label=self.name)
+            return ad.batchnorm_eval(x, P[self.g], P[self.b], rm, rv, label=self.name)
+        out, mean, var = ad.batchnorm_train(x, P[self.g], P[self.b], label=self.name)
         ctx.stats[self.name] = ((1 - BN_MOMENTUM) * rm + BN_MOMENTUM * mean,
                                 (1 - BN_MOMENTUM) * rv + BN_MOMENTUM * var)
         return out

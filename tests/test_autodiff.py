@@ -596,6 +596,40 @@ class TestRecomputedOpsAreBitIdentical:
             self._same(a, b)
 
 
+class TestMulByConstant:
+    """The ghost skip scales by a python float through ``mul``: forward and
+    backward keep the bits of ``x * c`` and ``g * c``, and the constant's
+    gradient, which nothing reads, is never computed."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "complex128"])
+    @pytest.mark.parametrize("layout", ["nchw", "mixed"])
+    def test_bits_of_the_plain_products(self, dtype, layout):
+        rng = np.random.default_rng(45)
+        x, g = _draw(rng, (8, 4, 5, 5), dtype), _draw(rng, (8, 4, 5, 5), dtype)
+        if layout == "mixed":
+            x = _as_conv_output(x)
+        c = 0.3719
+        leaf = ad.Tensor(x, requires_grad=True)
+        out = ad.mul(leaf, c)
+        out._backward(g)
+        for got, want in ((out.data, x * c), (leaf.grad, g * c)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("constant_first", [False, True])
+    def test_constant_gradient_is_never_computed(self, monkeypatch, constant_first):
+        shapes, real = [], ad._unbroadcast
+
+        def spy(grad, shape):
+            shapes.append(shape)
+            return real(grad, shape)
+
+        monkeypatch.setattr(ad, "_unbroadcast", spy)
+        x = ad.Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        ad.backward(ad.sum_all(ad.mul(0.5, x) if constant_first else ad.mul(x, 0.5)))
+        assert shapes == [(3, 4)]
+        np.testing.assert_array_equal(x.grad, np.full((3, 4), 0.5))
+
+
 class TestOpsLeaveTheirInputs:
     """conv2d and the batchnorms compute in buffers they made: after forward
     and backward, every input, the running stats and the incoming gradient

@@ -1,5 +1,6 @@
 """Synthetic generators and the IDX loader."""
 
+import re
 import struct
 
 import numpy as np
@@ -85,6 +86,38 @@ class TestIdxLoader:
         assert total == 10
         assert ds.x_train.shape[1:] == (1, 28, 28)
         assert ds.input_shape == (1, 28, 28)
+
+    def test_pair_round_trips(self, tmp_path):
+        """Images keep their (rows, cols) order under a channel axis, and
+        labels come back as int64 in file order."""
+        rng = np.random.default_rng(7)
+        imgs, labels = rng.integers(0, 256, size=(12, 3, 5)), rng.integers(0, 4, 12)
+        img, lab = _write_idx(tmp_path, imgs, labels)
+        ds = datasets.load_idx_images(str(img), labels_path=str(lab))
+        assert ds.x_train.shape == (10, 1, 3, 5) and ds.x_test.shape == (2, 1, 3, 5)
+        assert ds.x_train.dtype == ds.x_test.dtype == np.float64
+        assert ds.y_train.dtype == ds.y_test.dtype == np.int64
+        np.testing.assert_array_equal(np.concatenate([ds.y_train, ds.y_test]), labels)
+        x = np.concatenate([ds.x_train, ds.x_test])[:, 0] * ds.norm_std + ds.norm_mean
+        np.testing.assert_allclose(x * 255.0, imgs, atol=1e-9)
+
+    @pytest.mark.parametrize("which, edit, message", [
+        ("images", lambda d: struct.pack(">I", 0x807) + d[4:],
+         "bad image magic 0x00000807 at byte offset 0"),
+        ("labels", lambda d: struct.pack(">I", 0x803) + d[4:],
+         "bad label magic 0x00000803 at byte offset 0"),
+        ("images", lambda d: d[:10], "truncated header at byte offset 4"),
+        ("labels", lambda d: d[:6], "truncated header at byte offset 4"),
+        ("images", lambda d: d[:-1], "truncated pixel payload at byte offset 16"),
+        ("labels", lambda d: d[:-1], "truncated label payload at byte offset 8"),
+    ], ids=["image-magic", "label-magic", "image-header", "label-header", "pixels", "labels"])
+    def test_errors_name_the_file_and_offset(self, tmp_path, which, edit, message):
+        rng = np.random.default_rng(13)
+        img, lab = _write_idx(tmp_path, rng.integers(0, 256, (4, 3, 3)), rng.integers(0, 2, 4))
+        path = img if which == "images" else lab
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(datasets.FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            datasets.load_idx_images(str(img))
 
     def test_limit_clamps_without_error(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -120,7 +120,7 @@ class TestTopHessianEigs:
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            dg.top_hessian_eigs(lambda t: t, np.zeros(2), k=0)
+            dg.top_hessian_eigs(lambda t: t, np.zeros(2), k=0, iters=1)
 
     @pytest.mark.parametrize("diag", [[5.0, 2.0, 1.0], [5.0, -4.0, -3.0]])
     @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9, 1e-12])

@@ -548,6 +548,22 @@ class TestProbeVerb:
                          "--out", str(tmp_path / "probes")]) == 2
         assert not (tmp_path / "probes").exists()
 
+    @pytest.mark.parametrize("split", ["test", "train"])
+    def test_batch_without_count_takes_config_probe_batch(self, tmp_path, split):
+        """The split has 20 (test) or 80 (train) examples; the config's
+        probe_batch of 16, not ProbeConfig's 256, sets how many are probed."""
+        path = _config(tmp_path, probes={"probe_batch": 16})
+        ck = str(tmp_path / "mask.splb")
+        assert cli.main(["mask", path, "--algo", "magnitude", "--sparsity", "0.5",
+                         "--out", ck]) == 0
+        spectra = []
+        for spec in (split, f"{split}:16"):
+            out = tmp_path / spec.replace(":", "_")
+            assert cli.main(["probe", ck, "--config", path, "--batch", spec,
+                             "--out", str(out)]) == 0
+            spectra.append((out / "spectrum.csv").read_bytes())
+        assert spectra[0] == spectra[1]
+
     def test_eig_count_two_columns(self, tmp_path):
         probe_dir = self._probe(tmp_path, "--spectrum", probes={"eig_count": 2})
         with open(probe_dir / "spectrum.csv", newline="") as fh:

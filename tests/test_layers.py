@@ -67,7 +67,7 @@ class TestBatchNorm:
         out, _, _ = ad.batchnorm_train(ad.Tensor(x), ad.Tensor(np.ones(3)), ad.Tensor(np.zeros(3)))
         mean = x.mean(axis=0)
         var = x.var(axis=0)
-        np.testing.assert_allclose(out.data, (x - mean) / np.sqrt(var + ly.BN_EPS), atol=1e-12)
+        np.testing.assert_allclose(out.data, (x - mean) / np.sqrt(var + ad.BN_EPS), atol=1e-12)
 
     def test_identity_on_standardized_input(self):
         rng = np.random.default_rng(6)
@@ -114,7 +114,7 @@ class TestBatchNorm:
         name = model.layers[1].name
         _, mean, var = ad.batchnorm_train(stem, ad.Tensor(model.blocks[f"{name}.g"].value),
                                           ad.Tensor(model.blocks[f"{name}.b"].value),
-                                          eps=ly.BN_EPS)
+                                          eps=ad.BN_EPS)
         for got, running, batch in zip(res.stats[name], model.bn_stats[name], (mean, var)):
             fold = (1 - ly.BN_MOMENTUM) * running + ly.BN_MOMENTUM * batch
             assert got.tobytes() == fold.tobytes()

@@ -408,8 +408,17 @@ class TestTrainLoop:
         assert history[-1].diverged
         assert len(history) < 10
 
-    def test_explicit_pswish_layer_trains_without_ghost(self):
-        # no ghost config means beta = inf: the pswish layer must act as exact relu
+    def test_explicit_pswish_layer_trains_without_ghost(self, monkeypatch):
+        """No ghost config means beta = inf: the pswish layer trains, evaluates
+        and is probed as exact relu. A forward without the schedule's knobs,
+        as ``sparselab probe`` runs, takes pswish's beta of 1.0 instead."""
+        betas, real = [], ad.pswish
+
+        def spy(x, beta, label=""):
+            betas.append(beta)
+            return real(x, beta, label)
+
+        monkeypatch.setattr(ad, "pswish", spy)
         model = layers.build_model({"layers": [{"kind": "dense", "width": 8},
                                                {"kind": "activation", "activation": "pswish"},
                                                {"kind": "dense", "width": 2}],
@@ -418,6 +427,10 @@ class TestTrainLoop:
         history = training.train(model, _toy_blobs(seed=8), cfg).history
         assert len(history) == 1 and not history[0].diverged
         assert history[0].beta == math.inf and math.isfinite(history[0].train_loss)
+        assert betas and set(betas) == {math.inf}
+        betas.clear()
+        model.forward(_toy_blobs(seed=8).x_test)
+        assert betas == [1.0]
 
     def test_lrsi_config_alone_switches_rescaling_on(self):
         model = _small_mlp(seed=9)

@@ -7,10 +7,11 @@ Verbs:
     compare <summary.csv> <summary.csv...> [--out PATH]
     selftest                               run the oracle battery
 
-Exit codes: 0 success, 1 run failure (a missing checkpoint or a non-finite
-value outside training included), 2 configuration error (a missing config
-file included). Every verb runs with numpy's floating-point warnings off,
-as ``train`` does, so a non-finite value ends it with one ``error:`` line.
+Exit codes: 0 success, 1 run failure (a diverged run, a missing checkpoint
+or a non-finite value outside training included), 2 configuration error (a
+missing config file included), 3 an uncaught exception, printed with its
+traceback. Every verb runs with numpy's floating-point warnings off, as
+``train`` does, so a non-finite value ends it with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -178,6 +180,9 @@ def main(argv=None):
     except (OSError, ValueError, NumericError) as exc:    # CheckpointError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:       # a fault in the program, not in its input: keep the traceback
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -33,9 +33,9 @@ class Dataset:
     teacher_params: dict | None = None
 
 
-def _normalize(x_train, x_test):
-    mean = x_train.mean(axis=0)
-    std = x_train.std(axis=0)
+def _normalize(x_train, x_test, axis=0):
+    mean = x_train.mean(axis=axis)
+    std = x_train.std(axis=axis)
     std = np.where(std > 0, std, 1.0)
     return (x_train - mean) / std, (x_test - mean) / std, mean, std
 
@@ -154,12 +154,7 @@ def load_idx_images(path, labels_path=None, limit=None):
     x = x.astype(np.float64) / 255.0
     n_test = max(int(round(len(x) * (1 / 6))), 1)
     n_train = len(x) - n_test
-    x_train, x_test = x[:n_train], x[n_train:]
-    mean = x_train.mean()
-    std = x_train.std()
-    std = std if std > 0 else 1.0
-    x_train = (x_train - mean) / std
-    x_test = (x_test - mean) / std
+    x_train, x_test, mean, std = _normalize(x[:n_train], x[n_train:], axis=None)
     n_classes = int(y.max()) + 1
     return Dataset(x_train, y[:n_train], x_test, y[n_train:], n_classes,
-                   tuple(x.shape[1:]), np.asarray(mean), np.asarray(std))
+                   tuple(x.shape[1:]), mean, std)

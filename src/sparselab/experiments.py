@@ -255,8 +255,8 @@ def run_experiment(config_path, out_dir=None):
                 mask = generate_mask(algo, model0, cfg.dataset, s, seed, cfg)
                 for tweaks in cfg.tweaks:
                     tc = replace(cfg.train[tweaks], seed=seed)
-                    model = build_model(cfg.raw["model"], seed=seed)
-                    run = training.train(model, cfg.dataset, tc, mask=mask)
+                    model = masks.apply_mask(build_model(cfg.raw["model"], seed=seed), mask)
+                    run = training.train(model, cfg.dataset, tc)
                     results.append(_finish_cell(out_root, model, run, tc,
                                                 algo, s, tweaks, seed))
     _write_summary(os.path.join(out_root, "summary.csv"), results)

@@ -103,10 +103,8 @@ def _scoped_mask(layout, s, scope, keep):
     if scope not in SCOPES:
         raise ValueError(f"unknown ranking scope {scope!r}; choose from {SCOPES}")
     bounds = [0, layout.size] if scope == "global" else layout.offsets.tolist()
-    flat = np.zeros(layout.size)
-    for lo, hi in zip(bounds, bounds[1:]):
-        flat[lo:hi] = keep(lo, hi, _keep_count(hi - lo, s))
-    return layout.unflatten(flat)
+    return layout.unflatten(np.concatenate([keep(lo, hi, _keep_count(hi - lo, s))
+                                            for lo, hi in zip(bounds, bounds[1:])]))
 
 
 def _rank_mask(layout, scores_by_block, s, scope):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class TrainConfig:
     seed: int = 0
     ghost: GhostConfig | None = None
     lrsi: LRsIConfig | None = None
-    probes: ProbeConfig | None = None      # None: ProbeConfig's defaults
+    probes: ProbeConfig = field(default_factory=ProbeConfig)
 
     def __post_init__(self):
         if not self.epochs >= 0:
@@ -61,8 +61,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         SchedulePolicy(self.ghost, ms)   # the schedule needs its milestones
         self.milestones = ms
-        if self.probes is None:
-            self.probes = ProbeConfig()
 
 
 @dataclass
@@ -123,7 +121,7 @@ def evaluate(model, x, y, batch_size, **forward_kwargs):
     return total_loss / n, correct / n
 
 
-def train(model, dataset, config, mask=None):
+def train(model, dataset, config):
     """Run the full protocol; returns a TrainResult with one RunRecord per
     completed epoch and the ScaleSet that LRsI applied, if any.
 
@@ -140,9 +138,6 @@ def train(model, dataset, config, mask=None):
     and batchnorm statistics are committed together after its last check,
     or not at all.
     """
-    if mask is not None:
-        from sparselab.masks import apply_mask
-        apply_mask(model, mask)
     if config.epochs == 0:
         return TrainResult([], None)
 
@@ -199,7 +194,7 @@ def train(model, dataset, config, mask=None):
                     stepped, velocity = sgd_step(theta[free], grad, velocity, lr,
                                                  config.momentum, config.weight_decay)
                     del grad        # not held through the next forward and backward
-                    theta = theta.copy()    # masked bytes kept as apply_mask left them (-0.0 too)
+                    theta = theta.copy()    # masked bytes kept as the model came in (-0.0 too)
                     theta[free] = stepped
                     if not np.all(np.isfinite(stepped)):
                         raise ad.NumericError("sgd_step: non-finite update for block "

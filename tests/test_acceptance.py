@@ -252,7 +252,7 @@ def test_criterion_03_mask_semantics(monkeypatch):
     monkeypatch.setattr(training, "sgd_step", step)
     toolkit = TrainConfig(epochs=60, batch_size=64, lr0=0.1, milestones=(30, 45), ls_alpha=0.1,
                           seed=0, ghost=GhostConfig(), lrsi=LRsIConfig(iters=12))
-    history = training.train(model, ds, toolkit, mask=mask).history
+    history = training.train(masks.apply_mask(model, mask), ds, toolkit).history
     monkeypatch.undo()
     assert len(history) == 60 and not history[-1].diverged
     max_w = max(float(np.abs(b.value[b.mask == 0]).max()) for b in model.maskable_blocks())

@@ -153,8 +153,13 @@ class TestIdxLoader:
 
     def test_normalization_uses_train_stats(self, tmp_path):
         rng = np.random.default_rng(12)
-        img, lab = _write_idx(tmp_path, rng.integers(0, 256, (12, 4, 4)),
-                              rng.integers(0, 2, 12))
+        imgs = rng.integers(0, 256, (12, 4, 4))
+        img, lab = _write_idx(tmp_path, imgs, rng.integers(0, 2, 12))
         ds = datasets.load_idx_images(str(img))
         np.testing.assert_allclose(ds.x_train.mean(), 0.0, atol=1e-12)
         np.testing.assert_allclose(ds.x_train.std(), 1.0, atol=1e-12)
+        # the bits: one scalar mean and std of the 10 train images' pixels / 255
+        x = imgs[:, None].astype(np.float64) / 255.0
+        m, s = x[:10].mean(), x[:10].std()
+        np.testing.assert_array_equal(ds.x_train, (x[:10] - m) / s)
+        np.testing.assert_array_equal(ds.x_test, (x[10:] - m) / s)

@@ -467,6 +467,17 @@ class TestCli:
             "error: non-finite values produced by node matmul[L492.dense]\n"
         assert not out.exists()
 
+    def test_uncaught_exception_exits_3_with_its_traceback(self, tmp_path, capsys,
+                                                           monkeypatch):
+        """A fault in the program is not a diverged grid (1) or a config error (2)."""
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(experiments, "run_experiment", boom)
+        assert cli.main(["run", _config(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("RuntimeError: boom\n")
+
     @pytest.mark.parametrize("algo", ["lth", "random"])
     def test_mask_sparsity_out_of_range_is_a_config_error(self, tmp_path, capsys, algo):
         """``--sparsity`` obeys ``mask.sparsity``'s rule for every algo, before

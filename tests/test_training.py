@@ -1,5 +1,6 @@
 """Label smoothing, the optimizer step, schedules, and the training loop."""
 
+import ast
 import math
 import re
 import tracemalloc
@@ -92,7 +93,7 @@ class TestSgdStep:
         seen = _spy_training_forwards(monkeypatch, model)
         steps = _spy_steps(monkeypatch)
         cfg = training.TrainConfig(epochs=10, batch_size=16, lr0=0.05, milestones=(), seed=1)
-        training.train(model, ds, cfg, mask=mask)   # 10 epochs x 5 batches = 50 steps
+        training.train(masks.apply_mask(model, mask), ds, cfg)   # 10 epochs x 5 batches = 50 steps
         layout = layers.ParamLayout(model.blocks.values())
         dead = _masked(layout)
         assert len(steps) == len(seen) == 50 and dead.any()
@@ -126,7 +127,7 @@ class TestSgdStep:
         monkeypatch.setattr(training, "sgd_step", spy)
         cfg = training.TrainConfig(epochs=4, batch_size=16, lr0=0.1, weight_decay=0.5,
                                    milestones=(), seed=2)
-        training.train(model, ds, cfg, mask=mask)
+        training.train(masks.apply_mask(model, mask), ds, cfg)
         after = [old for old, _, _ in calls[1:]]
         after.append(layout.flatten({n: b.value for n, b in model.blocks.items()}))
         assert len(calls) == 12
@@ -304,7 +305,7 @@ class TestTrainLoop:
         cfg = training.TrainConfig(epochs=1, batch_size=100, milestones=(), seed=0)
         training.train(_small_mlp(), _toy_blobs(n=400), cfg)
         want = diagnostics.ProbeConfig()
-        assert training.TrainConfig(probes=None).probes == want
+        assert training.TrainConfig().probes == want
         assert want.probe_batch < 400
         assert seen == [(want.probe_batch, False)]
 
@@ -330,7 +331,7 @@ class TestTrainLoop:
         seen = _spy_training_forwards(monkeypatch, model)
         steps = _spy_steps(monkeypatch)
         cfg = training.TrainConfig(epochs=25, batch_size=16, lr0=0.05, milestones=(), seed=2)
-        training.train(model, ds, cfg, mask=mask)   # 25 epochs x 8 batches = 200 steps
+        training.train(masks.apply_mask(model, mask), ds, cfg)   # 25 epochs x 8 batches = 200 steps
         assert len(steps) == len(seen) == 200
         for b in model.maskable_blocks():
             dead_block = b.mask == 0
@@ -348,7 +349,7 @@ class TestTrainLoop:
                 for b in model.maskable_blocks()}
         cfg = training.TrainConfig(epochs=3, batch_size=16, lr0=0.1, weight_decay=0.1,
                                    milestones=(), seed=5)
-        history = training.train(model, ds, cfg, mask=mask).history
+        history = training.train(masks.apply_mask(model, mask), ds, cfg).history
         assert len(history) == 3 and not history[-1].diverged
         signs = set()
         for b in model.maskable_blocks():
@@ -366,7 +367,7 @@ class TestTrainLoop:
         index = int(np.flatnonzero(mask.arrays[block] == 0)[0])
         seen = _poison_gradient(monkeypatch, model, block, at_call=3, index=index)
         cfg = training.TrainConfig(epochs=2, batch_size=16, lr0=0.05, milestones=(), seed=9)
-        history = training.train(model, ds, cfg, mask=mask).history
+        history = training.train(masks.apply_mask(model, mask), ds, cfg).history
         assert len(seen) == 3 and len(history) == 1 and history[0].diverged
         assert history[0].error == (f"sgd_step: non-finite gradient for block {block}"
                                     " at epoch 0, batch 2")
@@ -379,7 +380,8 @@ class TestTrainLoop:
         model = _small_mlp(seed=3)
         seen = _spy_training_forwards(monkeypatch, model)
         cfg = training.TrainConfig(epochs=2, batch_size=16, lr0=0.05, milestones=(), seed=3)
-        training.train(model, _toy_blobs(seed=3), cfg, mask=masks.random_mask(model, 0.5, seed=3))
+        training.train(masks.apply_mask(model, masks.random_mask(model, 0.5, seed=3)),
+                       _toy_blobs(seed=3), cfg)
         assert len(seen) == 8
         for res, leaf_data in seen:
             for n, leaf in res.leaves.items():
@@ -393,8 +395,8 @@ class TestTrainLoop:
             ds = _toy_blobs(seed=4)
             cfg = training.TrainConfig(epochs=4, batch_size=16, lr0=0.1, milestones=(2,),
                                        ls_alpha=0.1, seed=4, ghost=GhostConfig())
-            return training.train(model, ds, cfg,
-                                  mask=masks.random_mask(model, 0.5, seed=5)).history
+            return training.train(masks.apply_mask(model, masks.random_mask(model, 0.5, seed=5)),
+                                  ds, cfg).history
 
         h1, h2 = run(), run()
         assert len(h1) == len(h2)
@@ -449,7 +451,7 @@ class TestTrainLoop:
         cfg = training.TrainConfig(epochs=2, batch_size=16, lr0=0.05, milestones=(1,),
                                    ls_alpha=0.1, seed=10, ghost=GhostConfig(),
                                    lrsi=rescale.LRsIConfig(iters=3))
-        run = training.train(_small_mlp(seed=10), ds, cfg, mask=mask)
+        run = training.train(masks.apply_mask(_small_mlp(seed=10), mask), ds, cfg)
         model = masks.apply_mask(_small_mlp(seed=10), mask)
         batch = (ds.x_train[:16], training.smooth_labels_batch(ds.y_train[:16], 2, 0.1))
         knobs = ghost.SchedulePolicy(cfg.ghost, cfg.milestones).knobs(0)
@@ -473,7 +475,8 @@ class TestTrainLoop:
                 for n, b in masks.apply_mask(model.clone(), mask).blocks.items()}
         cfg = training.TrainConfig(epochs=3, batch_size=32, lr0=1e308, milestones=(1,),
                                    ls_alpha=0.1, ghost=GhostConfig(), lrsi=rescale.LRsIConfig())
-        run = training.train(model, datasets.make_synthetic("spirals", 128), cfg, mask=mask)
+        run = training.train(masks.apply_mask(model, mask),
+                             datasets.make_synthetic("spirals", 128), cfg)
         assert run.scales is None and len(run.history) == 1
         rec = run.history[0]
         assert rec.diverged and rec.epoch == 0 and rec.lr == 1e308
@@ -783,3 +786,18 @@ class TestWriteCsv:
             training.write_csv(str(path), ["x"], rows())
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+class TestImportGraph:
+    def test_training_imports_nothing_from_masks(self):
+        """masks imports training (imp_lth trains), so training importing
+        masks, even inside a function, would make a cycle."""
+        tree = ast.parse(open(training.__file__, encoding="utf-8").read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+                imported.update(f"{node.module}.{a.name}" for a in node.names)
+        assert "sparselab.masks" not in imported

@@ -39,6 +39,9 @@ commands then runs in both trees, each with its own ``src/`` on
 - ``run`` of the ``baseline`` tweak on mlp/spirals with the random,
   magnitude, SNIP, GraSP and lth masks at s in {0, 0.9}, ranked per layer,
   so the ``layerwise`` scope and lth's separate s = 0 path are compared too;
+- ``run`` of the ``baseline`` tweak on the mlp preset over an IDX pair of
+  120 random 8x8 images that the configs directory also holds, with a
+  random mask at s = 0.9, so the IDX loader is compared too;
 - ``probe --spectrum --scan --landscape`` on the resnet-probe seed-0
   checkpoint;
 - ``mask`` with all six generators at s in {0.5, 0.9, 0.98} on mlp/spirals,
@@ -69,10 +72,13 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".byteid"
@@ -176,9 +182,32 @@ SCOPE_LAYERWISE_CONFIG = {
     "train": {"epochs": 1, "batch": 32, "milestones": []}}
 
 
+# the mlp preset on write_idx_pair's files, so the IDX loader's reading and
+# scalar normalisation are compared too
+IDX_CONFIG = {
+    "model": {"preset": "mlp", "in_shape": [1, 8, 8], "classes": 2},
+    "dataset": {"name": "idx", "path": "../configs/idx/images-idx3-ubyte"},
+    "mask": {"algo": "random", "sparsity": 0.9},
+    "train": {"epochs": 2, "batch": 32, "milestones": [1]}}
+
+
+def write_idx_pair(idx_dir):
+    """``images-idx3-ubyte`` and ``labels-idx1-ubyte``: 120 random 8x8
+    images and their labels in {0, 1}."""
+    rng, n = np.random.default_rng(0), 120
+    images = rng.integers(0, 256, size=(n, 8, 8), dtype=np.uint8)
+    labels = rng.integers(0, 2, size=n, dtype=np.uint8)
+    idx_dir.mkdir(parents=True)
+    (idx_dir / "images-idx3-ubyte").write_bytes(struct.pack(">IIII", 0x803, n, 8, 8)
+                                                + images.tobytes())
+    (idx_dir / "labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x801, n) + labels.tobytes())
+
+
 def write_configs(config_dir):
-    """Every config the commands read, as JSON files both trees share."""
+    """Every config the commands read, as JSON files both trees share, and
+    the IDX pair ``IDX_CONFIG`` names."""
     config_dir.mkdir(parents=True)
+    write_idx_pair(config_dir / "idx")
     configs = {f"{w}-s{s}": make_config(w, s)[0] for w in WORKLOADS for s in SEEDS}
     configs.update(GHOST_CONFIGS)
     configs["diverge-resnet"] = DIVERGE_CONFIG
@@ -186,6 +215,7 @@ def write_configs(config_dir):
     configs["huge-beta"] = HUGE_BETA_CONFIG
     configs["layers-list"] = LAYERS_LIST_CONFIG
     configs["scope-layerwise"] = SCOPE_LAYERWISE_CONFIG
+    configs["idx"] = IDX_CONFIG
     configs.update({f"mask-{name}": cfg for name, cfg in MASK_CONFIGS.items()})
     for name, cfg in configs.items():
         (config_dir / f"{name}.json").write_text(json.dumps(cfg, indent=1))

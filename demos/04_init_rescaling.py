@@ -29,7 +29,7 @@ print("\nlearned scalars:")
 for group, c in out.scales.items():
     print(f"  {group}: {c:.4f}")
 
-rescale.apply_scales(model, out)
+rescale.apply_scales(model, out.scales)
 # recomputed from the rescaled model: one masked SGD step, then the loss
 loss_fn, grad_fn, theta = diagnostics.probe_functions(model, x, targets, training=True)
 final = loss_fn(theta - 0.1 * grad_fn(theta))

@@ -7,11 +7,11 @@ Verbs:
     compare <summary.csv> <summary.csv...> [--out PATH]
     selftest                               run the oracle battery
 
-Exit codes: 0 success, 1 run failure (a diverged run, a missing checkpoint
-or a non-finite value outside training included), 2 configuration error (a
-missing config file included), 3 an uncaught exception, printed with its
-traceback. Every verb runs with numpy's floating-point warnings off, as
-``train`` does, so a non-finite value ends it with one ``error:`` line.
+Exit codes: 0 success, 1 run failure (a diverged run, a missing checkpoint,
+a non-finite value outside training or an all-zero saliency), 2 config
+error (a missing config file included), 3 an uncaught exception, printed
+with its traceback. Every verb runs with numpy's floating-point warnings
+off, as ``train`` does, so a non-finite value ends it with one ``error:`` line.
 """
 
 from __future__ import annotations

@@ -88,13 +88,12 @@ def avg_gradient_flow(grads, masks=None):
     return total / count
 
 
-def probe_closures(model, x, targets, *, layout=None, values=None, **forward_kwargs):
+def probe_closures(model, x, targets, *, layout=None, **forward_kwargs):
     """``loss_fn`` and ``value_and_grad`` (the loss and its gradient from one
     forward and backward) over the free coordinates of ``layout`` (default:
     every block; blocks outside it keep the model's values), and theta0,
-    the free part of ``values`` (default: the model's values).
-    ``forward_kwargs`` (training, activation, beta, alpha) go to every
-    ``Model.forward``.
+    the model's values at those coordinates. ``forward_kwargs`` (training,
+    activation, beta, alpha) go to every ``Model.forward``.
 
     The one loss-and-gradient closure of the probes, SNIP, GraSP and LRsI.
     A complex128 point (see ``autodiff.hvp_complex_step``) gives a complex
@@ -105,9 +104,7 @@ def probe_closures(model, x, targets, *, layout=None, values=None, **forward_kwa
         raise ValueError("probe_closures: batch must be non-empty")
     if layout is None:
         layout = ParamLayout(model.blocks.values())
-    if values is None:
-        values = {n: b.value for n, b in model.blocks.items()}
-    theta0 = layout.free(values)
+    theta0 = layout.free({n: b.value for n, b in model.blocks.items()})
     y = np.asarray(targets, dtype=np.float64)
 
     def run(vec, grad):

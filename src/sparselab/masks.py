@@ -27,8 +27,8 @@ GRASP_PRUNE_LARGEST = True
 SCOPES = ("global", "layerwise")    # every scoped generator ranks by one of these
 
 
-class DegenerateSaliencyError(RuntimeError):
-    """All saliency scores are zero; ranking would be arbitrary."""
+class DegenerateSaliencyError(ValueError):
+    """Every saliency score is zero, so any ranking is arbitrary: bad input, not a bug."""
 
 
 @dataclass
@@ -36,7 +36,6 @@ class Mask:
     """Per-block binary arrays congruent to the maskable parameter blocks."""
 
     arrays: dict               # name -> float64 array of {0.0, 1.0}
-    sparsity: float            # requested
     notes: tuple = ()
 
     def survivors(self):
@@ -126,7 +125,7 @@ def random_mask(model, s, seed, scope="global"):
         flat[rng.permutation(hi - lo)[:keep_n]] = 1.0
         return flat
 
-    return Mask(_scoped_mask(ParamLayout(model.maskable_blocks()), s, scope, keep), s)
+    return Mask(_scoped_mask(ParamLayout(model.maskable_blocks()), s, scope, keep))
 
 
 def magnitude_mask(model, s, scope="global"):
@@ -138,7 +137,7 @@ def magnitude_mask(model, s, scope="global"):
         if not np.all(np.isfinite(b.value)):
             raise ad.NumericError(f"magnitude_mask: non-finite weights in {b.name}")
         scores[b.name] = np.abs(b.value)
-    return Mask(_rank_mask(ParamLayout(blocks), scores, s, scope), s)
+    return Mask(_rank_mask(ParamLayout(blocks), scores, s, scope))
 
 
 def _loss_closure(model, batch):
@@ -157,7 +156,7 @@ def snip_mask(model, batch, s, scope="global"):
     scores = np.abs(theta0 * grad_fn(theta0))
     if not np.any(scores):
         raise DegenerateSaliencyError("snip_mask: every saliency score is zero")
-    return Mask(_rank_mask(layout, layout.from_free(scores), s, scope), s)
+    return Mask(_rank_mask(layout, layout.from_free(scores), s, scope))
 
 
 def grasp_saliency(grad_fn, theta0):
@@ -179,7 +178,7 @@ def grasp_mask(model, batch, s, scope="global"):
     layout, grad_fn, theta0 = _loss_closure(model, batch)
     saliency = grasp_saliency(grad_fn, theta0)
     ranking = -saliency if GRASP_PRUNE_LARGEST else saliency
-    return Mask(_rank_mask(layout, layout.from_free(ranking), s, scope), s)
+    return Mask(_rank_mask(layout, layout.from_free(ranking), s, scope))
 
 
 def synflow_mask(model, s, iterations=100):
@@ -198,7 +197,7 @@ def synflow_mask(model, s, iterations=100):
         raise ValueError("synflow_mask: iterations must be >= 1")
     layout = ParamLayout(model.maskable_blocks())
     if s == 0.0:
-        return Mask(layout.unflatten(np.ones(layout.size)), 0.0)
+        return Mask(layout.unflatten(np.ones(layout.size)))
 
     ones = np.ones((1,) + model.in_shape)
     base_abs = {n: np.abs(b.value) for n, b in model.blocks.items()}
@@ -222,7 +221,7 @@ def synflow_mask(model, s, iterations=100):
             if c == 0 and n not in emptied:
                 emptied.add(n)
                 notes.append(f"layer {n} fully pruned at iteration {k}")
-    return Mask(_live_arrays(layout, live), s, notes=tuple(notes))
+    return Mask(_live_arrays(layout, live), notes=tuple(notes))
 
 
 def imp_lth(model, dataset, rounds, per_round_rate, train_config):
@@ -247,12 +246,12 @@ def imp_lth(model, dataset, rounds, per_round_rate, train_config):
     live = np.arange(total)             # ascending flat indices of the survivors
     for r in range(1, rounds + 1):
         work = model.clone()
-        apply_mask(work, Mask(_live_arrays(layout, live), 1.0 - live.size / total))
+        apply_mask(work, Mask(_live_arrays(layout, live)))
         train(work, dataset, train_config)
         trained = layout.flatten({n: b.value for n, b in work.blocks.items()})
         survivors_r = int(round(total * (1.0 - per_round_rate) ** r))
         live = live[np.flatnonzero(_topk_keep(np.abs(trained[live]), survivors_r))]
-    return Mask(_live_arrays(layout, live), 1.0 - live.size / total)
+    return Mask(_live_arrays(layout, live))
 
 
 # ---------------------------------------------------------------------------

@@ -48,18 +48,16 @@ def scale_groups(model):
     return seen
 
 
-def _scaled_values(model, scales):
-    values = {}
-    for name, blk in model.blocks.items():
-        c = scales.get(blk.group)
-        if c is not None and blk.kind in ("weight", "bias"):
-            values[name] = blk.value * c
-        else:
-            values[name] = blk.value
-    return values
+def _owner(model, layout, groups):
+    """Each flat coordinate's group index (a group's scalar multiplies that
+    layer's weight and bias), ``len(groups)`` where no scalar applies."""
+    index = {g: i for i, g in enumerate(groups)}
+    return layout.flatten({n: np.full(b.value.shape, index.get(b.group, len(groups))
+                                      if b.kind in ("weight", "bias") else len(groups))
+                           for n, b in model.blocks.items()})
 
 
-def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):
+def learn_scales(model, batch, lr_train, config, **forward_kwargs):
     """Optimize per-block scalars to lower the first-step loss.
 
     The scalars are c = exp(u) (positivity needs no projection), moved by
@@ -73,27 +71,22 @@ def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):
     c=1; an objective that raises ``NumericError`` counts as infinite.
     ``forward_kwargs`` are passed to every forward pass of the objective.
     """
-    cfg = config or LRsIConfig()
     groups = scale_groups(model)
     if not groups:
         raise ValueError("learn_scales: model has no maskable weight blocks")
     lo, hi = math.log(BOUNDS[0]), math.log(BOUNDS[1])
     x, targets = batch
-    # masks and shapes are fixed here, so every objective call shares one layout
+    # masks and shapes are fixed: one layout and one closure serve every call
     layout = ParamLayout(model.blocks.values())
-    # each free coordinate's scale group, len(groups) where no scalar applies
-    index = {g: i for i, g in enumerate(groups)}
-    owner = layout.free({n: np.full(b.value.shape, index.get(b.group, len(groups))
-                                    if b.kind in ("weight", "bias") else len(groups))
-                         for n, b in model.blocks.items()})
+    owner = _owner(model, layout, groups)[layout.free_index]
+    loss_fn, value_and_grad, theta1 = probe_closures(
+        model, x, targets, training=True, layout=layout, **forward_kwargs)
+    grad_fn = lambda vec: value_and_grad(vec)[1]
 
     def objective(u, with_grad):
         """J(u), and dJ/du when ``with_grad`` (else None)."""
-        scales = {g: math.exp(ui) for g, ui in zip(groups, u)}
-        loss_fn, value_and_grad, theta = probe_closures(
-            model, x, targets, training=True, layout=layout,
-            values=_scaled_values(model, scales), **forward_kwargs)
-        grad_fn = lambda vec: value_and_grad(vec)[1]
+        # math.exp, not np.exp: the scalars must match the ones returned
+        theta = theta1 * np.array([math.exp(ui) for ui in u] + [1.0])[owner]
         stepped = theta - lr_train * grad_fn(theta)
         if not with_grad:
             return loss_fn(stepped), None
@@ -103,17 +96,17 @@ def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):
 
     u = np.zeros(len(groups))
     # c=1; raises on degenerate init
-    j, grad = objective(u, cfg.iters > 0)
+    j, grad = objective(u, config.iters > 0)
     if not math.isfinite(j):
         raise ad.NumericError("objective non-finite at unit scales")
     best_u, best_j = u, j
     trace = [j]
-    for it in range(cfg.iters):
+    for it in range(config.iters):
         if grad is None or not np.all(np.isfinite(grad)):
             break
         u = np.clip(u - STEP * grad, lo, hi)
         try:
-            j, grad = objective(u, it + 1 < cfg.iters)    # the last one needs J only
+            j, grad = objective(u, it + 1 < config.iters)    # the last one needs J only
         except ad.NumericError:
             j, grad = math.inf, None
         trace.append(j)
@@ -122,15 +115,17 @@ def learn_scales(model, batch, lr_train, config=None, **forward_kwargs):
     return ScaleSet(scales={g: math.exp(ui) for g, ui in zip(groups, best_u)}, trace=trace)
 
 
-def apply_scales(model, scale_set):
-    """Multiply each group's weight and bias by its learned scalar, in place."""
-    scales = scale_set.scales if isinstance(scale_set, ScaleSet) else dict(scale_set)
+def apply_scales(model, scales):
+    """Multiply each group's weight and bias by ``scales[group]``, in place."""
     known = set(scale_groups(model))
     for g, c in scales.items():
         if g not in known:
             raise ValueError(f"apply_scales: unknown scale group {g!r}")
         if not (c > 0):
             raise ValueError(f"apply_scales: scalar for {g!r} must be positive, got {c}")
-    for name, value in _scaled_values(model, scales).items():
+    layout = ParamLayout(model.blocks.values())
+    flat = layout.flatten({n: b.value for n, b in model.blocks.items()})
+    cvec = np.array([*scales.values(), 1.0])[_owner(model, layout, list(scales))]
+    for name, value in layout.unflatten(flat * cvec).items():
         model.blocks[name].value = value
     return model

@@ -158,7 +158,7 @@ def train(model, dataset, config):
                 bx = x_train[:min(config.batch_size, n)]
                 bt = smooth_labels_batch(y_train[:len(bx)], k_classes, config.ls_alpha)
                 scales = rescale.learn_scales(model, (bx, bt), config.lr0, config.lrsi, **knobs)
-                rescale.apply_scales(model, scales)
+                rescale.apply_scales(model, scales.scales)
             stage = ""
 
             rng = np.random.default_rng([config.seed, 2])

@@ -60,12 +60,12 @@ def cross_entropy(logits, targets):
     return float(ad.softmax_cross_entropy(logits, targets).data)
 
 
-def first_step_loss(model, batch, lr, values=None, **forward_kwargs):
+def first_step_loss(model, batch, lr, **forward_kwargs):
     """Train-mode loss after one simulated masked SGD step on the same batch:
-    L(theta - lr * (m ⊙ grad L(theta))) at theta = ``values`` (default: the
-    model's), with the model left unchanged. ``forward_kwargs`` select the
-    network variant (activation, beta, alpha)."""
+    L(theta - lr * (m ⊙ grad L(theta))) at the model's values theta, with the
+    model left unchanged. ``forward_kwargs`` select the network variant
+    (activation, beta, alpha)."""
     x, targets = batch
     loss_fn, grad_fn, theta = probe_functions(model, x, targets, training=True,
-                                              values=values, **forward_kwargs)
+                                              **forward_kwargs)
     return loss_fn(theta - lr * grad_fn(theta))

@@ -354,8 +354,7 @@ def test_criterion_06_lrsi_contract():
         masks.apply_mask(model, masks.random_mask(model, 0.95, seed=seed))
         out = rescale.learn_scales(model, (x, t), lr_train=0.1,
                                    config=LRsIConfig(iters=12))
-        final = first_step_loss(model, (x, t), 0.1,
-                                values=rescale._scaled_values(model, out.scales))
+        final = first_step_loss(rescale.apply_scales(model.clone(), out.scales), (x, t), 0.1)
         keep_best_ok &= final <= out.trace[0]
         strict += final < out.trace[0]
     _report(6, f"keep-best on all seeds; strictly lower on {strict}/5 seeds",

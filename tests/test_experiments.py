@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -477,6 +478,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("Traceback (most recent call last):")
         assert err.endswith("RuntimeError: boom\n")
+
+    def test_degenerate_saliency_is_a_run_failure(self, tmp_path, capsys):
+        """All-zero images normalise to exactly 0, so every SNIP score and
+        GraSP's gradient vanish: an input the generators cannot rank. The
+        mask and run verbs end with one ``error:`` line, not a traceback."""
+        images = tmp_path / "z-images-idx3-ubyte"
+        images.write_bytes(struct.pack(">IIII", 0x803, 60, 4, 4) + bytes(60 * 16))
+        (tmp_path / "z-labels-idx1-ubyte").write_bytes(
+            struct.pack(">II", 0x801, 60) + bytes([0, 1] * 30))
+        path = _config(tmp_path, model={"preset": "mlp", "in_shape": [1, 4, 4], "hidden": [8],
+                                        "classes": 2},
+                       dataset={"name": "idx", "path": str(images)},
+                       mask={"algo": "snip", "sparsity": 0.5})
+        out = tmp_path / "m.splb"
+        for verb, want in ((["mask", path, "--algo", "snip", "--sparsity", "0.5",
+                             "--out", str(out)], "snip_mask: every saliency score is zero"),
+                           (["mask", path, "--algo", "grasp", "--sparsity", "0.5",
+                             "--out", str(out)], "grasp: zero gradient, Hg is undefined"),
+                           (["run", path], "snip_mask: every saliency score is zero")):
+            assert cli.main(verb) == 1, verb
+            assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("algo", ["lth", "random"])
     def test_mask_sparsity_out_of_range_is_a_config_error(self, tmp_path, capsys, algo):

@@ -393,7 +393,7 @@ def _imp_reference(model, dataset, rounds, per_round_rate, train_config):
     magnitudes with the pruned weights pinned at -1."""
     layout = layers.ParamLayout(model.maskable_blocks())
     total = layout.size
-    mask = masks.Mask(layout.unflatten(np.ones(total)), 0.0)
+    mask = masks.Mask(layout.unflatten(np.ones(total)))
     for r in range(1, rounds + 1):
         work = model.clone()
         masks.apply_mask(work, mask)
@@ -401,8 +401,7 @@ def _imp_reference(model, dataset, rounds, per_round_rate, train_config):
         survivors_r = int(round(total * (1.0 - per_round_rate) ** r))
         scores = np.abs(layout.flatten({n: b.value for n, b in work.blocks.items()}))
         scores[layout.flatten(mask.arrays) == 0.0] = -1.0
-        mask = masks.Mask(layout.unflatten(masks._topk_keep(scores, survivors_r)),
-                          1.0 - survivors_r / total)
+        mask = masks.Mask(layout.unflatten(masks._topk_keep(scores, survivors_r)))
     return mask
 
 
@@ -459,7 +458,7 @@ class TestSurvivorRankingOracle:
         mask = masks.imp_lth(model, ds, rounds, 0.4, cfg)
         want = _imp_reference(model, ds, rounds, 0.4, cfg)
         _assert_same_arrays(mask.arrays, want.arrays)
-        assert mask.sparsity == want.sparsity and mask.notes == want.notes
+        assert mask.notes == want.notes
 
 
 class TestSynflowConservation:
@@ -566,7 +565,7 @@ class TestImpLth:
 class TestApplyMask:
     def test_all_zero_mask_zeroes_forward(self):
         model = _mlp(seed=10)
-        mask = masks.Mask({b.name: np.zeros_like(b.value) for b in model.maskable_blocks()}, 1.0)
+        mask = masks.Mask({b.name: np.zeros_like(b.value) for b in model.maskable_blocks()})
         masks.apply_mask(model, mask)
         out = model.forward(np.random.default_rng(0).normal(size=(4, 4))).logits.data
         np.testing.assert_array_equal(out, np.zeros_like(out))
@@ -574,7 +573,7 @@ class TestApplyMask:
     def test_all_ones_mask_is_identity(self):
         model = _mlp(seed=11)
         before = {n: b.value.copy() for n, b in model.blocks.items()}
-        mask = masks.Mask({b.name: np.ones_like(b.value) for b in model.maskable_blocks()}, 0.0)
+        mask = masks.Mask({b.name: np.ones_like(b.value) for b in model.maskable_blocks()})
         masks.apply_mask(model, mask)
         for n, b in model.blocks.items():
             assert b.value.tobytes() == before[n].tobytes()
@@ -592,7 +591,7 @@ class TestApplyMask:
 
     def test_incongruent_mask_rejected(self):
         model = _mlp(seed=15)
-        bad = masks.Mask({"nope": np.ones(3)}, 0.5)
+        bad = masks.Mask({"nope": np.ones(3)})
         with pytest.raises(ValueError):
             masks.apply_mask(model, bad)
 
@@ -610,7 +609,7 @@ class TestApplyMask:
 class TestCollapseCheck:
     def test_flags_empty_layer(self):
         arrays = {"a.w": np.ones((2, 2)), "b.w": np.zeros((2, 2))}
-        assert masks.layer_collapse_check(masks.Mask(arrays, 0.5)) == ["b.w"]
+        assert masks.layer_collapse_check(masks.Mask(arrays)) == ["b.w"]
 
     def test_dense_mask_not_collapsed(self):
         model = _mlp(seed=17)

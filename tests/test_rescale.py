@@ -54,7 +54,7 @@ class TestFirstStepLoss:
     def test_masked_coordinates_do_not_move(self):
         """An all-masked model takes a null step: loss unchanged for any lr."""
         model = _mlp(seed=4)
-        mask = masks.Mask({b.name: np.zeros_like(b.value) for b in model.maskable_blocks()}, 1.0)
+        mask = masks.Mask({b.name: np.zeros_like(b.value) for b in model.maskable_blocks()})
         masks.apply_mask(model, mask)
         x, t = _batch(model, seed=5)
         base = first_step_loss(model, (x, t), lr=0.0)
@@ -140,9 +140,7 @@ class TestLearnScales:
             x, t = _batch(model, seed=100 + seed)
             out = rescale.learn_scales(model, (x, t), lr_train=0.1,
                                        config=rescale.LRsIConfig(iters=6))
-            final = first_step_loss(
-                model, (x, t), 0.1,
-                values=rescale._scaled_values(model, out.scales))
+            final = first_step_loss(rescale.apply_scales(model.clone(), out.scales), (x, t), 0.1)
             assert final <= out.trace[0] + 0.0
 
     def test_scales_respect_bounds(self, monkeypatch):
@@ -173,6 +171,23 @@ class TestLearnScales:
         assert len(rescale.scale_groups(model)) == 4 and len(out.trace) == 2
         assert len(built) == 1
 
+    def test_one_closure_per_run(self, monkeypatch):
+        """The scalars multiply the free vector of one loss-and-gradient
+        closure, built before the first objective call."""
+        calls = []
+        closures = rescale.probe_closures
+
+        def counting_closures(*args, **kwargs):
+            calls.append(1)
+            return closures(*args, **kwargs)
+
+        model = _mlp(seed=21)
+        monkeypatch.setattr(rescale, "probe_closures", counting_closures)
+        out = rescale.learn_scales(model, _batch(model, seed=22), lr_train=0.1,
+                                   config=rescale.LRsIConfig(iters=3))
+        assert len(out.trace) == 4
+        assert len(calls) == 1
+
 
 def _learned_and_fd_gradient(model, batch, **kw):
     """dJ/du at c=1 twice: read off one learn_scales iteration with a small
@@ -187,8 +202,7 @@ def _learned_and_fd_gradient(model, batch, **kw):
 
     def J(u):
         scales = dict(zip(groups, np.exp(u)))
-        return first_step_loss(model, batch, 0.1,
-                                       values=rescale._scaled_values(model, scales), **kw)
+        return first_step_loss(rescale.apply_scales(model.clone(), scales), batch, 0.1, **kw)
 
     fd = np.array([(J(h * e) - J(-h * e)) / (2 * h) for e in np.eye(len(groups))])
     return learned, fd
@@ -255,6 +269,28 @@ class TestApplyScales:
                 rescale.apply_scales(model, scales)
             outs.append({n: b.value.tobytes() for n, b in model.blocks.items()})
         assert outs[0] == outs[1]
+
+    def test_each_group_scales_its_weight_and_bias_exactly(self):
+        """A masked resnet-tiny with a distinct scalar per group: each weight
+        and bias of a group reads exactly its masked bytes times that scalar
+        (-0.0 included), and batchnorm and every other block keep theirs."""
+        model = layers.build_model({"preset": "resnet-tiny", "in_shape": [1, 6, 6],
+                                    "channels": [4, 8], "classes": 2}, seed=23)
+        masks.apply_mask(model, masks.random_mask(model, 0.5, seed=24))
+        scales = {g: 1.0 + 0.125 * (i + 1) for i, g in enumerate(rescale.scale_groups(model))}
+        before = {n: b.value.copy() for n, b in model.blocks.items()}
+        rescale.apply_scales(model, scales)
+        scaled = 0
+        for n, b in model.blocks.items():
+            if b.group in scales and b.kind in ("weight", "bias"):
+                want = before[n] * scales[b.group]
+                scaled += 1
+            else:
+                want = before[n]
+            assert b.value.tobytes() == want.tobytes(), n
+        assert scaled == 2 * len(scales) == 14
+        assert any(b.kind == "bn_scale" for b in model.blocks.values())
+        assert any(np.any((v == 0.0) & np.signbit(v)) for v in before.values())
 
     def test_nonpositive_scale_rejected(self):
         model = _mlp(seed=19)
